@@ -3,5 +3,3 @@ principle via the Brauer-Manin obstruction, and Chatelet-surface bundles
 with exactly one pointless rational fiber."""
 
 __version__ = "0.1.0"
-
-from chatelet._kernel import BACKEND as KERNEL_BACKEND  # noqa: F401

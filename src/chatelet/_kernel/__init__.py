@@ -1,49 +1,2 @@
-"""Kernel backend selection.
-
-The compiled extension is preferred; the pure-Python kernel is the
-fallback, and can be forced with ``CHATELET_PURE_KERNEL=1``.  Both expose
-the same three entry points:
-
-    oracle_symbol(a, b, p, precision) -> +1 | -1
-    conic_decide(alpha, alpha_odd_primes, r) -> bool
-    conic_scan(coeffs, alpha, alpha_odd_primes, H, limit) -> [(m, n), ...]
-"""
-
-from __future__ import annotations
-
-import os
-
-from chatelet._kernel import pure
-
-
-def _load():
-    if os.environ.get("CHATELET_PURE_KERNEL") == "1":
-        return pure
-    try:
-        from chatelet._kernel import _fast
-        return _fast
-    except ImportError:
-        return pure
-
-
-kernel = _load()
-
-#: "fast" (compiled) or "pure"
-BACKEND = kernel.NAME
-
-#: |values| handled by the compiled kernel; larger inputs take the pure path
-FAST_VALUE_LIMIT = 2**62
-
-
-def scan_backend_for(coeffs, alpha, H: int):
-    """Pick the backend able to scan this quartic exactly.
-
-    The compiled kernel works in 64-bit integers, so it is only used when
-    every quartic value over heights <= H is safely below 2^62.
-    """
-    if kernel is pure:
-        return pure
-    bound = sum(abs(int(c)) for c in coeffs) * (H**4) * 16
-    if bound >= FAST_VALUE_LIMIT or abs(int(alpha)) >= FAST_VALUE_LIMIT:
-        return pure
-    return kernel
+"""Hot loops kept apart from the mathematical layers: the fiber scan in
+:mod:`chatelet._kernel.pure`."""

@@ -1,144 +1,16 @@
-"""Pure-Python kernel: reference implementations of the hot loops.
+"""The fiber-scan kernel: the hot loop of the rational point search.
 
-Semantically identical to the compiled kernel in ``_fast.pyx``; selected
-automatically when the extension is unavailable (or when
-``CHATELET_PURE_KERNEL=1``).  The conic decision here is written directly
-in terms of valuations and Legendre symbols, independently of
-:mod:`chatelet.local`, so the two routes can be tested against each other.
+``conic_scan`` enumerates x in P^1(Q) by height, evaluates the integer
+binary quartic at each point and decides the fiber conic with
+:func:`chatelet.local.conic_decide`, the package's one Hasse-Minkowski
+decision.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 
-from chatelet.numbers import _pollard_rho, is_prime
-
-NAME = "pure"
-
-_TRIAL_BOUND = 10**6
-
-
-def oracle_symbol(a: int, b: int, p: int, precision: int) -> int:
-    """Hilbert symbol at p by exhaustive search mod p**precision.
-
-    Decides whether z^2 = a*x^2 + b*y^2 has a primitive solution modulo
-    p**precision.  A primitive triple has x, y or z a unit; scaling by its
-    inverse reduces to the three one-variable sweeps below.
-    """
-    M = p**precision
-    a %= M
-    b %= M
-    squares = bytearray(M)
-    b_squares = bytearray(M)
-    for t in range(M // 2 + 1):
-        t2 = t * t % M
-        squares[t2] = 1
-        b_squares[b * t2 % M] = 1
-    for y in range(M // 2 + 1):
-        # x = 1: z^2 = a + b y^2
-        if squares[(a + b * y * y) % M]:
-            return 1
-    for x in range(M // 2 + 1):
-        ax2 = a * x * x
-        # y = 1: z^2 = a x^2 + b
-        if squares[(ax2 + b) % M]:
-            return 1
-        # z = 1: 1 - a x^2 = b y^2
-        if b_squares[(1 - ax2) % M]:
-            return 1
-    return -1
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _split_valuation(n: int, p: int) -> tuple[int, int]:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e, n
-
-
-def _symbol_at_2(a: int, b: int) -> int:
-    s, u = _split_valuation(a, 2)
-    t, w = _split_valuation(b, 2)
-    eps_u = (u - 1) // 2
-    eps_w = (w - 1) // 2
-    omega_u = (u * u - 1) // 8
-    omega_w = (w * w - 1) // 8
-    exponent = eps_u * eps_w + s * omega_w + t * omega_u
-    return -1 if exponent % 2 else 1
-
-
-def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
-    """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r.
-
-    ``alpha`` must be a squarefree integer with odd prime divisors
-    ``alpha_odd_primes``; r is a nonzero integer.  Places are checked
-    cheapest first so that unsolvable inputs exit early.
-    """
-    if alpha < 0 and r < 0:
-        return False
-    if _symbol_at_2(alpha, r) != 1:
-        return False
-    for p in alpha_odd_primes:
-        e, w = _split_valuation(abs(r), p)
-        if r < 0:
-            w = -w
-        u = alpha // p
-        eps_p = (p - 1) // 2
-        sign = -1 if (e * eps_p) % 2 else 1
-        sym = sign * (_legendre(u, p) if e % 2 else 1) * _legendre(w, p)
-        if sym != 1:
-            return False
-    # remaining places: odd primes dividing r but not 2*alpha
-    m = abs(r)
-    _, m = _split_valuation(m, 2)
-    for p in alpha_odd_primes:
-        _, m = _split_valuation(m, p)
-    return _residual_primes_ok(alpha, m)
-
-
-def _residual_primes_ok(alpha: int, m: int) -> bool:
-    """Check (alpha, r)_q = +1 for every odd prime q | m, q coprime to 2*alpha.
-
-    For such q the symbol is (alpha/q)^{v_q}; only odd valuations matter.
-    Factors m incrementally, cheapest primes first, with early exit.
-    """
-    e, m = _split_valuation(m, 3)
-    if e % 2 and _legendre(alpha, 3) == -1:
-        return False
-    e, m = _split_valuation(m, 5)
-    if e % 2 and _legendre(alpha, 5) == -1:
-        return False
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    d, i = 7, 0
-    while d < _TRIAL_BOUND and d * d <= m:
-        if m % d == 0:
-            e, m = _split_valuation(m, d)
-            if e % 2 and _legendre(alpha, d) == -1:
-                return False
-        d += increments[i]
-        i = (i + 1) % 8
-    return _residual_large_ok(alpha, m)
-
-
-def _residual_large_ok(alpha: int, m: int) -> bool:
-    if m == 1:
-        return True
-    if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-        # prime cofactor (or certified prime)
-        return _legendre(alpha, m) == 1
-    root = math.isqrt(m)
-    if root * root == m:
-        return True  # every valuation even
-    d = _pollard_rho(m)
-    return _residual_large_ok(alpha, d) and _residual_large_ok(alpha, m // d)
+from chatelet.local import conic_decide
 
 
 def evaluate_quartic(coeffs, m: int, n: int) -> int:

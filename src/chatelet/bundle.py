@@ -19,7 +19,7 @@ from chatelet.numbers import squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
     Poly4,
-    quartic_disc,
+    disc_from_coeffs,
     quartic_irreducible,
 )
 from chatelet.surface import (
@@ -27,7 +27,6 @@ from chatelet.surface import (
     ChateletSurface,
     ObstructionReport,
     SearchResult,
-    _bad_places_partial,
     _frac_str,
     obstruction_report,
     rational_point_search,
@@ -182,7 +181,7 @@ def bad_fibers(B: SurfaceBundle) -> BadFiberSet:
         _U**2 * sympy.Rational(ci.numerator, ci.denominator)
         + _V**2 * sympy.Rational(c0.numerator, c0.denominator)
         for ci, c0 in zip(B.Pinf.coeffs, B.P0.coeffs))
-    disc = sympy.expand(_symbolic_quartic_disc(coeffs))
+    disc = sympy.expand(disc_from_coeffs(coeffs))
     poly = sympy.Poly(disc, _U, _V)
     R = [Fraction(0)] * 13
     for (i, j), c in poly.terms():
@@ -196,20 +195,6 @@ def bad_fibers(B: SurfaceBundle) -> BadFiberSet:
         roots.append(FiberParam.canonical(q.numerator, q.denominator))
     return BadFiberSet(fibers=tuple(sorted(roots, key=lambda f: (f.v, f.u))),
                        R_coeffs=tuple(R))
-
-
-def _symbolic_quartic_disc(coeffs):
-    e, d, c, b, a = coeffs
-    return (
-        256 * a**3 * e**3 - 192 * a**2 * b * d * e**2
-        - 128 * a**2 * c**2 * e**2 + 144 * a**2 * c * d**2 * e
-        - 27 * a**2 * d**4 + 144 * a * b**2 * c * e**2
-        - 6 * a * b**2 * d**2 * e - 80 * a * b * c**2 * d * e
-        + 18 * a * b * c * d**3 + 16 * a * c**4 * e
-        - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
-        + 18 * b**3 * c * d * e - 4 * b**3 * d**3
-        - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2
-    )
 
 
 def good_d_candidates(F: BadFiberSet, count: int) -> list[int]:
@@ -447,16 +432,15 @@ def verify_pullback(W: PulledBackBundle,
                                   "not smooth")
         if fp in F.fibers:
             raise ArithmeticError(f"sampled fiber {fp} lies in the bad set")
-        note = ""
         if t != (0, 1):
             if squarefree_part(fp.affine()) != d_class:
                 raise ArithmeticError(
                     f"fiber coordinate {fp} off the square class of d")
         irr = quartic_irreducible(S.Ptilde)
-        if not irr:
-            note = "thin-set hit: reducible fiber quartic"
         local = verify_local_everywhere(S)
         search = rational_point_search(S, search_H)
+        thin = "" if irr else "thin-set hit: reducible fiber quartic"
+        note = "; ".join(n for n in (thin, search.note) if n)
         records.append(FiberRecord(
             t=t, fiber_param=fp, smooth=True, irreducible=irr,
             locally_solvable=local.all_solvable,

@@ -21,7 +21,7 @@ from chatelet.local import (
     hilbert_symbol,
     support_places,
 )
-from chatelet.numbers import is_prime
+from chatelet.numbers import OutOfCertifiedRangeError, is_prime
 from chatelet.surface import (
     ChateletSurface,
     ParamSearchError,
@@ -143,6 +143,15 @@ def _report_shell(args, subcommand: str) -> dict:
     }
 
 
+def _stop(report: dict, stage: str, message: str, status: str, args) -> int:
+    """Emit the report cut at `stage`: "inconclusive" (exit 4) when a
+    number left the certified range, "error" (exit 3) otherwise."""
+    report["error"] = {"stage": stage, "message": message}
+    report["status"] = status
+    _emit(report, args.out)
+    return EXIT_INCONCLUSIVE if status == "inconclusive" else EXIT_STAGE
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -171,10 +180,7 @@ def cmd_counterexample(args) -> int:
         stages["search"] = _search(
             surface_mod.rational_point_search(S, args.height))
     except StageError as e:
-        report["error"] = {"stage": e.stage, "message": e.message}
-        report["status"] = "error"
-        _emit(report, args.out)
-        return EXIT_STAGE
+        return _stop(report, e.stage, e.message, "error", args)
     certified = (ob.conclusion == "no-rational-point-certified"
                  and not stages["search"]["found"])
     report["status"] = "certified" if certified else "inconclusive"
@@ -229,10 +235,7 @@ def cmd_bundle(args) -> int:
                                if rep.fibers else "0/0"),
         }
     except StageError as e:
-        report["error"] = {"stage": e.stage, "message": e.message}
-        report["status"] = "error"
-        _emit(report, args.out)
-        return EXIT_STAGE
+        return _stop(report, e.stage, e.message, "error", args)
     certified = rep.all_affine_ok  # special fiber already hard-checked
     report["status"] = "certified" if certified else "inconclusive"
     _emit(report, args.out)
@@ -294,14 +297,16 @@ def _verify_surface(report: dict, S: ChateletSurface, args) -> int:
     try:
         S.require_smooth()
         local = surface_mod.verify_local_everywhere(S)
+    except OutOfCertifiedRangeError as e:
+        return _stop(report, "local", str(e), "inconclusive", args)
     except (ValueError, ArithmeticError) as e:
-        report["error"] = {"stage": "local", "message": str(e)}
-        report["status"] = "error"
-        _emit(report, args.out)
-        return EXIT_STAGE
+        return _stop(report, "local", str(e), "error", args)
     stages["local"] = _local_report(local)
-    stages["search"] = _search(
-        surface_mod.rational_point_search(S, args.height))
+    try:
+        search = surface_mod.rational_point_search(S, args.height)
+    except OutOfCertifiedRangeError as e:
+        return _stop(report, "search", str(e), "inconclusive", args)
+    stages["search"] = _search(search)
     report["status"] = "certified"
     _emit(report, args.out)
     return EXIT_OK

@@ -2,8 +2,14 @@
 
 The Hilbert symbol is computed by the classical closed form (sign rule at
 the real place, valuations and Legendre symbols at odd p, the epsilon/omega
-congruence formula at 2).  An independent exhaustive-enumeration oracle is
-provided for testing the closed form.
+congruence formula at 2), written once for integers in `_hilbert_int`;
+rational arguments are first moved to an integer of the same square class.
+`conic_decide` is the package's one Hasse-Minkowski decision for
+y^2 - alpha z^2 = r: it evaluates that formula at 2 and at the primes of
+alpha and factors only as far as the remaining primes of r require.  The
+fiber scan of `chatelet._kernel.pure` and `conic_solvable_global` both
+call it.  An independent exhaustive-enumeration oracle is provided for
+testing the closed form.
 """
 
 from __future__ import annotations
@@ -13,15 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from chatelet import _kernel
 from chatelet.numbers import (
+    _TRIAL_DIVISION_BOUND,
     Rational,
+    _legendre,
+    _pollard_rho,
     factorize,
     is_prime,
-    legendre,
+    split_valuation,
     squarefree_part,
-    unit_part,
-    valuation,
 )
 
 __all__ = [
@@ -70,14 +76,6 @@ def finite_place(p: int) -> Place:
     return Place(sort_key=(1, p), p=p)
 
 
-def _eps(u: int) -> int:
-    return (u - 1) // 2
-
-
-def _omega(u: int) -> int:
-    return (u * u - 1) // 8
-
-
 def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     """Hilbert symbol (a, b)_v in {+1, -1}.
 
@@ -87,34 +85,34 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
         raise ValueError("hilbert symbol requires nonzero arguments")
     if v.is_real:
         return -1 if a < 0 and b < 0 else 1
-    p = v.p
-    alpha = valuation(a, p)
-    beta = valuation(b, p)
-    # unit parts reduced to integers mod p^3 (enough for eps/omega at 2)
-    mod = p**3
-    u = _unit_residue(a, p, alpha, mod)
-    w = _unit_residue(b, p, beta, mod)
+    return _hilbert_int(_integral(a), _integral(b), v.p)
+
+
+def _integral(q: Rational) -> int:
+    """The integer n*d in the square class of q = n/d."""
+    return q.numerator * q.denominator
+
+
+def _hilbert_int(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b and a prime p (unchecked).
+
+    With a = p^s u and b = p^t w, u and w prime to p: at odd p the symbol
+    is (-1)^(s t eps(p)) (u/p)^t (w/p)^s; at 2 it is
+    (-1)^(eps(u) eps(w) + s omega(w) + t omega(u)), where
+    eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8.
+    """
+    s, u = split_valuation(a, p)
+    t, w = split_valuation(b, p)
     if p == 2:
-        exponent = (_eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u))
+        exponent = ((u - 1) // 2 * ((w - 1) // 2)
+                    + s * ((w * w - 1) // 8) + t * ((u * u - 1) // 8))
         return -1 if exponent % 2 else 1
-    exponent = alpha * beta * _eps(p)
-    sym = -1 if exponent % 2 else 1
-    if beta % 2:
-        sym *= legendre(u, p)
-    if alpha % 2:
-        sym *= legendre(w, p)
+    sym = -1 if s * t * ((p - 1) // 2) % 2 else 1
+    if t % 2:
+        sym *= _legendre(u, p)
+    if s % 2:
+        sym *= _legendre(w, p)
     return sym
-
-
-def _unit_residue(q: Rational, p: int, val: int, mod: int) -> int:
-    """Integer congruent mod `mod` to the unit part q / p^val."""
-    q = Fraction(q)
-    n, d = q.numerator, q.denominator
-    if val >= 0:
-        n //= p**val
-    else:
-        d //= p**(-val)
-    return n * pow(d, -1, mod) % mod
 
 
 def default_oracle_precision(a: int, b: int, p: int) -> int:
@@ -137,16 +135,8 @@ def default_oracle_precision(a: int, b: int, p: int) -> int:
     * d <= v at odd p and d <= v + 1 at p = 2, so N = 2v + 1 and
       N = 2v + 3 suffice.
     """
-    vmax = max(_int_valuation(a, p), _int_valuation(b, p))
+    vmax = max(split_valuation(a, p)[0], split_valuation(b, p)[0])
     return 2 * vmax + (3 if p == 2 else 1)
-
-
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def hilbert_bruteforce_oracle(a: Rational, b: Rational, p: int,
@@ -163,10 +153,8 @@ def hilbert_bruteforce_oracle(a: Rational, b: Rational, p: int,
         raise ValueError("oracle requires nonzero arguments")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a = Fraction(a)
-    b = Fraction(b)
-    ia = a.numerator * a.denominator
-    ib = b.numerator * b.denominator
+    ia = _integral(a)
+    ib = _integral(b)
     minimum = default_oracle_precision(ia, ib, p)
     if precision is None:
         precision = minimum
@@ -175,16 +163,45 @@ def hilbert_bruteforce_oracle(a: Rational, b: Rational, p: int,
             f"precision {precision} below the Hensel bound {minimum}")
     if p**precision > 2**26:
         raise ValueError("enumeration modulus too large for the oracle")
-    return _kernel.kernel.oracle_symbol(ia, ib, p, precision)
+    return oracle_symbol(ia, ib, p, precision)
+
+
+def oracle_symbol(a: int, b: int, p: int, precision: int) -> int:
+    """Hilbert symbol at p by exhaustive search mod p**precision.
+
+    Decides whether z^2 = a*x^2 + b*y^2 has a primitive solution modulo
+    p**precision.  A primitive triple has x, y or z a unit; scaling by its
+    inverse reduces to the three one-variable sweeps below.
+    """
+    M = p**precision
+    a %= M
+    b %= M
+    squares = bytearray(M)
+    b_squares = bytearray(M)
+    for t in range(M // 2 + 1):
+        t2 = t * t % M
+        squares[t2] = 1
+        b_squares[b * t2 % M] = 1
+    for y in range(M // 2 + 1):
+        # x = 1: z^2 = a + b y^2
+        if squares[(a + b * y * y) % M]:
+            return 1
+    for x in range(M // 2 + 1):
+        ax2 = a * x * x
+        # y = 1: z^2 = a x^2 + b
+        if squares[(ax2 + b) % M]:
+            return 1
+        # z = 1: 1 - a x^2 = b y^2
+        if b_squares[(1 - ax2) % M]:
+            return 1
+    return -1
 
 
 def support_places(a: Rational, b: Rational) -> list[Place]:
     """Finite support of (a, b): real, 2, and primes dividing either."""
-    a = Fraction(a)
-    b = Fraction(b)
     primes = {2}
     for q in (a, b):
-        primes.update(factorize(q.numerator * q.denominator).primes())
+        primes.update(factorize(_integral(q)).primes())
     return [REAL] + [finite_place(p) for p in sorted(primes)]
 
 
@@ -204,12 +221,12 @@ def is_local_square(t: Rational, v: Place) -> bool:
     if v.is_real:
         return t > 0
     p = v.p
-    val = valuation(t, p)
-    if val % 2:
+    e, u = split_valuation(_integral(t), p)
+    if e % 2:
         return False
     if p == 2:
-        return _unit_residue(t, 2, val, 8) % 8 == 1
-    return legendre(_unit_residue(t, p, val, p), p) == 1
+        return u % 8 == 1
+    return _legendre(u, p) == 1
 
 
 def inv_from_symbol(s: int) -> Fraction:
@@ -240,20 +257,80 @@ def conic_solvable_global(
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
     """Hasse-Minkowski decision for y^2 - alpha z^2 = r over Q.
 
-    Exact: solvable iff solvable at every place of the finite support.
-    The optional witness search is bounded and diagnostic only; (True,
-    None) means "solvable, witness not found within bound".
+    Exact: alpha and r are moved to integers of the same square classes
+    (alpha squarefree) and decided by `conic_decide`.  The optional
+    witness search is bounded and diagnostic only; (True, None) means
+    "solvable, witness not found within bound".
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if r == 0:
         return True, (Fraction(0), Fraction(0))
-    for v in support_places(alpha, r):
-        if hilbert_symbol(alpha, r, v) != 1:
-            return False, None
+    alpha_sf = squarefree_part(alpha)
+    odd_primes = tuple(p for p in factorize(alpha_sf).primes() if p != 2)
+    if not conic_decide(alpha_sf, odd_primes, _integral(r)):
+        return False, None
     if not want_witness:
         return True, None
     return True, _conic_witness(Fraction(alpha), Fraction(r), witness_bound)
+
+
+def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
+    """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q.
+
+    ``alpha`` must be a squarefree integer with odd prime divisors
+    ``alpha_odd_primes``; r is a nonzero integer.  The conic is solvable
+    iff (alpha, r)_v = +1 at every place v.  Places are checked cheapest
+    first so that unsolvable inputs exit early: the real place, 2, the
+    odd primes of alpha, then the remaining primes of r.
+    """
+    if alpha < 0 and r < 0:
+        return False
+    if _hilbert_int(alpha, r, 2) != 1:
+        return False
+    m = split_valuation(abs(r), 2)[1]
+    for p in alpha_odd_primes:
+        if _hilbert_int(alpha, r, p) != 1:
+            return False
+        m = split_valuation(m, p)[1]
+    return _residual_primes_ok(alpha, m)
+
+
+def _residual_primes_ok(alpha: int, m: int) -> bool:
+    """Check (alpha, r)_q = +1 for every odd prime q | m, q coprime to 2*alpha.
+
+    For such q the symbol is (alpha/q)^{v_q}; only odd valuations matter.
+    Factors m incrementally, cheapest primes first, with early exit.
+    """
+    e, m = split_valuation(m, 3)
+    if e % 2 and _legendre(alpha, 3) == -1:
+        return False
+    e, m = split_valuation(m, 5)
+    if e % 2 and _legendre(alpha, 5) == -1:
+        return False
+    increments = (4, 2, 4, 2, 4, 6, 2, 6)
+    d, i = 7, 0
+    while d < _TRIAL_DIVISION_BOUND and d * d <= m:
+        if m % d == 0:
+            e, m = split_valuation(m, d)
+            if e % 2 and _legendre(alpha, d) == -1:
+                return False
+        d += increments[i]
+        i = (i + 1) % 8
+    return _residual_large_ok(alpha, m)
+
+
+def _residual_large_ok(alpha: int, m: int) -> bool:
+    if m == 1:
+        return True
+    if m < _TRIAL_DIVISION_BOUND**2 or is_prime(m):
+        # prime cofactor (or certified prime)
+        return _legendre(alpha, m) == 1
+    root = math.isqrt(m)
+    if root * root == m:
+        return True  # every valuation even
+    d = _pollard_rho(m)
+    return _residual_large_ok(alpha, d) and _residual_large_ok(alpha, m // d)
 
 
 def _conic_witness(alpha: Fraction, r: Fraction,

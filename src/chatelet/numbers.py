@@ -234,23 +234,38 @@ def partial_factorize(n: int, rho_budget: int = 6) -> tuple[Factorization, int]:
 def _perfect_power(n: int) -> tuple[int, int]:
     """Return (r, k) with r**k == n and k maximal (k = 1 if no power)."""
     for k in (2, 3, 5, 7):
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand > 1 and cand**k == n:
-                root, j = _perfect_power(cand)
-                return root, j * k
+        r = _iroot(n, k)
+        if r > 1 and r**k == n:
+            root, j = _perfect_power(r)
+            return root, j * k
     return n, 1
+
+
+def _iroot(n: int, k: int) -> int:
+    """Exact floor of the k-th root of n >= 1 (integer Newton from above)."""
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x**(k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"legendre requires an odd prime, got {p}")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    """(a/p) by Euler's criterion; p must be an odd prime (unchecked)."""
     a %= p
     if a == 0:
         return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -273,16 +288,19 @@ def valuation(q: Rational, p: int) -> int:
     if p < 2 or not is_prime(p):
         raise ValueError(f"valuation requires a prime, got {p}")
     q = Fraction(q)
-    v = 0
-    n = q.numerator
+    return (split_valuation(q.numerator, p)[0]
+            - split_valuation(q.denominator, p)[0])
+
+
+def split_valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, u) with n = p**e * u and p not dividing u, for a nonzero
+    integer n (sign kept in u) and p >= 2.  Unchecked: the hot loops
+    call it with known primes."""
+    e = 0
     while n % p == 0:
         n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+        e += 1
+    return e, n
 
 
 def unit_part(q: Rational, p: int) -> Fraction:

@@ -105,12 +105,17 @@ def homogenize(P: Poly4) -> BinaryQuartic:
 def quartic_disc(q: BinaryQuartic | Poly4) -> Fraction:
     """Discriminant of the binary quartic form.
 
-    The standard degree-6 integer polynomial in the coefficients; zero
-    exactly when the form has a repeated root in P^1 over the algebraic
-    closure (roots at infinity included).
+    Zero exactly when the form has a repeated root in P^1 over the
+    algebraic closure (roots at infinity included).
     """
-    e, d, c, b, a = (q.coeffs if isinstance(q, BinaryQuartic)
-                     else homogenize(q).coeffs)
+    return disc_from_coeffs(q.coeffs)
+
+
+def disc_from_coeffs(coeffs):
+    """The standard degree-6 integer polynomial in the coefficients
+    c0..c4 of sum c_i x^i w^(4-i).  Ring-agnostic: the coefficients may
+    be Fractions or sympy expressions."""
+    e, d, c, b, a = coeffs
     return (
         256 * a**3 * e**3 - 192 * a**2 * b * d * e**2
         - 128 * a**2 * c**2 * e**2 + 144 * a**2 * c * d**2 * e

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import sympy
 
-from chatelet import _kernel
+from chatelet._kernel.pure import conic_scan
 from chatelet.local import (
     REAL,
     Place,
@@ -39,6 +39,7 @@ from chatelet.numbers import (
     legendre,
     mod_inverse,
     partial_factorize,
+    split_valuation,
     squarefree_part,
     valuation,
 )
@@ -293,14 +294,6 @@ def _eval_int_poly(coeffs: tuple[int, ...], x: int) -> int:
     return acc
 
 
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 @dataclass
 class _LocalDecider:
     """Exact decision of V(Q_p) != 0 by adaptive residue subdivision.
@@ -366,7 +359,7 @@ class _LocalDecider:
         val = _eval_int_poly(f, x0)
         if val == 0:
             return self._certificate(chart, x0, "degenerate")
-        v = _int_valuation(val, p)
+        v = split_valuation(val, p)[0]
         determined = (v <= k - 3) if p == 2 else (v < k)
         if determined:
             if hilbert_symbol(self.S.alpha, Fraction(val),
@@ -374,7 +367,7 @@ class _LocalDecider:
                 return self._certificate(chart, x0, 1)
             return None
         deriv = _eval_int_poly(_derivative(f), x0)
-        if deriv != 0 and v > 2 * _int_valuation(deriv, p):
+        if deriv != 0 and v > 2 * split_valuation(deriv, p)[0]:
             # Newton/Hensel: a Q_p-root of the quartic near x0
             return self._certificate(chart, x0, "degenerate")
         if k >= self.max_depth:
@@ -662,8 +655,7 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     coeffs = S.Ptilde.integer_square_scaled()
     alpha_sf = squarefree_part(S.alpha)
     odd_primes = tuple(p for p in factorize(alpha_sf).primes() if p != 2)
-    backend = _kernel.scan_backend_for(coeffs, alpha_sf, H)
-    hits = backend.conic_scan(coeffs, alpha_sf, odd_primes, H, 1)
+    hits = conic_scan(coeffs, alpha_sf, odd_primes, H, 1)
     if not hits:
         return SearchResult(height=H, found=False,
                             note=f"none up to {H}")

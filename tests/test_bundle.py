@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chatelet import bundle as bundle_mod
 from chatelet.bundle import (
     BadFiberSet,
     FiberParam,
@@ -26,7 +27,13 @@ from chatelet.bundle import (
 )
 from chatelet.numbers import squarefree_part
 from chatelet.quartic import BinaryQuartic
-from chatelet.surface import build_surface, find_params, iskovskikh
+from chatelet.surface import (
+    INFINITY,
+    SearchResult,
+    build_surface,
+    find_params,
+    iskovskikh,
+)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +253,31 @@ class TestVerifyPullback:
     def test_default_sample_ts(self):
         ts = default_sample_ts(6)
         assert ts == [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1)]
+
+
+class TestFiberNotes:
+    NOTE = "solvable fiber found, witness beyond bound"
+
+    def _record(self, B, F, monkeypatch, irreducible):
+        noted = SearchResult(height=5, found=True, x=(1, 1), note=self.NOTE)
+        monkeypatch.setattr(bundle_mod, "rational_point_search",
+                            lambda S, H: noted)
+        monkeypatch.setattr(bundle_mod, "quartic_irreducible",
+                            lambda q: irreducible)
+        W = pullback(B, good_d_candidates(F, 1)[0])
+        (record,) = verify_pullback(W, [INFINITY, (0, 1)], search_H=5,
+                                    obstruction_samples=4).fibers
+        return record
+
+    def test_search_note_kept(self, B, F, monkeypatch):
+        record = self._record(B, F, monkeypatch, irreducible=True)
+        assert record.point_found
+        assert record.note == self.NOTE
+
+    def test_joined_with_thin_set_note(self, B, F, monkeypatch):
+        record = self._record(B, F, monkeypatch, irreducible=False)
+        assert record.note == ("thin-set hit: reducible fiber quartic; "
+                               + self.NOTE)
 
 
 class TestSerialization:

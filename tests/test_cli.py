@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes and byte-determinism."""
 
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,11 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+SURFACE_INPUT = '{"alpha": "2", "P": ["6","0","0","0","1"]}'
 
 
 class TestHilbert:
@@ -149,6 +156,18 @@ class TestSurface:
         assert code == EXIT_OK
         assert rep["stages"]["search"]["found"]
 
+    def test_past_64_bits_is_inconclusive(self, capsys, monkeypatch):
+        # the fiber scan meets a cofactor beyond the certified range
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"alpha": "-1", "P": ["1","0","0","0","73786976294838206473"]}'))
+        code, rep = run_json(capsys, "surface", "-", "--height", "20")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        assert rep["error"]["stage"] == "search"
+        assert "certified 64-bit range" in rep["error"]["message"]
+        assert rep["stages"]["local"]["all_solvable"]
+        assert "search" not in rep["stages"]
+
     def test_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -169,3 +188,20 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["counterexample", "--nope"]) == EXIT_USAGE
+
+
+class TestGolden:
+    """Reports byte for byte as the CLI wrote them before the conic
+    decision was folded into one implementation; refactors keep them."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("counterexample_height40", ["counterexample", "--height", "40"]),
+        ("iskovskikh_height80", ["iskovskikh", "--height", "80"]),
+        ("hilbert_697_41", ["hilbert", "697", "41"]),
+        ("surface_stdin_height20", ["surface", "-", "--height", "20"]),
+    ])
+    def test_report(self, tmp_path, monkeypatch, name, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(SURFACE_INPUT))
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -1,5 +1,6 @@
 """Hilbert symbols, local squares and conic solvability."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from chatelet.local import (
     REAL,
     Place,
+    conic_decide,
     conic_solvable_global,
     conic_solvable_local,
+    default_oracle_precision,
     finite_place,
     hilbert_bruteforce_oracle,
     hilbert_symbol,
@@ -19,6 +22,7 @@ from chatelet.local import (
     product_formula_check,
     support_places,
 )
+from chatelet.numbers import factorize, squarefree_part
 
 nonzero = st.integers(min_value=-200, max_value=200).filter(lambda n: n != 0)
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
@@ -184,3 +188,59 @@ class TestConic:
             conic_solvable_local(alpha, r, v)
             for v in support_places(alpha, r))
         assert ok == everywhere
+
+
+# enumeration moduli up to this size keep the oracle at a few ms per call
+ORACLE_MODULUS = 2**12
+
+
+def _odd_primes(alpha):
+    return tuple(p for p in factorize(abs(alpha)).primes() if p != 2)
+
+
+def _check_decision(alpha, r):
+    """The one decision against the closed-form table over the support
+    and, where the modulus allows, against the enumeration oracle."""
+    decided = conic_decide(alpha, _odd_primes(alpha), r)
+    table = {v: hilbert_symbol(alpha, r, v) for v in support_places(alpha, r)}
+    assert decided == all(s == 1 for s in table.values()), (alpha, r)
+    assert conic_solvable_global(alpha, r)[0] == decided, (alpha, r)
+    for v, s in table.items():
+        if v.is_real:
+            continue
+        if v.p ** default_oracle_precision(alpha, r, v.p) <= ORACLE_MODULUS:
+            assert hilbert_bruteforce_oracle(alpha, r, v.p) == s, (alpha, r, v)
+
+
+class TestConicDecision:
+    def test_random_decisions(self):
+        rng = random.Random(32)
+        for _ in range(800):
+            alpha = squarefree_part(rng.choice(
+                [n for n in range(-400, 401) if n]))
+            r = rng.randint(-10**7, 10**7)
+            if r == 0:
+                continue
+            _check_decision(alpha, r)
+
+    def test_large_prime_cofactors(self):
+        # residual parts beyond the trial bound exercise rho + Legendre
+        rng = random.Random(33)
+        big_primes = [1000003, 1000033, 1000037, 1000039]
+        for _ in range(40):
+            q1, q2 = rng.sample(big_primes, 2)
+            r = q1 * q2 * rng.choice([1, -1, 4, 9])
+            _check_decision(rng.choice([2, 3, -1, 697]), r)
+
+    def test_rational_arguments(self):
+        # conic_solvable_global moves (alpha, r) to integers of the same
+        # square classes before deciding
+        rng = random.Random(35)
+        for _ in range(300):
+            alpha = Fraction(rng.choice([-1, 1]) * rng.randint(1, 60),
+                             rng.randint(1, 60))
+            r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**4),
+                         rng.randint(1, 10**3))
+            ok, _ = conic_solvable_global(alpha, r)
+            assert ok == all(hilbert_symbol(alpha, r, v) == 1
+                             for v in support_places(alpha, r)), (alpha, r)

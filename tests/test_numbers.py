@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chatelet.numbers import (
     Factorization,
+    _perfect_power,
     OutOfCertifiedRangeError,
     factorize,
     is_prime,
@@ -87,6 +88,18 @@ class TestPartialFactorize:
         f, cof = partial_factorize(n, rho_budget=0)
         assert f.value() * cof == n
         assert (7, 1) in f.factors
+
+    def test_cofactor_past_float_range(self):
+        n = 2**1279 - 1  # a Mersenne prime, far above 1e308
+        f, cof = partial_factorize(n)
+        assert f.factors == ()
+        assert cof == n
+
+    def test_perfect_power_exact_root(self):
+        q = 2**521 - 1
+        assert _perfect_power(q**3) == (q, 3)
+        assert _perfect_power(q**2 * 7) == (q**2 * 7, 1)
+        assert _perfect_power(3**70) == (3, 70)
 
 
 class TestLegendre:
