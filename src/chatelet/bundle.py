@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -100,6 +101,11 @@ class SurfaceBundle:
     @property
     def P0(self) -> BinaryQuartic:
         return self.source.Ptilde
+
+    @cached_property
+    def bad(self) -> "BadFiberSet":
+        """`bad_fibers` of this bundle, computed once per bundle."""
+        return bad_fibers(self)
 
 
 @dataclass(frozen=True)
@@ -216,7 +222,7 @@ def good_d_candidates(F: BadFiberSet, count: int) -> list[int]:
 def pullback(B: SurfaceBundle, d: int) -> PulledBackBundle:
     if d <= 0 or squarefree_part(d) != d:
         raise ValueError("d must be positive and squarefree")
-    if Fraction(d) in bad_fibers(B).affine_classes():
+    if Fraction(d) in B.bad.affine_classes():
         raise ValueError(
             f"d = {d} shares a square class with a bad fiber")
     return PulledBackBundle(base=B, d=d)
@@ -412,7 +418,7 @@ def verify_pullback(W: PulledBackBundle,
         sample_ts = default_sample_ts(52)
     if INFINITY not in sample_ts or (0, 1) not in sample_ts:
         raise ValueError("sample must include t = infinity and t = 0")
-    F = bad_fibers(W.base)
+    F = W.base.bad
     d_class = Fraction(squarefree_part(W.d))
     special = obstruction_report(W.base.source,
                                  samples_per_place=obstruction_samples,
@@ -420,33 +426,17 @@ def verify_pullback(W: PulledBackBundle,
     if special.conclusion != "no-rational-point-certified":
         raise ArithmeticError("special fiber obstruction not certified")
     special_search = rational_point_search(W.base.source, search_H)
+    # the fiber depends on t only through (t0^2 : t1^2), so t and -t
+    # share one verification and differ only in the record's t
+    by_fiber: dict[FiberParam, FiberRecord] = {}
     records = []
     for t in sample_ts:
         if t == INFINITY:
             continue
         fp = pullback_fiber_param(W, t)
-        S = pullback_fiber(W, t)
-        smooth = S.is_smooth()
-        if not smooth:
-            raise ArithmeticError(f"sampled affine fiber at t={t} is "
-                                  "not smooth")
-        if fp in F.fibers:
-            raise ArithmeticError(f"sampled fiber {fp} lies in the bad set")
-        if t != (0, 1):
-            if squarefree_part(fp.affine()) != d_class:
-                raise ArithmeticError(
-                    f"fiber coordinate {fp} off the square class of d")
-        irr = quartic_irreducible(S.Ptilde)
-        local = verify_local_everywhere(S)
-        search = rational_point_search(S, search_H)
-        thin = "" if irr else "thin-set hit: reducible fiber quartic"
-        note = "; ".join(n for n in (thin, search.note) if n)
-        records.append(FiberRecord(
-            t=t, fiber_param=fp, smooth=True, irreducible=irr,
-            locally_solvable=local.all_solvable,
-            bad_places=tuple(r.place for r in local.results),
-            disc_cofactor=local.uncertified_disc_cofactor,
-            point_found=search.found, point=search.x, note=note))
+        if fp not in by_fiber:
+            by_fiber[fp] = _verify_fiber(W, t, fp, F, d_class, search_H)
+        records.append(replace(by_fiber[fp], t=t))
     return BundleReport(
         d=W.d,
         special=special,
@@ -457,6 +447,33 @@ def verify_pullback(W: PulledBackBundle,
         all_affine_ok=all(r.smooth and r.locally_solvable
                           for r in records),
     )
+
+
+def _verify_fiber(W: PulledBackBundle, t: tuple[int, int], fp: FiberParam,
+                  F: BadFiberSet, d_class: Fraction,
+                  search_H: int) -> FiberRecord:
+    """The record of the fiber fp = `pullback_fiber_param`(W, t)."""
+    S = pullback_fiber(W, t)
+    if not S.is_smooth():
+        raise ArithmeticError(f"sampled affine fiber at t={t} is "
+                              "not smooth")
+    if fp in F.fibers:
+        raise ArithmeticError(f"sampled fiber {fp} lies in the bad set")
+    if not fp.is_infinity:
+        if squarefree_part(fp.affine()) != d_class:
+            raise ArithmeticError(
+                f"fiber coordinate {fp} off the square class of d")
+    irr = quartic_irreducible(S.Ptilde)
+    local = verify_local_everywhere(S)
+    search = rational_point_search(S, search_H)
+    thin = "" if irr else "thin-set hit: reducible fiber quartic"
+    note = "; ".join(n for n in (thin, search.note) if n)
+    return FiberRecord(
+        t=t, fiber_param=fp, smooth=True, irreducible=irr,
+        locally_solvable=local.all_solvable,
+        bad_places=tuple(r.place for r in local.results),
+        disc_cofactor=local.uncertified_disc_cofactor,
+        point_found=search.found, point=search.x, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def cmd_bundle(args) -> int:
         except (ParamSearchError, ValueError) as e:
             raise StageError("build", str(e))
         stages["bundle"] = bundle_mod.bundle_to_json(B)
-        F = bundle_mod.bad_fibers(B)
+        F = B.bad
         stages["bad_fibers"] = {
             "fibers": [_point((f.u, f.v)) for f in F.fibers],
             "affine_classes": sorted(_frac(q)

@@ -8,8 +8,9 @@ rational arguments are first moved to an integer of the same square class.
 y^2 - alpha z^2 = r: it evaluates that formula at 2 and at the primes of
 alpha and factors only as far as the remaining primes of r require.  The
 fiber scan of `chatelet._kernel.pure` and `conic_solvable_global` both
-call it.  An independent exhaustive-enumeration oracle is provided for
-testing the closed form.
+call it.  A rational point of a solvable conic is found exactly by
+Legendre's descent and checked by substitution.  An independent
+exhaustive-enumeration oracle is provided for testing the closed form.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+from sympy.ntheory import sqrt_mod
 
 from chatelet.numbers import (
     _TRIAL_DIVISION_BOUND,
@@ -253,26 +256,27 @@ def conic_solvable_local(alpha: Rational, r: Rational, v: Place) -> bool:
 
 def conic_solvable_global(
     alpha: Rational, r: Rational, want_witness: bool = False,
-    witness_bound: int = 10**4,
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
     """Hasse-Minkowski decision for y^2 - alpha z^2 = r over Q.
 
     Exact: alpha and r are moved to integers of the same square classes
-    (alpha squarefree) and decided by `conic_decide`.  The optional
-    witness search is bounded and diagnostic only; (True, None) means
-    "solvable, witness not found within bound".
+    (alpha squarefree) and decided by `conic_decide`.  With want_witness,
+    a solvable conic also returns a rational point (y, z), found by
+    Legendre descent and checked by substitution (`_conic_point`).
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if r == 0:
         return True, (Fraction(0), Fraction(0))
     alpha_sf = squarefree_part(alpha)
-    odd_primes = tuple(p for p in factorize(alpha_sf).primes() if p != 2)
+    alpha_primes = factorize(alpha_sf).primes()
+    odd_primes = tuple(p for p in alpha_primes if p != 2)
     if not conic_decide(alpha_sf, odd_primes, _integral(r)):
         return False, None
     if not want_witness:
         return True, None
-    return True, _conic_witness(Fraction(alpha), Fraction(r), witness_bound)
+    return True, _conic_point(Fraction(alpha), alpha_sf, alpha_primes,
+                              Fraction(r))
 
 
 def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
@@ -333,31 +337,102 @@ def _residual_large_ok(alpha: int, m: int) -> bool:
     return _residual_large_ok(alpha, d) and _residual_large_ok(alpha, m // d)
 
 
-def _conic_witness(alpha: Fraction, r: Fraction,
-                   bound: int) -> Optional[tuple[Fraction, Fraction]]:
-    """Search y^2 - alpha z^2 = r over z with numerator and denominator
-    bounded, testing whether r + alpha z^2 is a rational square.
+def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],
+                 r: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational point (y, z), y, z >= 0, of y^2 - alpha z^2 = r for a
+    conic already decided solvable, with r != 0.
 
-    Diagnostic only; None means no witness within the bound.
+    A is the squarefree part of alpha and A_primes its primes.  Write
+    alpha = A a^2 and r = R s^2 with R squarefree and a, s > 0 rational.
+    A nontrivial integer point (x, u, w) of x^2 - A u^2 = R w^2 from
+    `_legendre_descent` gives (y, z) = (s x / w, s u / (a w)).  Only
+    A = 1 allows w = 0; then alpha = a^2 and the factorization
+    (y - a z)(y + a z) = r gives y = (r + 1)/2, z = (r - 1)/(2a).
+    The point is checked by substitution before it is returned.
     """
-    budget = 10**6  # total z candidates examined
-    for den in range(1, bound + 1):
-        for num in range(0, bound + 1):
-            if math.gcd(num, den) != 1:
-                continue
-            budget -= 1
-            if budget < 0:
-                return None
-            z = Fraction(num, den)
-            y2 = r + alpha * z * z
-            if y2 >= 0 and _is_rational_square(y2):
-                y = Fraction(math.isqrt(y2.numerator),
-                             math.isqrt(y2.denominator))
-                return y, z
-    return None
+    n = _integral(r)
+    R, R_primes = _square_class(n, A_primes)
+    s = Fraction(math.isqrt(n // R), r.denominator)
+    a = Fraction(math.isqrt(_integral(alpha) // A), alpha.denominator)
+    x, u, w = _legendre_descent(A, A_primes, R, R_primes)
+    if w:
+        y, z = s * x / w, s * u / (a * w)
+    else:
+        y, z = (r + 1) / 2, (r - 1) / (2 * a)
+    y, z = abs(y), abs(z)
+    if y * y - alpha * z * z != r:
+        raise ArithmeticError(
+            f"({y}, {z}) is not a point of y^2 - ({alpha}) z^2 = {r}")
+    return y, z
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    return rn * rn == n and rd * rd == d
+def _legendre_descent(A: int, A_primes: tuple[int, ...], R: int,
+                      R_primes: tuple[int, ...]) -> tuple[int, int, int]:
+    """A nontrivial integer point (x, u, w) of x^2 - A u^2 = R w^2.
+
+    A and R are squarefree integers, listed with their primes, and the
+    conic must have a rational point.  Lagrange's descent, as made
+    effective by Cremona and Rusin (Math. Comp. 72, 2003):
+
+    * base cases: A = 1 gives (1, 1, 0), R = 1 gives (1, 0, 1);
+    * otherwise swap so that |A| <= |R| (x^2 - R w^2 = A u^2 is the same
+      conic), take t = sqrt(A) mod |R| with |t| <= |R|/2 (A is a square
+      modulo each prime of R because the conic is solvable there) and
+      write (t^2 - A)/R = c s^2 with c squarefree;
+    * R c s^2 = N(t + sqrt A), so the conic x^2 - A u^2 = c w^2 is
+      solvable too; from its point (x1, u1, w1) the product
+      (x1 + u1 sqrt A)(t + sqrt A) has norm R (c s w1)^2.
+
+    A = R needs no base case of its own: there t = 0 and c = -1.
+    |c| <= |t^2 - A|/|R| <= |R|/4 + 1 < |R| once |R| >= 2, so |A| + |R|
+    falls at every step.  A point with (x, u) = (0, 0) would force w = 0;
+    for A != 1 the product of two nonzero elements of Q(sqrt A) is
+    nonzero, so the point stays nontrivial.
+    """
+    if R == 1:
+        return 1, 0, 1
+    if A == 1:
+        return 1, 1, 0
+    if abs(A) > abs(R):
+        x, w, u = _legendre_descent(R, R_primes, A, A_primes)
+        return x, u, w
+    if R == -1:  # then A = -1: x^2 + u^2 = -w^2 has no point
+        raise ArithmeticError("x^2 + u^2 = -w^2 has no rational point")
+    t = _sqrt_mod_squarefree(A, R_primes)
+    m = (t * t - A) // R
+    c, c_primes = _square_class(m)
+    s = math.isqrt(m // c)
+    x1, u1, w1 = _legendre_descent(A, A_primes, c, c_primes)
+    return x1 * t + A * u1, x1 + t * u1, c * s * w1
+
+
+def _sqrt_mod_squarefree(a: int, primes: tuple[int, ...]) -> int:
+    """t with t^2 = a modulo the product M of the distinct primes and
+    |t| <= M/2, by a root modulo each prime and the Chinese remainder
+    theorem."""
+    t, M = 0, 1
+    for p in primes:
+        root = sqrt_mod(a % p, p)
+        if root is None:
+            raise ArithmeticError(f"{a} is not a square modulo {p}")
+        t += M * ((root - t) * pow(M, -1, p) % p)
+        M *= p
+    return t - M if 2 * t > M else t
+
+
+def _square_class(n: int, known: tuple[int, ...] = ()
+                  ) -> tuple[int, tuple[int, ...]]:
+    """The squarefree integer in the square class of the nonzero integer
+    n, with its primes.  The primes in `known` are divided out before the
+    rest of n is factorized."""
+    odd = []
+    rest = abs(n)
+    for p in known:
+        e, rest = split_valuation(rest, p)
+        if e % 2:
+            odd.append(p)
+    odd += [p for p, e in factorize(rest) if e % 2]
+    c = -1 if n < 0 else 1
+    for p in odd:
+        c *= p
+    return c, tuple(sorted(odd))

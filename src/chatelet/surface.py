@@ -648,8 +648,9 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     """Exact fiberwise search: for every x in P^1(Q) of height <= H,
     decide the fiber conic y^2 - alpha z^2 = P~(x) by Hasse-Minkowski.
 
-    Exhaustive over the x-range; a returned point is exact, and
-    found=False means NO fiber of height <= H is solvable over Q.
+    Exhaustive over the x-range; a found fiber x comes with an exact
+    point (y, z) of its conic, and found=False means NO fiber of height
+    <= H is solvable over Q.
     """
     S.require_smooth()
     coeffs = S.Ptilde.integer_square_scaled()
@@ -666,9 +667,7 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
                             witness=(Fraction(0), Fraction(0)),
                             note="degenerate fiber")
     _, wit = conic_solvable_global(S.alpha, value, want_witness=True)
-    note = "" if wit else "solvable fiber found, witness beyond bound"
-    return SearchResult(height=H, found=True, x=(m, n), witness=wit,
-                        note=note)
+    return SearchResult(height=H, found=True, x=(m, n), witness=wit)
 
 
 # ---------------------------------------------------------------------------

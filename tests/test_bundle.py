@@ -1,6 +1,7 @@
 """The surface bundle, bad fibers, pullback and fiber verification."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,25 @@ class TestVerifyPullback:
             assert r.smooth
             assert r.irreducible
             assert r.locally_solvable
+
+    def test_t_and_minus_t_records_agree(self, report):
+        assert [r.t for r in report.fibers] == default_sample_ts(10)[1:]
+        by_t = {r.t: r for r in report.fibers}
+        for (t0, t1), rec in by_t.items():
+            if t0 > 0:
+                assert replace(by_t[(-t0, t1)], t=(t0, t1)) == rec
+
+    def test_each_distinct_fiber_verified_once(self, B, F, monkeypatch):
+        # t and -t pull back to one fiber: t = 0, +-1, +-2 are 3 fibers
+        calls = []
+        real = bundle_mod.verify_local_everywhere
+        monkeypatch.setattr(bundle_mod, "verify_local_everywhere",
+                            lambda S: calls.append(S) or real(S))
+        W = pullback(B, good_d_candidates(F, 1)[0])
+        rep = verify_pullback(W, default_sample_ts(6), search_H=5,
+                              obstruction_samples=4)
+        assert len(rep.fibers) == 5
+        assert len(calls) == 3
 
     def test_sample_must_include_ends(self, B, F):
         W = pullback(B, good_d_candidates(F, 1)[0])

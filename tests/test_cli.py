@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chatelet import bundle as bundle_mod
 from chatelet.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -120,6 +121,17 @@ class TestBundle:
                              "--height", "40", "--samples", "6")
         assert code == EXIT_OK
         assert rep["stages"]["summary"]["sampled"] == 1  # just t = 0
+
+    def test_bad_fibers_computed_once(self, capsys, monkeypatch):
+        # the run, its pullback and its verification share one bad set
+        calls = []
+        real = bundle_mod.bad_fibers
+        monkeypatch.setattr(bundle_mod, "bad_fibers",
+                            lambda B: calls.append(B) or real(B))
+        code, _ = run_json(capsys, "bundle", "--fibers", "0",
+                           "--height", "5", "--samples", "4")
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_bad_d_rejected(self, capsys):
         code, rep = run_json(capsys, "bundle", "--d", "4",

@@ -22,7 +22,11 @@ from chatelet.local import (
     product_formula_check,
     support_places,
 )
-from chatelet.numbers import factorize, squarefree_part
+from chatelet.numbers import (
+    OutOfCertifiedRangeError,
+    factorize,
+    squarefree_part,
+)
 
 nonzero = st.integers(min_value=-200, max_value=200).filter(lambda n: n != 0)
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
@@ -244,3 +248,67 @@ class TestConicDecision:
             ok, _ = conic_solvable_global(alpha, r)
             assert ok == all(hilbert_symbol(alpha, r, v) == 1
                              for v in support_places(alpha, r)), (alpha, r)
+
+
+def _assert_witness(alpha, r):
+    ok, wit = conic_solvable_global(alpha, r, want_witness=True)
+    assert ok and wit is not None, (alpha, r)
+    y, z = wit
+    assert y * y - Fraction(alpha) * z * z == r, (alpha, r)
+    return wit
+
+
+class TestConicWitness:
+    def test_random_solvable(self):
+        # r = y0^2 - alpha z0^2 has a point by construction; the descent
+        # must find one of its own on every such conic
+        rng = random.Random(36)
+        for i in range(120):
+            num = rng.randint(1, 1000)
+            den = rng.randint(1, 6)
+            kind = i % 3
+            if kind == 1:  # alpha a square
+                num, den = num * num, den * den
+            elif kind == 2:  # alpha even
+                num *= 2
+            alpha = Fraction(rng.choice([-1, 1]) * num, den)
+            y0 = rng.randint(0, 10**7)
+            z0 = rng.randint(1, 10**5)
+            r = (y0 * y0 - alpha * z0 * z0) / rng.randint(1, 4) ** 2
+            if r == 0:
+                continue
+            assert abs(r.numerator * r.denominator) < 2**63
+            _assert_witness(alpha, r)
+
+    def test_bundle_fiber_conic(self):
+        # the t = +-2 fibers of `chatelet bundle`: the bounded search
+        # that preceded the descent found no point here
+        _assert_witness(697, 36055091729)
+        _assert_witness(Fraction(697, 4), Fraction(36055091729, 9))
+
+    def test_square_r_keeps_trivial_point(self):
+        assert conic_solvable_global(2, 1, want_witness=True) == \
+            (True, (Fraction(1), Fraction(0)))
+        assert conic_solvable_global(Fraction(9, 4), Fraction(25, 49),
+                                     want_witness=True)[1] == \
+            (Fraction(5, 7), Fraction(0))
+
+    def test_small_cases(self):
+        # alpha or r a unit, alpha = +-r, alpha a square with r not
+        for alpha, r in [(-1, 2), (2, 2), (2, -2), (-2, 3), (1, -3),
+                         (4, 7), (Fraction(1, 9), 5), (-1, 5), (3, -2)]:
+            _assert_witness(alpha, r)
+
+    def test_large_prime_shared_with_alpha(self):
+        # r = q s^2 with q | alpha: the integer r is past 2^64, but its
+        # square class is found without factoring q s^2 as a whole
+        q, s = 1099511627873, 1073741827  # q = 1 mod 4, both prime
+        _assert_witness(q, q * s * s)
+
+    def test_past_certified_range_raises(self):
+        # q1 q2 with q1, q2 = 1 mod 4 primes near 2^40: a sum of two
+        # squares, but its cofactor is past 2^64 and cannot be certified
+        r = 1099511627873 * 1099511627917
+        for want in (False, True):
+            with pytest.raises(OutOfCertifiedRangeError):
+                conic_solvable_global(-1, r, want_witness=want)
