@@ -16,7 +16,7 @@ from typing import Optional, Union
 import sympy
 
 from chatelet.local import Place
-from chatelet.numbers import squarefree_part
+from chatelet.numbers import horner, squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
     Poly4,
@@ -282,18 +282,11 @@ class RationalMap:
             if dn < dd:
                 return Fraction(0)
             return self.num[dn] / self.den[dd]
-        n = _horner(self.num, Fraction(y))
-        d = _horner(self.den, Fraction(y))
+        n = horner(self.num, Fraction(y))
+        d = horner(self.den, Fraction(y))
         if d == 0:
             return None
         return n / d
-
-
-def _horner(coeffs, y):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
 
 
 def standard_g(target: Fraction) -> RationalMap:

@@ -6,11 +6,14 @@ congruence formula at 2), written once for integers in `_hilbert_int`;
 rational arguments are first moved to an integer of the same square class.
 `conic_decide` is the package's one Hasse-Minkowski decision for
 y^2 - alpha z^2 = r: it evaluates that formula at 2 and at the primes of
-alpha and factors only as far as the remaining primes of r require.  The
-fiber scan of `chatelet._kernel.pure` and `conic_solvable_global` both
-call it.  A rational point of a solvable conic is found exactly by
-Legendre's descent and checked by substitution.  An independent
-exhaustive-enumeration oracle is provided for testing the closed form.
+alpha, then reads the remaining primes of r, with their full exponents,
+from the package's one factoring routine `chatelet.numbers.prime_factors`
+and stops at the first that rejects.  This module does no factoring of
+its own.  The fiber scan of `chatelet._kernel.pure` and
+`conic_solvable_global` both call it.  A rational point of a solvable
+conic is found exactly by Legendre's descent and checked by
+substitution.  An independent exhaustive-enumeration oracle is provided
+for testing the closed form.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from typing import Optional
 from sympy.ntheory import sqrt_mod
 
 from chatelet.numbers import (
-    _TRIAL_DIVISION_BOUND,
     Rational,
     _legendre,
-    _pollard_rho,
     factorize,
     is_prime,
+    prime_factors,
     split_valuation,
     squarefree_part,
 )
@@ -286,7 +288,9 @@ def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
     ``alpha_odd_primes``; r is a nonzero integer.  The conic is solvable
     iff (alpha, r)_v = +1 at every place v.  Places are checked cheapest
     first so that unsolvable inputs exit early: the real place, 2, the
-    odd primes of alpha, then the remaining primes of r.
+    odd primes of alpha, then the remaining primes of r in the order
+    `chatelet.numbers.prime_factors` yields them, which stops factoring
+    at the first prime that rejects.
     """
     if alpha < 0 and r < 0:
         return False
@@ -297,44 +301,12 @@ def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
         if _hilbert_int(alpha, r, p) != 1:
             return False
         m = split_valuation(m, p)[1]
-    return _residual_primes_ok(alpha, m)
-
-
-def _residual_primes_ok(alpha: int, m: int) -> bool:
-    """Check (alpha, r)_q = +1 for every odd prime q | m, q coprime to 2*alpha.
-
-    For such q the symbol is (alpha/q)^{v_q}; only odd valuations matter.
-    Factors m incrementally, cheapest primes first, with early exit.
-    """
-    e, m = split_valuation(m, 3)
-    if e % 2 and _legendre(alpha, 3) == -1:
-        return False
-    e, m = split_valuation(m, 5)
-    if e % 2 and _legendre(alpha, 5) == -1:
-        return False
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    d, i = 7, 0
-    while d < _TRIAL_DIVISION_BOUND and d * d <= m:
-        if m % d == 0:
-            e, m = split_valuation(m, d)
-            if e % 2 and _legendre(alpha, d) == -1:
-                return False
-        d += increments[i]
-        i = (i + 1) % 8
-    return _residual_large_ok(alpha, m)
-
-
-def _residual_large_ok(alpha: int, m: int) -> bool:
-    if m == 1:
-        return True
-    if m < _TRIAL_DIVISION_BOUND**2 or is_prime(m):
-        # prime cofactor (or certified prime)
-        return _legendre(alpha, m) == 1
-    root = math.isqrt(m)
-    if root * root == m:
-        return True  # every valuation even
-    d = _pollard_rho(m)
-    return _residual_large_ok(alpha, d) and _residual_large_ok(alpha, m // d)
+    # the remaining primes q of r are odd and prime to alpha, where the
+    # symbol is (alpha/q)^{v_q(r)}
+    for q, e in prime_factors(m):
+        if e % 2 and _legendre(alpha, q) == -1:
+            return False
+    return True
 
 
 def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Generator, Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -24,7 +24,13 @@ _CERTIFIED_PRIME_BOUND = 2**64
 # (Sorenson & Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Trial division runs to 2000 while the cofactor is below 2**64 and to
+# 10**6 while it is not (see `_trial_division`).
+_SMALL_TRIAL_BOUND = 2000
 _TRIAL_DIVISION_BOUND = 10**6
+
+# Steps of the 2,3,5 wheel from 7: the integers prime to 30.
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -156,78 +162,103 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime factorization of |n|.
+def _trial_division(n: int) -> Generator[tuple[int, int], None, int]:
+    """Yield (p, e) for the primes of n >= 1 that trial division finds, in
+    increasing order, and return the cofactor left over.
 
-    Trial division up to 10**6, then Pollard rho.  Fails with
-    :class:`OutOfCertifiedRangeError` if a remaining factor cannot be
+    The one 2,3,5-wheel loop of the package.  It stops at 2000 once the
+    cofactor is below 2**64, where Miller-Rabin and rho take over, and
+    goes on toward 10**6 only while the cofactor is at least 2**64.  So
+    the cofactor returned is 1, below 2**64 with no prime factor below
+    2000, or at least 2**64 with no prime factor below 10**6 -- exactly
+    the inputs that full trial division to 10**6 leaves uncertifiable.
+    """
+    for p in (2, 3, 5):
+        if n % p == 0:
+            e, n = split_valuation(n, p)
+            yield p, e
+    bound = (_SMALL_TRIAL_BOUND if n < _CERTIFIED_PRIME_BOUND
+             else _TRIAL_DIVISION_BOUND)
+    d, i = 7, 0
+    while d < bound and d * d <= n:
+        if n % d == 0:
+            e, n = split_valuation(n, d)
+            yield d, e
+            if n < _CERTIFIED_PRIME_BOUND:
+                bound = _SMALL_TRIAL_BOUND
+        d += _WHEEL[i]
+        i = (i + 1) % 8
+    if 1 < n < d * d:
+        # no prime factor below d: n is prime
+        yield n, 1
+        return 1
+    return n
+
+
+def prime_factors(n: int) -> Iterator[tuple[int, int]]:
+    """The prime factorization of the integer n >= 1, lazily: (p, e) pairs
+    with each prime once and its full exponent, in increasing order.
+
+    Small primes come from `_trial_division` as it finds them, so a
+    caller that stops early (`chatelet.local.conic_decide` stops at the
+    first prime that rejects) does no further work.  The cofactor left
+    over is split by Miller-Rabin certification and Pollard rho, which
+    raises :class:`OutOfCertifiedRangeError` when a factor past 2**64
+    cannot be certified prime.
+    """
+    rest = yield from _trial_division(n)
+    if rest > 1:
+        found: dict[int, int] = {}
+        _factor_into(rest, found)
+        yield from sorted(found.items())
+
+
+def factorize(n: int) -> Factorization:
+    """Full prime factorization of |n|, collected from `prime_factors`.
+
+    Fails with :class:`OutOfCertifiedRangeError` if a factor cannot be
     certified prime (beyond 2**64); see :func:`partial_factorize` for the
     bounded-effort variant.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    n = abs(n)
-    found: dict[int, int] = {}
-    n = _strip_small_factors(n, found, _TRIAL_DIVISION_BOUND)
-    _factor_into(n, found)
-    return Factorization(tuple(sorted(found.items())))
-
-
-def _strip_small_factors(n: int, out: dict[int, int], bound: int) -> int:
-    """Divide out all prime factors < bound; returns the cofactor."""
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    # 2,3,5-wheel
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    d, i = 7, 0
-    while d < bound and d * d <= n:
-        while n % d == 0:
-            n //= d
-            out[d] = out.get(d, 0) + 1
-        d += increments[i]
-        i = (i + 1) % 8
-    if 1 < n < bound * bound:
-        # cofactor below bound^2 with no factor < bound is prime
-        out[n] = out.get(n, 0) + 1
-        return 1
-    return n
+    return Factorization(tuple(prime_factors(abs(n))))
 
 
 def partial_factorize(n: int, rho_budget: int = 6) -> tuple[Factorization, int]:
     """Bounded-effort factorization: (certified part, unfactored cofactor).
 
-    All primes below 10**6 are extracted; larger factors are split with
-    Pollard rho only while they stay inside the certified primality range.
-    The returned cofactor is coprime to every certified prime, has no
-    prime factor below 10**6, and is 1 when the factorization is complete.
+    Runs the trial division of `prime_factors`; a cofactor below 2**64
+    is then split completely.  A cofactor at or past 2**64 has no prime
+    factor below 10**6.  It is tested once for a perfect power (unless
+    rho_budget is 0), and a root below 2**64 is split like a small
+    cofactor.  Otherwise it is returned as it is: coprime to every
+    certified prime, and 1 when the factorization is complete.  Never
+    raises :class:`OutOfCertifiedRangeError`.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    n = abs(n)
     found: dict[int, int] = {}
+    trial = _trial_division(abs(n))
+    while True:
+        try:
+            p, e = next(trial)
+        except StopIteration as stop:
+            rest = stop.value
+            break
+        found[p] = e
+    k = 1
+    if rest >= _CERTIFIED_PRIME_BOUND and rho_budget > 0:
+        root, j = _perfect_power(rest)
+        if root < _CERTIFIED_PRIME_BOUND:
+            rest, k = root, j
     cofactor = 1
-    pending = [_strip_small_factors(n, found, _TRIAL_DIVISION_BOUND)]
-    budget = rho_budget
-    while pending:
-        m = pending.pop()
-        if m == 1:
-            continue
-        if m < _CERTIFIED_PRIME_BOUND:
-            if is_prime(m):
-                found[m] = found.get(m, 0) + 1
-            else:
-                d = _pollard_rho(m)
-                pending.extend((d, m // d))
-            continue
-        if budget > 0:
-            budget -= 1
-            root, k = _perfect_power(m)
-            if k > 1:
-                pending.extend([root] * k)
-                continue
-        cofactor *= m
+    if rest < _CERTIFIED_PRIME_BOUND:
+        large: dict[int, int] = {}
+        _factor_into(rest, large)
+        found.update((p, e * k) for p, e in large.items())
+    else:
+        cofactor = rest
     return Factorization(tuple(sorted(found.items()))), cofactor
 
 
@@ -251,6 +282,16 @@ def _iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def horner(coeffs, x):
+    """sum(coeffs[i] * x**i) by Horner's rule.  The accumulator starts as
+    the integer 0, so integer coefficients and x stay in int arithmetic;
+    Fraction inputs give a Fraction."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def legendre(a: int, p: int) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy
 
-from chatelet.numbers import Rational
+from chatelet.numbers import Rational, horner, partial_factorize
 
 __all__ = ["Poly4", "BinaryQuartic", "homogenize", "quartic_disc",
            "quartic_irreducible"]
@@ -33,10 +33,7 @@ class Poly4:
             raise ValueError("polynomial is identically zero")
 
     def __call__(self, x: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def degree(self) -> int:
         return max(i for i, c in enumerate(self.coeffs) if c != 0)
@@ -83,17 +80,13 @@ class BinaryQuartic:
     def integer_square_scaled(self) -> tuple[int, ...]:
         """Integer coefficients obtained by scaling with a rational SQUARE,
         so every value keeps its square class.  The square part of the
-        content is removed to keep the numbers small."""
+        content, as far as `partial_factorize` finds it, is removed to
+        keep the numbers small."""
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den * den) for c in self.coeffs]
-        g = math.gcd(*ints)
         s = 1
-        d = 2
-        while d * d <= g:
-            while g % (d * d) == 0:
-                g //= d * d
-                s *= d
-            d += 1
+        for p, e in partial_factorize(math.gcd(*ints))[0]:
+            s *= p ** (e // 2)
         return tuple(c // (s * s) for c in ints)
 
 
@@ -134,39 +127,15 @@ _X = sympy.Symbol("x")
 def quartic_irreducible(q: BinaryQuartic) -> bool:
     """Is the form irreducible in Q[w, x]?
 
-    A reducible degree-4 form has a linear factor (a root in P^1(Q),
-    found by the rational root theorem, with w | q as the root at
-    infinity) or splits into two quadratic forms (decided by complete
-    factorization of the integer-scaled dehomogenization).
+    w | q (the root at infinity) is checked directly, since the
+    dehomogenization drops it; every other factor, linear or quadratic,
+    is found by the complete factorization of the integer-scaled
+    dehomogenization.
     """
     ints = q.integer_primitive()
     if ints[4] == 0:
         return False  # w divides the form
-    if ints[0] == 0:
-        return False  # x divides the form
-    if _has_rational_root(ints):
-        return False
     poly = sympy.Poly(list(reversed(ints)), _X)
     _, factors = poly.factor_list()
     return len(factors) == 1 and factors[0][1] == 1
 
-
-def _has_rational_root(ints: tuple[int, ...]) -> bool:
-    lead, const = ints[4], abs(ints[0])
-    for num in _divisors(const):
-        for den in _divisors(abs(lead)):
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (1, -1):
-                x = Fraction(s * num, den)
-                if Poly4(ints)(x) == 0:
-                    return True
-    return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.extend((d, n // d))
-    return sorted(set(out))

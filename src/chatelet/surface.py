@@ -35,6 +35,7 @@ from chatelet.numbers import (
     Factorization,
     Rational,
     factorize,
+    horner,
     is_prime,
     legendre,
     mod_inverse,
@@ -238,9 +239,9 @@ def bad_places(S: ChateletSurface) -> list[Place]:
 
 
 def _bad_places_partial(S: ChateletSurface) -> tuple[list[Place], int]:
-    """Bad places with all primes below 10^6 (and whatever Pollard rho
-    splits cheaply); the returned cofactor collects unsplit large prime
-    factors of the discriminant, which are provably good places (see
+    """Bad places from `partial_factorize` of the discriminant, complete
+    unless a part past 2**64 is left; the returned cofactor collects that
+    part, whose primes all exceed 10^6 and are provably good places (see
     _large_prime_places_are_good)."""
     primes = {2}
     alpha_support = (Fraction(S.alpha).numerator
@@ -287,13 +288,6 @@ def _chart_polys(S: ChateletSurface) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ints, tuple(reversed(ints))
 
 
-def _eval_int_poly(coeffs: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass
 class _LocalDecider:
     """Exact decision of V(Q_p) != 0 by adaptive residue subdivision.
@@ -328,7 +322,7 @@ class _LocalDecider:
         # large primes.
         for f, x0, chart in [(f_a, 0, "A"), (f_a, 1, "A"), (f_a, 2, "A"),
                              (f_a, 3, "A"), (f_a, 4, "A"), (f_b, 0, "B")]:
-            val = _eval_int_poly(f, x0)
+            val = horner(f, x0)
             if val == 0:
                 return True, self._certificate(chart, x0, "degenerate")
             if hilbert_symbol(self.S.alpha, Fraction(val),
@@ -356,7 +350,7 @@ class _LocalDecider:
     def _decide(self, f: tuple[int, ...], x0: int, k: int,
                 chart: str) -> Optional[CertifiedLocalX]:
         p = self.p
-        val = _eval_int_poly(f, x0)
+        val = horner(f, x0)
         if val == 0:
             return self._certificate(chart, x0, "degenerate")
         v = split_valuation(val, p)[0]
@@ -366,7 +360,7 @@ class _LocalDecider:
                               finite_place(p)) == 1:
                 return self._certificate(chart, x0, 1)
             return None
-        deriv = _eval_int_poly(_derivative(f), x0)
+        deriv = horner(_derivative(f), x0)
         if deriv != 0 and v > 2 * split_valuation(deriv, p)[0]:
             # Newton/Hensel: a Q_p-root of the quartic near x0
             return self._certificate(chart, x0, "degenerate")

@@ -203,14 +203,15 @@ class TestUsage:
 
 
 class TestGolden:
-    """Reports byte for byte as the CLI wrote them before the conic
-    decision was folded into one implementation; refactors keep them."""
+    """Reports byte for byte as the CLI wrote them before the refactor
+    that added each file; refactors keep them."""
 
     @pytest.mark.parametrize("name, argv", [
         ("counterexample_height40", ["counterexample", "--height", "40"]),
         ("iskovskikh_height80", ["iskovskikh", "--height", "80"]),
         ("hilbert_697_41", ["hilbert", "697", "41"]),
         ("surface_stdin_height20", ["surface", "-", "--height", "20"]),
+        ("bundle_fibers4", ["bundle", "--fibers", "4"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(SURFACE_INPUT))

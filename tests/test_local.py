@@ -235,6 +235,28 @@ class TestConicDecision:
             q1, q2 = rng.sample(big_primes, 2)
             r = q1 * q2 * rng.choice([1, -1, 4, 9])
             _check_decision(rng.choice([2, 3, -1, 697]), r)
+        # a prime past the trial bound appearing squared: only the sum of
+        # its exponents decides its symbol
+        for q in big_primes:
+            for k in big_primes:
+                if q != k:
+                    for alpha in (2, 3, -1, 697):
+                        _check_decision(alpha, q * q * k)
+        # 1000037 = 5 mod 8 squared, 1000039 = 7 mod 8: (2, r)_v = +1
+        # everywhere, though (2/1000037) = -1
+        r = 1000037**2 * 1000039
+        assert conic_decide(2, (), r) is True
+        assert all(hilbert_symbol(2, r, v) == 1 for v in support_places(2, r))
+
+    def test_past_64_bits_within_trial_range(self):
+        # past 2^64, with every prime between 2000 and 10^6: trial division
+        # must go on toward 10^6 while the cofactor stays past 2^64
+        primes = (100003, 100019, 100043, 100049)
+        n = primes[0] * primes[1] * primes[2] * primes[3]
+        assert n > 2**64
+        assert factorize(n).factors == tuple((p, 1) for p in primes)
+        for alpha in (2, 3, -1, 697, 5):
+            _check_decision(alpha, n)
 
     def test_rational_arguments(self):
         # conic_solvable_global moves (alpha, r) to integers of the same
