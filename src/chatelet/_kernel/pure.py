@@ -1,7 +1,8 @@
 """The fiber-scan kernel: the hot loop of the rational point search.
 
 ``conic_scan`` enumerates x in P^1(Q) by height, evaluates the integer
-binary quartic at each point and decides the fiber conic with
+binary quartic at each point with :func:`chatelet.quartic.evaluate_quartic`,
+the package's one quartic formula, and decides the fiber conic with
 :func:`chatelet.local.conic_decide`, the package's one Hasse-Minkowski
 decision.  Everything here is exact integer arithmetic.
 """
@@ -11,13 +12,7 @@ from __future__ import annotations
 import math
 
 from chatelet.local import conic_decide
-
-
-def evaluate_quartic(coeffs, m: int, n: int) -> int:
-    """Binary quartic sum(c_i * x^i * w^(4-i)) at (w, x) = (n, m)."""
-    c0, c1, c2, c3, c4 = coeffs
-    return (((c4 * m + c3 * n) * m + c2 * n * n) * m
-            + c1 * n**3) * m + c0 * n**4
+from chatelet.quartic import evaluate_quartic
 
 
 def conic_scan(coeffs, alpha: int, alpha_odd_primes, H: int,

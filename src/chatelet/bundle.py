@@ -19,7 +19,6 @@ from chatelet.local import Place
 from chatelet.numbers import horner, squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
-    Poly4,
     disc_from_coeffs,
     quartic_irreducible,
 )
@@ -173,7 +172,7 @@ def fiber_at(B: SurfaceBundle, t: FiberParam) -> ChateletSurface:
     u2, v2 = Fraction(t.u) ** 2, Fraction(t.v) ** 2
     coeffs = tuple(u2 * ci + v2 * c0
                    for ci, c0 in zip(B.Pinf.coeffs, B.P0.coeffs))
-    return ChateletSurface(alpha=B.alpha, P=Poly4(coeffs),
+    return ChateletSurface(alpha=B.alpha, Ptilde=BinaryQuartic(coeffs),
                            provenance="fiber")
 
 

@@ -32,7 +32,7 @@ from chatelet.numbers import (
     is_prime,
     prime_factors,
     split_valuation,
-    squarefree_part,
+    square_class,
 )
 
 __all__ = [
@@ -270,8 +270,7 @@ def conic_solvable_global(
         raise ValueError("alpha must be nonzero")
     if r == 0:
         return True, (Fraction(0), Fraction(0))
-    alpha_sf = squarefree_part(alpha)
-    alpha_primes = factorize(alpha_sf).primes()
+    alpha_sf, alpha_primes = square_class(alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)
     if not conic_decide(alpha_sf, odd_primes, _integral(r)):
         return False, None
@@ -323,7 +322,7 @@ def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],
     The point is checked by substitution before it is returned.
     """
     n = _integral(r)
-    R, R_primes = _square_class(n, A_primes)
+    R, R_primes = square_class(n, A_primes)
     s = Fraction(math.isqrt(n // R), r.denominator)
     a = Fraction(math.isqrt(_integral(alpha) // A), alpha.denominator)
     x, u, w = _legendre_descent(A, A_primes, R, R_primes)
@@ -372,7 +371,7 @@ def _legendre_descent(A: int, A_primes: tuple[int, ...], R: int,
         raise ArithmeticError("x^2 + u^2 = -w^2 has no rational point")
     t = _sqrt_mod_squarefree(A, R_primes)
     m = (t * t - A) // R
-    c, c_primes = _square_class(m)
+    c, c_primes = square_class(m)
     s = math.isqrt(m // c)
     x1, u1, w1 = _legendre_descent(A, A_primes, c, c_primes)
     return x1 * t + A * u1, x1 + t * u1, c * s * w1
@@ -391,20 +390,3 @@ def _sqrt_mod_squarefree(a: int, primes: tuple[int, ...]) -> int:
         M *= p
     return t - M if 2 * t > M else t
 
-
-def _square_class(n: int, known: tuple[int, ...] = ()
-                  ) -> tuple[int, tuple[int, ...]]:
-    """The squarefree integer in the square class of the nonzero integer
-    n, with its primes.  The primes in `known` are divided out before the
-    rest of n is factorized."""
-    odd = []
-    rest = abs(n)
-    for p in known:
-        e, rest = split_valuation(rest, p)
-        if e % 2:
-            odd.append(p)
-    odd += [p for p, e in factorize(rest) if e % 2]
-    c = -1 if n < 0 else 1
-    for p in odd:
-        c *= p
-    return c, tuple(sorted(odd))

@@ -225,16 +225,16 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(prime_factors(abs(n))))
 
 
-def partial_factorize(n: int, rho_budget: int = 6) -> tuple[Factorization, int]:
+def partial_factorize(n: int) -> tuple[Factorization, int]:
     """Bounded-effort factorization: (certified part, unfactored cofactor).
 
     Runs the trial division of `prime_factors`; a cofactor below 2**64
     is then split completely.  A cofactor at or past 2**64 has no prime
-    factor below 10**6.  It is tested once for a perfect power (unless
-    rho_budget is 0), and a root below 2**64 is split like a small
-    cofactor.  Otherwise it is returned as it is: coprime to every
-    certified prime, and 1 when the factorization is complete.  Never
-    raises :class:`OutOfCertifiedRangeError`.
+    factor below 10**6.  It is tested once for a perfect power, and a
+    root below 2**64 is split like a small cofactor.  Otherwise it is
+    returned as it is: coprime to every certified prime, and 1 when the
+    factorization is complete.  Never raises
+    :class:`OutOfCertifiedRangeError`.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
@@ -248,7 +248,7 @@ def partial_factorize(n: int, rho_budget: int = 6) -> tuple[Factorization, int]:
             break
         found[p] = e
     k = 1
-    if rest >= _CERTIFIED_PRIME_BOUND and rho_budget > 0:
+    if rest >= _CERTIFIED_PRIME_BOUND:
         root, j = _perfect_power(rest)
         if root < _CERTIFIED_PRIME_BOUND:
             rest, k = root, j
@@ -349,17 +349,30 @@ def unit_part(q: Rational, p: int) -> Fraction:
     return Fraction(q) / Fraction(p) ** valuation(q, p)
 
 
-def squarefree_part(q: Rational) -> int:
-    """The squarefree integer d (sign preserved) with q = d * (square).
+def square_class(q: Rational, known: tuple[int, ...] = ()
+                 ) -> tuple[int, tuple[int, ...]]:
+    """(d, primes): the squarefree integer d (sign preserved) with
+    q = d * (square), and the primes of d in increasing order.
 
     Two nonzero rationals lie in the same square class of Q*/Q*^2 exactly
-    when their squarefree parts coincide.
+    when their squarefree parts coincide.  The primes in `known` are
+    divided out of n*d (q = n/d) before the rest is factorized.
     """
     if q == 0:
         raise ValueError("0 has no square class")
-    q = Fraction(q)
+    rest = abs(q.numerator * q.denominator)
+    odd = []
+    for p in known:
+        e, rest = split_valuation(rest, p)
+        if e % 2:
+            odd.append(p)
+    odd += [p for p, e in factorize(rest) if e % 2]
     d = 1 if q > 0 else -1
-    for p, e in factorize(q.numerator * q.denominator):
-        if e % 2 == 1:
-            d *= p
-    return d
+    for p in odd:
+        d *= p
+    return d, tuple(sorted(odd))
+
+
+def squarefree_part(q: Rational) -> int:
+    """The squarefree integer d with q = d * (square); see `square_class`."""
+    return square_class(q)[0]

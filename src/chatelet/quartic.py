@@ -1,42 +1,36 @@
-"""Degree-<=4 polynomials, binary quartic forms, discriminants and
-irreducibility over Q."""
+"""Binary quartic forms over Q: evaluation, the integer model, the
+discriminant and irreducibility.
+
+A Chatelet surface y^2 - alpha z^2 = P(x) is stored through the binary
+quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
+`BinaryQuartic` is the package's one quartic type and its affine value
+P(x) = P~(1, x) is ``q(x)``.  `evaluate_quartic` is the one formula for
+its value: the form's methods call it on Fractions and the fiber scan of
+`chatelet._kernel.pure` calls it on the integer model.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import sympy
 
-from chatelet.numbers import Rational, horner, partial_factorize
+from chatelet.numbers import Rational, partial_factorize
 
-__all__ = ["Poly4", "BinaryQuartic", "homogenize", "quartic_disc",
+__all__ = ["BinaryQuartic", "evaluate_quartic", "quartic_disc",
            "quartic_irreducible"]
 
 
-def _fracs(coeffs) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
-
-
-@dataclass(frozen=True)
-class Poly4:
-    """P(x) = sum coeffs[i] * x^i, degree at most 4, not identically 0."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _fracs(self.coeffs))
-        if len(self.coeffs) != 5:
-            raise ValueError("need exactly 5 coefficients c0..c4")
-        if all(c == 0 for c in self.coeffs):
-            raise ValueError("polynomial is identically zero")
-
-    def __call__(self, x: Rational) -> Fraction:
-        return horner(self.coeffs, x)
-
-    def degree(self) -> int:
-        return max(i for i, c in enumerate(self.coeffs) if c != 0)
+def evaluate_quartic(coeffs, m, n):
+    """Binary quartic sum(c_i * x^i * w^(4-i)) at (w, x) = (n, m), by an
+    unrolled binary Horner rule.  Integer inputs stay in int arithmetic;
+    Fraction inputs give a Fraction."""
+    c0, c1, c2, c3, c4 = coeffs
+    return (((c4 * m + c3 * n) * m + c2 * n * n) * m
+            + c1 * n**3) * m + c0 * n**4
 
 
 @dataclass(frozen=True)
@@ -46,42 +40,26 @@ class BinaryQuartic:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _fracs(self.coeffs))
+        object.__setattr__(self, "coeffs",
+                           tuple(Fraction(c) for c in self.coeffs))
         if len(self.coeffs) != 5:
             raise ValueError("need exactly 5 coefficients")
         if all(c == 0 for c in self.coeffs):
             raise ValueError("form is identically zero")
 
     def value(self, w: Rational, x: Rational) -> Fraction:
-        w = Fraction(w)
-        x = Fraction(x)
-        return sum((c * x**i * w ** (4 - i)
-                    for i, c in enumerate(self.coeffs)), Fraction(0))
+        return evaluate_quartic(self.coeffs, x, w)
 
-    def dehomogenize(self) -> Poly4:
-        """P(x) = form(1, x)."""
-        return Poly4(self.coeffs)
+    def __call__(self, x: Rational) -> Fraction:
+        """The affine value P(x) = form(1, x)."""
+        return evaluate_quartic(self.coeffs, x, 1)
 
-    def integer_primitive(self) -> tuple[int, ...]:
-        """Integer coefficient vector with content 1 and positive leading
-        nonzero coefficient, spanning the same form up to Q* scaling."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        lead = next(c for c in reversed(ints) if c != 0)
-        if lead < 0:
-            ints = [-c for c in ints]
-        return tuple(ints)
-
-    def scale(self, s: Rational) -> "BinaryQuartic":
-        return BinaryQuartic(tuple(c * Fraction(s) for c in self.coeffs))
-
+    @cached_property
     def integer_square_scaled(self) -> tuple[int, ...]:
         """Integer coefficients obtained by scaling with a rational SQUARE,
         so every value keeps its square class.  The square part of the
         content, as far as `partial_factorize` finds it, is removed to
-        keep the numbers small."""
+        keep the numbers small.  Computed once per form."""
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den * den) for c in self.coeffs]
         s = 1
@@ -90,12 +68,7 @@ class BinaryQuartic:
         return tuple(c // (s * s) for c in ints)
 
 
-def homogenize(P: Poly4) -> BinaryQuartic:
-    """P~(w, x) = w^4 * P(x/w); satisfies P~(1, x) = P(x)."""
-    return BinaryQuartic(P.coeffs)
-
-
-def quartic_disc(q: BinaryQuartic | Poly4) -> Fraction:
+def quartic_disc(q: BinaryQuartic) -> Fraction:
     """Discriminant of the binary quartic form.
 
     Zero exactly when the form has a repeated root in P^1 over the
@@ -129,13 +102,12 @@ def quartic_irreducible(q: BinaryQuartic) -> bool:
 
     w | q (the root at infinity) is checked directly, since the
     dehomogenization drops it; every other factor, linear or quadratic,
-    is found by the complete factorization of the integer-scaled
-    dehomogenization.
+    is found by the complete factorization of the integer model's
+    dehomogenization.  Neither depends on the model's content or sign.
     """
-    ints = q.integer_primitive()
+    ints = q.integer_square_scaled
     if ints[4] == 0:
         return False  # w divides the form
     poly = sympy.Poly(list(reversed(ints)), _X)
     _, factors = poly.factor_list()
     return len(factors) == 1 and factors[0][1] == 1
-

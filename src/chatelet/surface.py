@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -32,7 +32,6 @@ from chatelet.local import (
     is_local_square,
 )
 from chatelet.numbers import (
-    Factorization,
     Rational,
     factorize,
     horner,
@@ -41,10 +40,10 @@ from chatelet.numbers import (
     mod_inverse,
     partial_factorize,
     split_valuation,
-    squarefree_part,
+    square_class,
     valuation,
 )
-from chatelet.quartic import BinaryQuartic, Poly4, homogenize, quartic_disc
+from chatelet.quartic import BinaryQuartic, quartic_disc
 
 __all__ = [
     "ChateletParams", "ChateletSurface", "CertifiedLocalX", "BrauerClass",
@@ -103,19 +102,18 @@ class ChateletParams:
 
 @dataclass(frozen=True)
 class ChateletSurface:
-    """(alpha, P) for y^2 - alpha z^2 = P(x), with homogenization P~."""
+    """y^2 - alpha z^2 = P(x), stored as alpha and the binary quartic
+    P~(w, x) = w^4 P(x / w), whose coefficients are those of P."""
 
     alpha: Fraction
-    P: Poly4
+    Ptilde: BinaryQuartic
     provenance: str  # "constructed" | "iskovskikh" | "fiber" | "user"
     params: Optional[ChateletParams] = None
-    Ptilde: BinaryQuartic = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
-        object.__setattr__(self, "Ptilde", homogenize(self.P))
 
     def disc(self) -> Fraction:
         return quartic_disc(self.Ptilde)
@@ -131,7 +129,7 @@ class ChateletSurface:
         if self.params is not None:
             p = self.params
             return f"constructed(a={p.a},b={p.b},c={p.c})"
-        coeffs = ",".join(str(c) for c in self.P.coeffs)
+        coeffs = ",".join(str(c) for c in self.Ptilde.coeffs)
         return f"{self.provenance}(alpha={self.alpha};P={coeffs})"
 
 
@@ -203,7 +201,7 @@ def build_surface(params: ChateletParams) -> ChateletSurface:
     coeffs = (c * (a * c + 1), 0, a * c + (a * c + 1), 0, a)
     surface = ChateletSurface(
         alpha=Fraction(params.a * params.b),
-        P=Poly4(coeffs),
+        Ptilde=BinaryQuartic(coeffs),
         provenance="constructed",
         params=params,
     )
@@ -215,7 +213,7 @@ def iskovskikh() -> ChateletSurface:
     """Iskovskikh's surface y^2 + z^2 = (x^2 - 2)(3 - x^2)."""
     return ChateletSurface(
         alpha=Fraction(-1),
-        P=Poly4((-6, 0, 5, 0, -1)),
+        Ptilde=BinaryQuartic((-6, 0, 5, 0, -1)),
         provenance="iskovskikh",
     )
 
@@ -224,32 +222,23 @@ def iskovskikh() -> ChateletSurface:
 # bad places
 
 
-def bad_places(S: ChateletSurface) -> list[Place]:
-    """Places where local solvability is not forced by the unramified-norm
-    argument: the real place, 2, primes of alpha, primes of disc(P~)."""
-    S.require_smooth()
-    places, cofactor = _bad_places_partial(S)
-    if cofactor != 1:
-        # complete the factorization or fail loudly; bounded-effort
-        # callers use _bad_places_partial directly
-        extra = factorize(cofactor)
-        places = sorted(set(places) | {finite_place(p)
-                                       for p in extra.primes()})
-    return places
+def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
+    """(places, cofactor): the places where local solvability is not
+    forced by the unramified-norm argument -- the real place, 2, the
+    primes of alpha and the primes of disc(P~) -- and the part of the
+    discriminant left unsplit.
 
-
-def _bad_places_partial(S: ChateletSurface) -> tuple[list[Place], int]:
-    """Bad places from `partial_factorize` of the discriminant, complete
-    unless a part past 2**64 is left; the returned cofactor collects that
+    The discriminant goes through `partial_factorize`, so the list is
+    complete unless a part past 2**64 is left; the cofactor collects that
     part, whose primes all exceed 10^6 and are provably good places (see
-    _large_prime_places_are_good)."""
+    _large_prime_places_are_good).
+    """
+    S.require_smooth()
     primes = {2}
-    alpha_support = (Fraction(S.alpha).numerator
-                     * Fraction(S.alpha).denominator)
+    alpha_support = S.alpha.numerator * S.alpha.denominator
     primes.update(factorize(alpha_support).primes())
     disc = S.disc()
-    disc_certified, cofactor = partial_factorize(
-        disc.numerator, rho_budget=8)
+    disc_certified, cofactor = partial_factorize(disc.numerator)
     primes.update(disc_certified.primes())
     if cofactor != 1:
         _large_prime_places_are_good(S, cofactor, alpha_support)
@@ -267,8 +256,7 @@ def _large_prime_places_are_good(S: ChateletSurface, cofactor: int,
     the <= 4 roots of P~ mod q (q + 1 > 4 points available), so P~(x) is
     a q-adic unit and (alpha, P~(x))_q = +1.
     """
-    ints = S.Ptilde.integer_square_scaled()
-    content = math.gcd(*ints)
+    content = math.gcd(*S.Ptilde.integer_square_scaled)
     if math.gcd(cofactor, alpha_support * content) != 1:
         raise ArithmeticError(
             "cannot certify large discriminant factors as good places")
@@ -279,13 +267,6 @@ def _large_prime_places_are_good(S: ChateletSurface, cofactor: int,
 
 
 _SYMPY_X = sympy.Symbol("x")
-
-
-def _chart_polys(S: ChateletSurface) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Integer polynomials f_A(x) = P~(1, x) and f_B(w) = P~(w, 1),
-    scaled by a common rational square (classes preserved)."""
-    ints = S.Ptilde.integer_square_scaled()
-    return ints, tuple(reversed(ints))
 
 
 @dataclass
@@ -303,18 +284,18 @@ class _LocalDecider:
 
     S: ChateletSurface
     p: int
-    max_depth: int = 0
 
     def __post_init__(self):
-        if not self.max_depth:
-            alpha = Fraction(self.S.alpha)
-            disc = self.S.disc()
-            base = (valuation(4 * alpha, self.p)
-                    + (valuation(disc, self.p) if disc != 0 else 0))
-            self.max_depth = abs(base) + 3 + 64
+        disc = self.S.disc()
+        base = (valuation(4 * self.S.alpha, self.p)
+                + (valuation(disc, self.p) if disc != 0 else 0))
+        self.max_depth = abs(base) + 3 + 64
 
     def solve(self) -> tuple[bool, Optional[CertifiedLocalX]]:
-        f_a, f_b = _chart_polys(self.S)
+        # the charts f_A(x) = P~(1, x) and f_B(w) = P~(w, 1) of the
+        # integer model (square classes preserved)
+        f_a = self.S.Ptilde.integer_square_scaled
+        f_b = tuple(reversed(f_a))
         # quick pass: exact symbols at six fixed points of P^1(Q).  For
         # p > 5 coprime to alpha and the content these are distinct mod
         # p and at most four can be roots of the quartic, so one gives a
@@ -341,9 +322,6 @@ class _LocalDecider:
     def _certificate(self, chart: str, x0: int,
                      cert: Union[int, str]) -> CertifiedLocalX:
         point = (x0, 1) if chart == "A" else ((1, x0) if x0 else INFINITY)
-        return self._make(point, cert)
-
-    def _make(self, point, cert):
         return CertifiedLocalX(x=point, place=finite_place(self.p),
                                certificate=cert)
 
@@ -381,7 +359,7 @@ def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 def _real_solvable(S: ChateletSurface) -> tuple[bool, Optional[CertifiedLocalX]]:
     alpha = Fraction(S.alpha)
-    ints = S.Ptilde.integer_square_scaled()
+    ints = S.Ptilde.integer_square_scaled
     if ints[4] == 0:
         # P~ vanishes at infinity: the point (infinity, 0, 0)
         return True, CertifiedLocalX(INFINITY, REAL, "degenerate")
@@ -435,9 +413,8 @@ def local_solvable_surface(
         # unit-value argument: p odd and coprime to alpha and to the
         # quartic's content guarantees an early +1 fiber (at most 4
         # roots mod p among 6 candidate points).
-        ints = S.Ptilde.integer_square_scaled()
-        alpha = Fraction(S.alpha)
-        if (valuation(alpha, v.p) != 0
+        ints = S.Ptilde.integer_square_scaled
+        if (valuation(S.alpha, v.p) != 0
                 or math.gcd(math.gcd(*ints), v.p) != 1):
             raise ArithmeticError(
                 f"place {v} too large for exact residue enumeration")
@@ -469,8 +446,7 @@ class LocalReport:
 
 
 def verify_local_everywhere(S: ChateletSurface) -> LocalReport:
-    S.require_smooth()
-    places, cofactor = _bad_places_partial(S)
+    places, cofactor = bad_places(S)
     results = []
     for v in places:
         ok, wit = local_solvable_surface(S, v)
@@ -557,9 +533,7 @@ def sample_certified_points(S: ChateletSurface, v: Place, n: int,
         value = S.Ptilde.value(point[1], point[0])
         if value == 0:
             found[point] = CertifiedLocalX(point, v, "degenerate")
-        elif (v.is_real and (S.alpha > 0 or value > 0)) or \
-                (not v.is_real
-                 and hilbert_symbol(S.alpha, value, v) == 1):
+        elif hilbert_symbol(S.alpha, value, v) == 1:
             found[point] = CertifiedLocalX(point, v, 1)
     if len(found) < n:
         raise InsufficientPointsError(
@@ -647,10 +621,10 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     <= H is solvable over Q.
     """
     S.require_smooth()
-    coeffs = S.Ptilde.integer_square_scaled()
-    alpha_sf = squarefree_part(S.alpha)
-    odd_primes = tuple(p for p in factorize(alpha_sf).primes() if p != 2)
-    hits = conic_scan(coeffs, alpha_sf, odd_primes, H, 1)
+    alpha_sf, alpha_primes = square_class(S.alpha)
+    odd_primes = tuple(p for p in alpha_primes if p != 2)
+    hits = conic_scan(S.Ptilde.integer_square_scaled, alpha_sf, odd_primes,
+                      H, 1)
     if not hits:
         return SearchResult(height=H, found=False,
                             note=f"none up to {H}")
@@ -672,7 +646,7 @@ def surface_to_json(S: ChateletSurface) -> dict:
     """JSON object with all big integers as decimal strings."""
     return {
         "alpha": _frac_str(S.alpha),
-        "P": [_frac_str(c) for c in S.P.coeffs],
+        "P": [_frac_str(c) for c in S.Ptilde.coeffs],
         "provenance": S.provenance,
     }
 
@@ -682,7 +656,7 @@ def surface_from_json(obj: Union[str, dict]) -> ChateletSurface:
         obj = json.loads(obj)
     return ChateletSurface(
         alpha=Fraction(obj["alpha"]),
-        P=Poly4(tuple(Fraction(c) for c in obj["P"])),
+        Ptilde=BinaryQuartic(obj["P"]),
         provenance=obj.get("provenance", "user"),
     )
 

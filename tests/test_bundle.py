@@ -86,7 +86,8 @@ class TestMakeBundle:
 
     def test_rejects_proportional(self, S):
         with pytest.raises(ValueError, match="independent"):
-            make_bundle(S, S.Ptilde.scale(Fraction(1, 41)))
+            make_bundle(S, BinaryQuartic(
+                tuple(c / 41 for c in S.Ptilde.coeffs)))
 
     def test_rejects_non_constructed(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,13 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 SURFACE_INPUT = '{"alpha": "2", "P": ["6","0","0","0","1"]}'
 
+# stdin of the golden cases that read one; the rest get SURFACE_INPUT
+GOLDEN_STDIN = {
+    "surface_alpha17_height20": '{"alpha":"17","P":["0","1","0","0","1/2"]}',
+    "surface_alpha_minus3_height20":
+        '{"alpha":"-3","P":["0","1","0","0","1/2"]}',
+}
+
 
 class TestHilbert:
     def test_table(self, capsys):
@@ -212,9 +219,15 @@ class TestGolden:
         ("hilbert_697_41", ["hilbert", "697", "41"]),
         ("surface_stdin_height20", ["surface", "-", "--height", "20"]),
         ("bundle_fibers4", ["bundle", "--fibers", "4"]),
+        # Fraction coefficients, P(0) = 0, alpha a square at 2 (17) and
+        # the real place's sympy intervals (-3)
+        ("surface_alpha17_height20", ["surface", "-", "--height", "20"]),
+        ("surface_alpha_minus3_height20",
+         ["surface", "-", "--height", "20"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
-        monkeypatch.setattr("sys.stdin", io.StringIO(SURFACE_INPUT))
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            GOLDEN_STDIN.get(name, SURFACE_INPUT)))
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

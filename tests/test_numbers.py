@@ -17,6 +17,7 @@ from chatelet.numbers import (
     legendre,
     mod_inverse,
     partial_factorize,
+    square_class,
     squarefree_part,
     unit_part,
     valuation,
@@ -85,7 +86,7 @@ class TestPartialFactorize:
 
     def test_cofactor_contract(self):
         n = 7 * (2**89 - 1) * (2**107 - 1)  # two huge Mersenne primes
-        f, cof = partial_factorize(n, rho_budget=0)
+        f, cof = partial_factorize(n)
         assert f.value() * cof == n
         assert (7, 1) in f.factors
 
@@ -150,6 +151,12 @@ class TestSquarefreePart:
         assert squarefree_part(12) == 3
         assert squarefree_part(-12) == -3
         assert squarefree_part(1) == 1
+        # with its primes; known primes are divided out first
+        assert square_class(Fraction(-12, 5)) == (-15, (3, 5))
+        assert square_class(1) == (1, ())
+        assert square_class(2**3 * 3**2 * 7, (7, 3)) == (14, (2, 7))
+        with pytest.raises(ValueError):
+            square_class(0)
 
     @given(st.integers(min_value=1, max_value=10**6),
            st.integers(min_value=1, max_value=1000))

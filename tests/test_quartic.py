@@ -9,14 +9,42 @@ import sympy
 
 from chatelet.quartic import (
     BinaryQuartic,
-    Poly4,
-    homogenize,
     quartic_disc,
     quartic_irreducible,
 )
 
 _x = sympy.Symbol("x")
 _w = sympy.Symbol("w")
+
+
+def _sympy_form(coeffs):
+    """sympy's expansion of sum c_i x^i w^(4-i), as a Poly in (x, w)."""
+    form = sum(sympy.Rational(c.numerator, c.denominator)
+               * _x**i * _w ** (4 - i)
+               for i, c in enumerate(coeffs))
+    return sympy.Poly(sympy.expand(form), _x, _w)
+
+
+def _random_forms(seed, count=200):
+    """`count` seeded nonzero forms with Fraction coefficients, some zero
+    (so the degree in x and in w varies)."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        coeffs = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                       if rng.random() < 0.8 else Fraction(0)
+                       for _ in range(5))
+        if any(coeffs):
+            forms.append(BinaryQuartic(coeffs))
+    return forms
+
+
+def _sympy_value(poly, w, x):
+    """poly at (x, w), both given as int or Fraction, as a Fraction."""
+    w, x = Fraction(w), Fraction(x)
+    value = poly(sympy.Rational(x.numerator, x.denominator),
+                 sympy.Rational(w.numerator, w.denominator))
+    return Fraction(int(value.p), int(value.q))
 
 
 def _sympy_disc(coeffs):
@@ -27,32 +55,47 @@ def _sympy_disc(coeffs):
 
 
 class TestPoly4:
+    """The affine value P(x) = P~(1, x) of a form, ``q(x)``."""
+
     def test_eval(self):
-        P = Poly4((5916, 0, 985, 0, 41))
+        P = BinaryQuartic((5916, 0, 985, 0, 41))
         assert P(0) == 5916
         assert P(1) == 6942
         assert P(Fraction(1, 2)) == Fraction(5916) + Fraction(985, 4) \
             + Fraction(41, 16)
-
-    def test_degree(self):
-        assert Poly4((1, 0, 0, 0, 0)).degree() == 0
-        assert Poly4((0, 0, 1, 0, 0)).degree() == 2
+        # against sympy's expansion, at integer and rational x
+        rng = random.Random(21)
+        for q in _random_forms(22):
+            poly = _sympy_form(q.coeffs)
+            for x in (0, 1, rng.randint(-50, 50),
+                      Fraction(rng.randint(-50, 50), rng.randint(1, 50))):
+                got = q(x)
+                assert isinstance(got, Fraction)
+                assert got == _sympy_value(poly, 1, x)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            Poly4((0, 0, 0, 0, 0))
+            BinaryQuartic((0, 0, 0, 0, 0))
 
 
 class TestHomogenize:
-    def test_dehomogenize_roundtrip(self):
-        P = Poly4((1, 2, 3, 4, 5))
-        assert homogenize(P).dehomogenize() == P
+    """The projective value P~(w, x) and its affine chart."""
 
     def test_value_at_affine_chart(self):
-        P = Poly4((-6, 0, 5, 0, -1))
-        q = homogenize(P)
+        q = BinaryQuartic((-6, 0, 5, 0, -1))
         for x in (0, 1, Fraction(-3, 2)):
-            assert q.value(1, x) == P(x)
+            assert q.value(1, x) == q(x) == (x * x - 2) * (3 - x * x)
+        # against sympy's expansion, at (1, 0), (0, 1) and integer and
+        # rational (w, x)
+        rng = random.Random(23)
+        for q in _random_forms(24):
+            poly = _sympy_form(q.coeffs)
+            points = [(1, 0), (0, 1),
+                      (rng.randint(-40, 40), rng.randint(-40, 40)),
+                      (Fraction(rng.randint(-40, 40), rng.randint(1, 40)),
+                       Fraction(rng.randint(-40, 40), rng.randint(1, 40)))]
+            for w, x in points:
+                assert q.value(w, x) == _sympy_value(poly, w, x)
 
     def test_scaling_homogeneity(self):
         q = BinaryQuartic((1, -2, 0, 7, 3))
@@ -60,15 +103,9 @@ class TestHomogenize:
 
 
 class TestIntegerModels:
-    def test_primitive(self):
-        q = BinaryQuartic((Fraction(1, 2), 0, Fraction(3, 4), 0, -2))
-        ints = q.integer_primitive()
-        assert math.gcd(*ints) == 1
-        assert ints[4] > 0
-
     def test_square_scaled_preserves_classes(self):
         q = BinaryQuartic((Fraction(2, 9), 0, 0, 0, Fraction(8)))
-        ints = q.integer_square_scaled()
+        ints = q.integer_square_scaled
         model = BinaryQuartic(ints)
         for (w, x) in ((1, 1), (2, 3), (1, 0), (0, 1)):
             a = q.value(w, x)
@@ -83,8 +120,8 @@ class TestIntegerModels:
 class TestDiscriminant:
     def test_known_values(self):
         assert quartic_disc(BinaryQuartic((1, 0, 0, 0, 1))) == 256
-        assert quartic_disc(Poly4((5916, 0, 985, 0, 41))) == 3880896
-        assert quartic_disc(Poly4((-6, 0, 5, 0, -1))) == 96
+        assert quartic_disc(BinaryQuartic((5916, 0, 985, 0, 41))) == 3880896
+        assert quartic_disc(BinaryQuartic((-6, 0, 5, 0, -1))) == 96
 
     def test_repeated_root_vanishes(self):
         # (x - w)^2 (x + 2w)(x - 3w)
@@ -211,6 +248,5 @@ class TestIrreducibility:
             if coeffs[4] == 0 or coeffs[0] == 0:
                 continue
             q = BinaryQuartic(coeffs)
-            ints = q.integer_primitive()
-            assert quartic_irreducible(q) == _bruteforce_irreducible(ints)
+            assert quartic_irreducible(q) == _bruteforce_irreducible(coeffs)
             checked += 1

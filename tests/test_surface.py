@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chatelet.local import REAL, finite_place, hilbert_symbol
-from chatelet.quartic import Poly4
+from chatelet.quartic import BinaryQuartic
 from chatelet.surface import (
     ChateletParams,
     ChateletSurface,
@@ -58,12 +58,12 @@ class TestParams:
 class TestBuild:
     def test_expansion(self, S):
         assert S.alpha == 697
-        assert S.P.coeffs == (5916, 0, 985, 0, 41)
+        assert S.Ptilde.coeffs == (5916, 0, 985, 0, 41)
 
     def test_factorized_form(self, S):
         # P(x) = (x^2 + 12)(41 x^2 + 493)
         for x in (0, 1, Fraction(-5, 3), 7):
-            assert S.P(x) == (x * x + 12) * (41 * x * x + 493)
+            assert S.Ptilde(x) == (x * x + 12) * (41 * x * x + 493)
 
     def test_smooth(self, S):
         assert S.disc() == 3880896
@@ -72,12 +72,13 @@ class TestBuild:
     def test_iskovskikh(self):
         I = iskovskikh()
         assert I.alpha == -1
-        assert I.P.coeffs == (-6, 0, 5, 0, -1)
+        assert I.Ptilde.coeffs == (-6, 0, 5, 0, -1)
         for x in (0, Fraction(3, 2)):
-            assert I.P(x) == (x * x - 2) * (3 - x * x)
+            assert I.Ptilde(x) == (x * x - 2) * (3 - x * x)
 
     def test_singular_rejected(self):
-        S = ChateletSurface(alpha=Fraction(2), P=Poly4((0, 0, 1, 0, 0)),
+        S = ChateletSurface(alpha=Fraction(2),
+                            Ptilde=BinaryQuartic((0, 0, 1, 0, 0)),
                             provenance="user")
         with pytest.raises(ValueError):
             S.require_smooth()
@@ -85,12 +86,15 @@ class TestBuild:
 
 class TestBadPlaces:
     def test_constructed(self, S):
-        assert [str(v) for v in bad_places(S)] == \
+        places, cofactor = bad_places(S)
+        assert [str(v) for v in places] == \
             ["oo", "2", "3", "17", "29", "41"]
+        assert cofactor == 1
 
     def test_iskovskikh(self):
-        assert [str(v) for v in bad_places(iskovskikh())] == \
-            ["oo", "2", "3"]
+        places, cofactor = bad_places(iskovskikh())
+        assert [str(v) for v in places] == ["oo", "2", "3"]
+        assert cofactor == 1
 
 
 class TestLocalSolvability:
@@ -106,7 +110,7 @@ class TestLocalSolvability:
         assert rep.all_solvable
 
     def test_witness_certificates_honest(self, S):
-        for v in bad_places(S):
+        for v in bad_places(S)[0]:
             ok, wit = local_solvable_surface(S, v)
             assert ok
             m, n = wit.x
@@ -119,14 +123,16 @@ class TestLocalSolvability:
                     assert hilbert_symbol(S.alpha, value, v) == 1
 
     def test_real_failure_detected(self):
-        S = ChateletSurface(alpha=Fraction(-1), P=Poly4((-1, 0, 0, 0, -1)),
+        S = ChateletSurface(alpha=Fraction(-1),
+                            Ptilde=BinaryQuartic((-1, 0, 0, 0, -1)),
                             provenance="user")
         ok, wit = local_solvable_surface(S, REAL)
         assert not ok and wit is None
 
     def test_padic_failure_detected(self):
         # no Q_3-point: confirmed by exhausting primitive residues mod 3^5
-        S = ChateletSurface(alpha=Fraction(3), P=Poly4((-4, 1, 2, -3, 3)),
+        S = ChateletSurface(alpha=Fraction(3),
+                            Ptilde=BinaryQuartic((-4, 1, 2, -3, 3)),
                             provenance="user")
         ok, _ = local_solvable_surface(S, finite_place(3))
         assert not ok
@@ -139,7 +145,8 @@ class TestLocalSolvability:
             if all(c == 0 for c in coeffs):
                 continue
             S = ChateletSurface(alpha=Fraction(rng.choice([-1, 2, 3, -5])),
-                                P=Poly4(coeffs), provenance="user")
+                                Ptilde=BinaryQuartic(coeffs),
+                                provenance="user")
             if S.disc() == 0:
                 continue
             for p in (2, 3, 5):
@@ -165,7 +172,7 @@ class TestBrauer:
 
     def test_invariant_constant_and_rep_independent(self, S):
         A = brauer_class(S)
-        for v in bad_places(S):
+        for v in bad_places(S)[0]:
             pts = sample_certified_points(S, v, 25, seed=7)
             invs = set()
             for pt in pts:
@@ -217,7 +224,8 @@ class TestSearch:
         assert not res.found
 
     def test_planted_point(self):
-        S = ChateletSurface(alpha=Fraction(2), P=Poly4((6, 0, 0, 0, 1)),
+        S = ChateletSurface(alpha=Fraction(2),
+                            Ptilde=BinaryQuartic((6, 0, 0, 0, 1)),
                             provenance="user")
         res = rational_point_search(S, 10)
         assert res.found
@@ -228,10 +236,28 @@ class TestSearch:
 
     def test_degenerate_fiber_found(self):
         # P has the rational root x = 1
-        S = ChateletSurface(alpha=Fraction(3), P=Poly4((-1, 0, 0, 0, 1)),
+        S = ChateletSurface(alpha=Fraction(3),
+                            Ptilde=BinaryQuartic((-1, 0, 0, 0, 1)),
                             provenance="user")
         res = rational_point_search(S, 5)
         assert res.found
+
+
+class TestIntegerModel:
+    def test_computed_once_per_surface(self, monkeypatch):
+        # local decisions at every bad place, the obstruction and the
+        # search all read one cached integer model of P~
+        from chatelet import quartic
+
+        calls = []
+        real = quartic.partial_factorize
+        monkeypatch.setattr(quartic, "partial_factorize",
+                            lambda n: calls.append(n) or real(n))
+        T = build_surface(find_params(100))
+        assert verify_local_everywhere(T).all_solvable
+        obstruction_report(T, samples_per_place=5, seed=1)
+        assert not rational_point_search(T, 20).found
+        assert len(calls) == 1
 
 
 class TestSerialization:
@@ -241,13 +267,13 @@ class TestSerialization:
         assert obj["P"] == ["5916", "0", "985", "0", "41"]
         T = surface_from_json(json.dumps(obj))
         assert T.alpha == S.alpha
-        assert T.P.coeffs == S.P.coeffs
+        assert T.Ptilde.coeffs == S.Ptilde.coeffs
 
     def test_fraction_coeffs(self):
         S = ChateletSurface(alpha=Fraction(-1, 2),
-                            P=Poly4((Fraction(1, 3), 0, 0, 0, 1)),
+                            Ptilde=BinaryQuartic((Fraction(1, 3), 0, 0, 0, 1)),
                             provenance="user")
         obj = surface_to_json(S)
         assert obj["alpha"] == "-1/2"
         T = surface_from_json(obj)
-        assert T.P.coeffs == S.P.coeffs
+        assert T.Ptilde.coeffs == S.Ptilde.coeffs
