@@ -10,35 +10,25 @@ decision.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from chatelet.local import conic_decide
 from chatelet.quartic import evaluate_quartic
 
 
-def conic_scan(coeffs, alpha: int, alpha_odd_primes, H: int,
-               limit: int = 16) -> list[tuple[int, int]]:
-    """All x = (m : n) in P^1(Q) of height <= H whose fiber conic
-    y^2 - alpha*z^2 = value-of-quartic is solvable over Q.
+def conic_scan(coeffs, alpha: int, alpha_odd_primes,
+               H: int) -> Optional[tuple[int, int]]:
+    """The first x = (m : n) in P^1(Q) of height <= H whose fiber conic
+    y^2 - alpha*z^2 = value-of-quartic is solvable over Q, or None.
 
     Enumerates n = 0 (only (1, 0), i.e. x = infinity) then n = 1..H with
     m = -H..H coprime to n.  A zero quartic value counts as solvable
-    (the degenerate fiber carries the point (x, 0, 0)).  Stops after
-    ``limit`` hits.
+    (the degenerate fiber carries the point (x, 0, 0)).
     """
-    hits: list[tuple[int, int]] = []
-
-    def consider(m, n):
-        r = evaluate_quartic(coeffs, m, n)
-        if r == 0 or conic_decide(alpha, alpha_odd_primes, r):
-            hits.append((m, n))
-
-    consider(1, 0)
-    for n in range(1, H + 1):
-        if len(hits) >= limit:
-            break
-        for m in range(-H, H + 1):
+    for n in range(H + 1):
+        for m in (range(-H, H + 1) if n else (1,)):
             if math.gcd(m, n) == 1:
-                consider(m, n)
-                if len(hits) >= limit:
-                    break
-    return hits
+                r = evaluate_quartic(coeffs, m, n)
+                if r == 0 or conic_decide(alpha, alpha_odd_primes, r):
+                    return m, n
+    return None

@@ -30,7 +30,6 @@ from chatelet.surface import (
     _frac_str,
     obstruction_report,
     rational_point_search,
-    verify_local_everywhere,
 )
 
 __all__ = [
@@ -446,7 +445,7 @@ def _verify_fiber(W: PulledBackBundle, t: tuple[int, int], fp: FiberParam,
                   search_H: int) -> FiberRecord:
     """The record of the fiber fp = `pullback_fiber_param`(W, t)."""
     S = pullback_fiber(W, t)
-    if not S.is_smooth():
+    if S.disc == 0:
         raise ArithmeticError(f"sampled affine fiber at t={t} is "
                               "not smooth")
     if fp in F.fibers:
@@ -456,7 +455,7 @@ def _verify_fiber(W: PulledBackBundle, t: tuple[int, int], fp: FiberParam,
             raise ArithmeticError(
                 f"fiber coordinate {fp} off the square class of d")
     irr = quartic_irreducible(S.Ptilde)
-    local = verify_local_everywhere(S)
+    local = S.local
     search = rational_point_search(S, search_H)
     thin = "" if irr else "thin-set hit: reducible fiber quartic"
     note = "; ".join(n for n in (thin, search.note) if n)

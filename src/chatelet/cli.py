@@ -168,10 +168,9 @@ def cmd_counterexample(args) -> int:
         stages["params"] = {"a": params.a, "b": params.b, "c": params.c}
         S = surface_mod.build_surface(params)
         stages["surface"] = surface_to_json(S)
-        stages["surface"]["disc"] = _frac(S.disc())
-        local = surface_mod.verify_local_everywhere(S)
-        stages["local"] = _local_report(local)
-        if not local.all_solvable:
+        stages["surface"]["disc"] = _frac(S.disc)
+        stages["local"] = _local_report(S.local)
+        if not S.local.all_solvable:
             raise StageError("local", "constructed surface not locally "
                              "solvable everywhere")
         ob = surface_mod.obstruction_report(
@@ -293,10 +292,9 @@ def _verify_surface(report: dict, S: ChateletSurface, args) -> int:
     stages: dict = {}
     report["stages"] = stages
     stages["surface"] = surface_to_json(S)
-    stages["surface"]["disc"] = _frac(S.disc())
+    stages["surface"]["disc"] = _frac(S.disc)
     try:
-        S.require_smooth()
-        local = surface_mod.verify_local_everywhere(S)
+        local = S.local
     except OutOfCertifiedRangeError as e:
         return _stop(report, "local", str(e), "inconclusive", args)
     except (ValueError, ArithmeticError) as e:
@@ -326,7 +324,7 @@ def cmd_surface(args) -> int:
             text = fh.read()
     try:
         S = surface_from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         sys.stderr.write(f"surface: invalid input: {e}\n")
         return EXIT_USAGE
     return _verify_surface(report, S, args)
@@ -336,11 +334,22 @@ def cmd_surface(args) -> int:
 # parser
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {n}")
+        return n
+    parse.__name__ = "int"  # argparse's message for a non-integer
+    return parse
+
+
 def _common(sub, height=100):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--height", type=int, default=height,
+    sub.add_argument("--height", type=_at_least(0), default=height,
                      help="height bound for rational point search")
-    sub.add_argument("--samples", type=int, default=20,
+    sub.add_argument("--samples", type=_at_least(1), default=20,
                      help="certified local points per place")
     sub.add_argument("--out", help="write the JSON report to a file")
 
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="build and verify the pulled-back bundle")
     _common(bu)
     bu.add_argument("--bound", type=int, default=100)
-    bu.add_argument("--fibers", type=int, default=50,
+    bu.add_argument("--fibers", type=_at_least(0), default=50,
                     help="number of sampled affine fibers beyond 0")
     bu.add_argument("--d", type=int, default=None,
                     help="override the base-change coefficient")

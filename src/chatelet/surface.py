@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import sympy
@@ -103,7 +104,12 @@ class ChateletParams:
 @dataclass(frozen=True)
 class ChateletSurface:
     """y^2 - alpha z^2 = P(x), stored as alpha and the binary quartic
-    P~(w, x) = w^4 P(x / w), whose coefficients are those of P."""
+    P~(w, x) = w^4 P(x / w), whose coefficients are those of P.
+
+    The facts derived from the surface are computed once and cached on
+    it: `disc`, the discriminant of P~, and `local`, its local table
+    (`verify_local_everywhere`), which the obstruction reads.
+    """
 
     alpha: Fraction
     Ptilde: BinaryQuartic
@@ -115,14 +121,18 @@ class ChateletSurface:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
 
+    @cached_property
     def disc(self) -> Fraction:
+        """disc(P~); the surface is smooth iff it is nonzero."""
         return quartic_disc(self.Ptilde)
 
-    def is_smooth(self) -> bool:
-        return self.disc() != 0
+    @cached_property
+    def local(self) -> "LocalReport":
+        """`verify_local_everywhere` of this surface."""
+        return verify_local_everywhere(self)
 
     def require_smooth(self) -> None:
-        if not self.is_smooth():
+        if self.disc == 0:
             raise ValueError("surface is not smooth (repeated quartic root)")
 
     def surface_id(self) -> str:
@@ -231,35 +241,33 @@ def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
     The discriminant goes through `partial_factorize`, so the list is
     complete unless a part past 2**64 is left; the cofactor collects that
     part, whose primes all exceed 10^6 and are provably good places (see
-    _large_prime_places_are_good).
+    _unit_value_places).
     """
     S.require_smooth()
     primes = {2}
-    alpha_support = S.alpha.numerator * S.alpha.denominator
-    primes.update(factorize(alpha_support).primes())
-    disc = S.disc()
-    disc_certified, cofactor = partial_factorize(disc.numerator)
+    primes.update(factorize(S.alpha.numerator * S.alpha.denominator).primes())
+    disc_certified, cofactor = partial_factorize(S.disc.numerator)
     primes.update(disc_certified.primes())
-    if cofactor != 1:
-        _large_prime_places_are_good(S, cofactor, alpha_support)
+    if cofactor != 1 and not _unit_value_places(S, cofactor):
+        raise ArithmeticError(
+            "cannot certify large discriminant factors as good places")
     places = [REAL] + [finite_place(p) for p in sorted(primes)]
     return places, cofactor
 
 
-def _large_prime_places_are_good(S: ChateletSurface, cofactor: int,
-                                 alpha_support: int) -> None:
-    """Certify that every prime q dividing the cofactor is a place where
-    the surface trivially has points.
+def _unit_value_places(S: ChateletSurface, n: int) -> bool:
+    """The unit-value argument for a number n whose primes all exceed 5:
+    true when n is coprime to alpha and to the content of the integer
+    model of P~, and then every prime q | n is a place where the surface
+    has points.
 
-    All such q exceed 10^6 and are odd.  Provided q divides neither alpha
-    nor the content of the integer model of P~, some x in P^1(F_q) avoids
-    the <= 4 roots of P~ mod q (q + 1 > 4 points available), so P~(x) is
-    a q-adic unit and (alpha, P~(x))_q = +1.
+    Such q is odd, and the six points 0, 1, 2, 3, 4 and infinity of
+    P^1(F_q) are distinct.  At most four of them are roots of P~ mod q,
+    so one gives a q-adic unit value P~(x) and (alpha, P~(x))_q = +1.
     """
     content = math.gcd(*S.Ptilde.integer_square_scaled)
-    if math.gcd(cofactor, alpha_support * content) != 1:
-        raise ArithmeticError(
-            "cannot certify large discriminant factors as good places")
+    alpha_support = S.alpha.numerator * S.alpha.denominator
+    return math.gcd(n, alpha_support * content) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +294,7 @@ class _LocalDecider:
     p: int
 
     def __post_init__(self):
-        disc = self.S.disc()
+        disc = self.S.disc
         base = (valuation(4 * self.S.alpha, self.p)
                 + (valuation(disc, self.p) if disc != 0 else 0))
         self.max_depth = abs(base) + 3 + 64
@@ -296,11 +304,9 @@ class _LocalDecider:
         # integer model (square classes preserved)
         f_a = self.S.Ptilde.integer_square_scaled
         f_b = tuple(reversed(f_a))
-        # quick pass: exact symbols at six fixed points of P^1(Q).  For
-        # p > 5 coprime to alpha and the content these are distinct mod
-        # p and at most four can be roots of the quartic, so one gives a
-        # unit value and the symbol +1 -- the sweep below never runs at
-        # large primes.
+        # quick pass: exact symbols at six fixed points of P^1(Q).  At
+        # the places of _unit_value_places one of them gives the symbol
+        # +1, so the sweep below never runs at large primes.
         for f, x0, chart in [(f_a, 0, "A"), (f_a, 1, "A"), (f_a, 2, "A"),
                              (f_a, 3, "A"), (f_a, 4, "A"), (f_b, 0, "B")]:
             val = horner(f, x0)
@@ -408,16 +414,11 @@ def local_solvable_surface(
     S.require_smooth()
     if v.is_real:
         return _real_solvable(S)
-    if v.p > 10**5:
-        # Feasibility of the residue sweep at huge p rests on the
-        # unit-value argument: p odd and coprime to alpha and to the
-        # quartic's content guarantees an early +1 fiber (at most 4
-        # roots mod p among 6 candidate points).
-        ints = S.Ptilde.integer_square_scaled
-        if (valuation(S.alpha, v.p) != 0
-                or math.gcd(math.gcd(*ints), v.p) != 1):
-            raise ArithmeticError(
-                f"place {v} too large for exact residue enumeration")
+    if v.p > 10**5 and not _unit_value_places(S, v.p):
+        # the residue sweep is only feasible at huge p when the quick
+        # pass is sure to find a +1 fiber
+        raise ArithmeticError(
+            f"place {v} too large for exact residue enumeration")
     if is_local_square(S.alpha, v):
         # every fiber with nonzero value is split
         for m in range(0, 6):
@@ -545,8 +546,6 @@ def sample_certified_points(S: ChateletSurface, v: Place, n: int,
 @dataclass(frozen=True)
 class PlaceInvariantRecord:
     place: Place
-    solvable: bool
-    witness: Optional[CertifiedLocalX]
     invariant: Fraction
     samples: int
     justification: str  # "sampled" | "norm-argument"
@@ -565,18 +564,20 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
                        seed: int = 0) -> ObstructionReport:
     """Evaluate the Brauer-Manin obstruction of a constructed surface.
 
-    Verifies local solvability everywhere, samples certified points at
-    every bad place, checks the local invariant is constant per place,
+    Reads the surface's local table `S.local` (computed on first use),
+    which must be solvable everywhere; samples certified points at each
+    of its places, checks the local invariant is constant per place,
     and sums.  A nonzero sum certifies the absence of rational points.
     """
+    if samples_per_place < 1:
+        raise ValueError("samples_per_place must be at least 1")
     A = brauer_class(S)
-    local = verify_local_everywhere(S)
-    if not local.all_solvable:
+    if not S.local.all_solvable:
         raise ArithmeticError(
             "constructed surface unexpectedly fails local solvability")
     records = []
     total = Fraction(0)
-    for res in local.results:
+    for res in S.local.results:
         pts = sample_certified_points(S, res.place, samples_per_place, seed)
         invs = {inv for pt in pts for inv in eval_invariant_all_reps(A, pt)}
         if len(invs) != 1:
@@ -585,8 +586,8 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
         inv = invs.pop()
         total += inv
         records.append(PlaceInvariantRecord(
-            place=res.place, solvable=True, witness=res.witness,
-            invariant=inv, samples=len(pts), justification="sampled"))
+            place=res.place, invariant=inv, samples=len(pts),
+            justification="sampled"))
     total = total % 1
     conclusion = ("no-rational-point-certified" if total != 0
                   else "inconclusive")
@@ -623,12 +624,12 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     S.require_smooth()
     alpha_sf, alpha_primes = square_class(S.alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)
-    hits = conic_scan(S.Ptilde.integer_square_scaled, alpha_sf, odd_primes,
-                      H, 1)
-    if not hits:
+    hit = conic_scan(S.Ptilde.integer_square_scaled, alpha_sf, odd_primes,
+                     H)
+    if hit is None:
         return SearchResult(height=H, found=False,
                             note=f"none up to {H}")
-    m, n = hits[0]
+    m, n = hit
     value = S.Ptilde.value(n, m)
     if value == 0:
         return SearchResult(height=H, found=True, x=(m, n),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chatelet import bundle as bundle_mod
+from chatelet import surface as surface_mod
 from chatelet.bundle import (
     BadFiberSet,
     FiberParam,
@@ -120,7 +121,7 @@ class TestBadFibers:
     def test_pencil_degree_and_ends(self, S, B, F):
         assert len(F.R_coeffs) == 13
         assert F.R(1, 0) == 256  # disc of x^4 + w^4
-        assert F.R(0, 1) == S.disc()
+        assert F.R(0, 1) == S.disc
 
     def test_roots_exact(self, F):
         for f in F.fibers:
@@ -257,14 +258,14 @@ class TestVerifyPullback:
     def test_each_distinct_fiber_verified_once(self, B, F, monkeypatch):
         # t and -t pull back to one fiber: t = 0, +-1, +-2 are 3 fibers
         calls = []
-        real = bundle_mod.verify_local_everywhere
-        monkeypatch.setattr(bundle_mod, "verify_local_everywhere",
+        real = surface_mod.verify_local_everywhere
+        monkeypatch.setattr(surface_mod, "verify_local_everywhere",
                             lambda S: calls.append(S) or real(S))
         W = pullback(B, good_d_candidates(F, 1)[0])
         rep = verify_pullback(W, default_sample_ts(6), search_H=5,
                               obstruction_samples=4)
         assert len(rep.fibers) == 5
-        assert len(calls) == 3
+        assert sum(S.provenance == "fiber" for S in calls) == 3
 
     def test_sample_must_include_ends(self, B, F):
         W = pullback(B, good_d_candidates(F, 1)[0])

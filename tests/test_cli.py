@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from chatelet import bundle as bundle_mod
+from chatelet import surface as surface_mod
 from chatelet.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -97,6 +98,21 @@ class TestCounterexample:
         assert rep["status"] == "error"
         assert rep["error"]["stage"] == "find_params"
         assert "not found below bound" in rep["error"]["message"]
+
+    def test_surface_facts_computed_once(self, capsys, monkeypatch):
+        # the local table and the obstruction share one local pass and
+        # one discriminant
+        calls = {"quartic_disc": [], "verify_local_everywhere": []}
+        for name, seen in calls.items():
+            real = getattr(surface_mod, name)
+            monkeypatch.setattr(surface_mod, name,
+                                lambda S, real=real, seen=seen:
+                                seen.append(S) or real(S))
+        code, _ = run_json(capsys, "counterexample", "--height", "20",
+                           "--samples", "4")
+        assert code == EXIT_OK
+        assert {k: len(v) for k, v in calls.items()} == \
+            {"quartic_disc": 1, "verify_local_everywhere": 1}
 
     def test_byte_determinism(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -193,6 +209,18 @@ class TestSurface:
         code, _ = run_cli(capsys, "surface", str(path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", [
+        '[1]',
+        '{"alpha": null, "P": ["6","0","0","0","1"]}',
+        '{"alpha": "2", "P": 5}',
+        '{"alpha": "1/0", "P": ["6","0","0","0","1"]}',
+    ])
+    def test_malformed_input(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run_cli(capsys, "surface", "-")
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_singular_surface_is_stage_failure(self, capsys, tmp_path):
         path = tmp_path / "sing.json"
         path.write_text('{"alpha": "2", "P": ["0","0","1","0","0"]}')
@@ -207,6 +235,18 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["counterexample", "--nope"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "--samples", "0"],
+        ["counterexample", "--samples", "-3"],
+        ["bundle", "--fibers", "-1"],
+        ["iskovskikh", "--height", "-3"],
+    ])
+    def test_bad_count_rejected(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be at least" in err
 
 
 class TestGolden:

@@ -1,14 +1,19 @@
-"""The names the frozen benchmark's tracer reads from the package.
+"""What the frozen benchmark reads from the package.
 
 `perfbench/tracer.py` wraps the functions in its ``TARGETS`` and reads
 ``.Ptilde.coeffs`` from each `bundle.pullback_fiber` result.  A rename
 would only show as ``missing_targets`` in a traced benchmark run; here
 it fails the test suite instead.  The tracer is imported as it is and
 nothing is wrapped.
+
+`perfbench/check.py` checks every benchmark report; the golden reports
+of the benchmark's three subcommands must pass it, so a report the
+benchmark would count as an incorrect operation fails here first.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,15 +21,26 @@ import pytest
 from chatelet.bundle import make_bundle, pullback, pullback_fiber
 from chatelet.surface import build_surface, find_params
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def check():
+    return _load("check")
 
 
 def test_targets_resolve(tracer):
@@ -42,3 +58,16 @@ def test_pullback_fiber_has_quartic_coeffs(tracer):
     rec = tracer.Recorder()
     tracer.OBSERVERS["bundle.pullback_fiber"](rec, 0, (W, (1, 1)), {}, fiber)
     assert rec.fiber_keys[0] == tuple(fiber.Ptilde.coeffs)
+
+
+@pytest.mark.parametrize("checker, golden", [
+    ("check_counterexample", "counterexample_height40"),
+    ("check_iskovskikh", "iskovskikh_height80"),
+    ("check_bundle", "bundle_fibers4"),
+])
+def test_golden_passes_benchmark_check(check, checker, golden):
+    report = json.loads((GOLDEN / f"{golden}.json").read_text())
+    failures, record_failures = getattr(check, checker)(
+        report, report["config"]["seed"])
+    assert failures == []
+    assert all(r == [] for r in record_failures), record_failures

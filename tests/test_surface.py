@@ -66,8 +66,7 @@ class TestBuild:
             assert S.Ptilde(x) == (x * x + 12) * (41 * x * x + 493)
 
     def test_smooth(self, S):
-        assert S.disc() == 3880896
-        assert S.is_smooth()
+        assert S.disc == 3880896
 
     def test_iskovskikh(self):
         I = iskovskikh()
@@ -147,7 +146,7 @@ class TestLocalSolvability:
             S = ChateletSurface(alpha=Fraction(rng.choice([-1, 2, 3, -5])),
                                 Ptilde=BinaryQuartic(coeffs),
                                 provenance="user")
-            if S.disc() == 0:
+            if S.disc == 0:
                 continue
             for p in (2, 3, 5):
                 v = finite_place(p)
@@ -216,6 +215,12 @@ class TestObstruction:
         monkeypatch.setattr(mod, "eval_invariant_all_reps", bad_reps)
         with pytest.raises(InvariantNotConstantError):
             obstruction_report(S, samples_per_place=5, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, S, samples):
+        # no sample at a place would read as a nonconstant invariant
+        with pytest.raises(ValueError):
+            obstruction_report(S, samples_per_place=samples)
 
 
 class TestSearch:
