@@ -37,13 +37,6 @@ EXIT_STAGE = 3
 EXIT_INCONCLUSIVE = 4
 
 
-class StageError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"{stage}: {message}")
-        self.stage = stage
-        self.message = message
-
-
 def _frac(q) -> str:
     return surface_mod._frac_str(Fraction(q))
 
@@ -161,25 +154,22 @@ def cmd_counterexample(args) -> int:
     stages: dict = {}
     report["stages"] = stages
     try:
-        try:
-            params = surface_mod.find_params(args.bound)
-        except (ParamSearchError, ValueError) as e:
-            raise StageError("find_params", str(e))
-        stages["params"] = {"a": params.a, "b": params.b, "c": params.c}
-        S = surface_mod.build_surface(params)
-        stages["surface"] = surface_to_json(S)
-        stages["surface"]["disc"] = _frac(S.disc)
-        stages["local"] = _local_report(S.local)
-        if not S.local.all_solvable:
-            raise StageError("local", "constructed surface not locally "
-                             "solvable everywhere")
-        ob = surface_mod.obstruction_report(
-            S, samples_per_place=args.samples, seed=args.seed)
-        stages["obstruction"] = _obstruction(ob)
-        stages["search"] = _search(
-            surface_mod.rational_point_search(S, args.height))
-    except StageError as e:
-        return _stop(report, e.stage, e.message, "error", args)
+        params = surface_mod.find_params(args.bound)
+    except (ParamSearchError, ValueError) as e:
+        return _stop(report, "find_params", str(e), "error", args)
+    stages["params"] = {"a": params.a, "b": params.b, "c": params.c}
+    S = surface_mod.build_surface(params)
+    stages["surface"] = surface_to_json(S)
+    stages["surface"]["disc"] = _frac(S.disc)
+    stages["local"] = _local_report(S.local)
+    if not S.local.all_solvable:
+        return _stop(report, "local", "constructed surface not locally "
+                     "solvable everywhere", "error", args)
+    ob = surface_mod.obstruction_report(
+        S, samples_per_place=args.samples, seed=args.seed)
+    stages["obstruction"] = _obstruction(ob)
+    stages["search"] = _search(
+        surface_mod.rational_point_search(S, args.height))
     certified = (ob.conclusion == "no-rational-point-certified"
                  and not stages["search"]["found"])
     report["status"] = "certified" if certified else "inconclusive"
@@ -192,49 +182,45 @@ def cmd_bundle(args) -> int:
     stages: dict = {}
     report["stages"] = stages
     try:
-        try:
-            params = surface_mod.find_params(args.bound)
-            S = surface_mod.build_surface(params)
-            B = bundle_mod.make_bundle(S)
-        except (ParamSearchError, ValueError) as e:
-            raise StageError("build", str(e))
-        stages["bundle"] = bundle_mod.bundle_to_json(B)
-        F = B.bad
-        stages["bad_fibers"] = {
-            "fibers": [_point((f.u, f.v)) for f in F.fibers],
-            "affine_classes": sorted(_frac(q)
-                                     for q in F.affine_classes()),
-        }
-        if args.d is not None:
-            d = args.d
-        else:
-            d = bundle_mod.good_d_candidates(F, 1)[0]
-        try:
-            W = bundle_mod.pullback(B, d)
-        except ValueError as e:
-            raise StageError("pullback", str(e))
-        stages["pullback"] = {"d": str(d)}
-        ts = bundle_mod.default_sample_ts(2 + args.fibers)
-        try:
-            rep = bundle_mod.verify_pullback(
-                W, ts, search_H=args.height,
-                obstruction_samples=args.samples, seed=args.seed)
-        except ArithmeticError as e:
-            raise StageError("verify_pullback", str(e))
-        stages["special_fiber"] = {
-            "obstruction": _obstruction(rep.special),
-            "search": _search(rep.special_search),
-        }
-        stages["fibers"] = [_fiber_record(r) for r in rep.fibers]
-        stages["summary"] = {
-            "sampled": len(rep.fibers),
-            "locally_solvable": rep.n_solvable,
-            "points_found": rep.n_points_found,
-            "point_fraction": (f"{rep.n_points_found}/{len(rep.fibers)}"
-                               if rep.fibers else "0/0"),
-        }
-    except StageError as e:
-        return _stop(report, e.stage, e.message, "error", args)
+        params = surface_mod.find_params(args.bound)
+        S = surface_mod.build_surface(params)
+        B = bundle_mod.make_bundle(S)
+    except (ParamSearchError, ValueError) as e:
+        return _stop(report, "build", str(e), "error", args)
+    stages["bundle"] = bundle_mod.bundle_to_json(B)
+    F = B.bad
+    stages["bad_fibers"] = {
+        "fibers": [_point((f.u, f.v)) for f in F.fibers],
+        "affine_classes": sorted(_frac(q) for q in F.affine_classes()),
+    }
+    if args.d is not None:
+        d = args.d
+    else:
+        d = bundle_mod.good_d_candidates(F, 1)[0]
+    try:
+        W = bundle_mod.pullback(B, d)
+    except ValueError as e:
+        return _stop(report, "pullback", str(e), "error", args)
+    stages["pullback"] = {"d": str(d)}
+    ts = bundle_mod.default_sample_ts(2 + args.fibers)
+    try:
+        rep = bundle_mod.verify_pullback(
+            W, ts, search_H=args.height,
+            obstruction_samples=args.samples, seed=args.seed)
+    except ArithmeticError as e:
+        return _stop(report, "verify_pullback", str(e), "error", args)
+    stages["special_fiber"] = {
+        "obstruction": _obstruction(rep.special),
+        "search": _search(rep.special_search),
+    }
+    stages["fibers"] = [_fiber_record(r) for r in rep.fibers]
+    stages["summary"] = {
+        "sampled": len(rep.fibers),
+        "locally_solvable": rep.n_solvable,
+        "points_found": rep.n_points_found,
+        "point_fraction": (f"{rep.n_points_found}/{len(rep.fibers)}"
+                           if rep.fibers else "0/0"),
+    }
     certified = rep.all_affine_ok  # special fiber already hard-checked
     report["status"] = "certified" if certified else "inconclusive"
     _emit(report, args.out)
@@ -317,11 +303,15 @@ def cmd_iskovskikh(args) -> int:
 
 def cmd_surface(args) -> int:
     report = _report_shell(args, "surface")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
+    except OSError as e:
+        sys.stderr.write(f"surface: cannot read input: {e}\n")
+        return EXIT_USAGE
     try:
         S = surface_from_json(text)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:

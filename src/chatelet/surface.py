@@ -30,7 +30,6 @@ from chatelet.local import (
     finite_place,
     hilbert_symbol,
     inv_from_symbol,
-    is_local_square,
 )
 from chatelet.numbers import (
     Rational,
@@ -44,7 +43,7 @@ from chatelet.numbers import (
     square_class,
     valuation,
 )
-from chatelet.quartic import BinaryQuartic, quartic_disc
+from chatelet.quartic import BinaryQuartic, evaluate_quartic, quartic_disc
 
 __all__ = [
     "ChateletParams", "ChateletSurface", "CertifiedLocalX", "BrauerClass",
@@ -241,7 +240,7 @@ def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
     The discriminant goes through `partial_factorize`, so the list is
     complete unless a part past 2**64 is left; the cofactor collects that
     part, whose primes all exceed 10^6 and are provably good places (see
-    _unit_value_places).
+    _unit_value_places: one of _SIX_POINTS certifies each of them).
     """
     S.require_smooth()
     primes = {2}
@@ -261,9 +260,9 @@ def _unit_value_places(S: ChateletSurface, n: int) -> bool:
     model of P~, and then every prime q | n is a place where the surface
     has points.
 
-    Such q is odd, and the six points 0, 1, 2, 3, 4 and infinity of
-    P^1(F_q) are distinct.  At most four of them are roots of P~ mod q,
-    so one gives a q-adic unit value P~(x) and (alpha, P~(x))_q = +1.
+    Such q is odd, and the points of _SIX_POINTS stay distinct in
+    P^1(F_q).  At most four of them are roots of P~ mod q, so one gives a
+    q-adic unit value P~(x) and (alpha, P~(x))_q = +1.
     """
     content = math.gcd(*S.Ptilde.integer_square_scaled)
     alpha_support = S.alpha.numerator * S.alpha.denominator
@@ -276,9 +275,31 @@ def _unit_value_places(S: ChateletSurface, n: int) -> bool:
 
 _SYMPY_X = sympy.Symbol("x")
 
+# points of P^1(Q) that stay distinct modulo every prime q >= 5
+_SIX_POINTS: tuple[ProjectivePoint, ...] = (
+    (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), INFINITY)
 
-@dataclass
-class _LocalDecider:
+
+def _certificate(S: ChateletSurface, x: ProjectivePoint, v: Place,
+                 value: Rational) -> Optional[CertifiedLocalX]:
+    """The rule behind every local point: x certifies V(Q_v) != 0 when
+    P~(x) = 0 or (alpha, P~(x))_v = +1.  `value` is P~(x) up to a
+    nonzero rational square."""
+    if value == 0:
+        return CertifiedLocalX(x, v, "degenerate")
+    if hilbert_symbol(S.alpha, value, v) == 1:
+        return CertifiedLocalX(x, v, 1)
+    return None
+
+
+def _certify(S: ChateletSurface, x: ProjectivePoint,
+             v: Place) -> Optional[CertifiedLocalX]:
+    """`_certificate` of x, read from the integer model of P~."""
+    return _certificate(
+        S, x, v, evaluate_quartic(S.Ptilde.integer_square_scaled, *x))
+
+
+def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
     """Exact decision of V(Q_p) != 0 by adaptive residue subdivision.
 
     A residue class x = x0 mod p^k where the value P~(x) has valuation
@@ -288,93 +309,63 @@ class _LocalDecider:
     degenerate fiber with an obvious point).  Terminates for smooth
     surfaces: valuations away from roots are bounded, and roots in Q_p
     are simple, so Newton eventually certifies them.
+
+    The classes are projective points: (x0, 1) for x0 = 0..p-1, whose
+    children vary x0, and at infinity (1, w0) with w0 = 0 mod p, whose
+    children vary w0.
     """
+    p = v.p
+    f = S.Ptilde.integer_square_scaled
+    # the derivatives of P~(1, x) and P~(w, 1), for the Newton criterion
+    df_x, df_w = _derivative(f), _derivative(f[::-1])
+    base = valuation(4 * S.alpha, p) + valuation(S.disc, p)
+    max_depth = abs(base) + 3 + 64
 
-    S: ChateletSurface
-    p: int
-
-    def __post_init__(self):
-        disc = self.S.disc
-        base = (valuation(4 * self.S.alpha, self.p)
-                + (valuation(disc, self.p) if disc != 0 else 0))
-        self.max_depth = abs(base) + 3 + 64
-
-    def solve(self) -> tuple[bool, Optional[CertifiedLocalX]]:
-        # the charts f_A(x) = P~(1, x) and f_B(w) = P~(w, 1) of the
-        # integer model (square classes preserved)
-        f_a = self.S.Ptilde.integer_square_scaled
-        f_b = tuple(reversed(f_a))
-        # quick pass: exact symbols at six fixed points of P^1(Q).  At
-        # the places of _unit_value_places one of them gives the symbol
-        # +1, so the sweep below never runs at large primes.
-        for f, x0, chart in [(f_a, 0, "A"), (f_a, 1, "A"), (f_a, 2, "A"),
-                             (f_a, 3, "A"), (f_a, 4, "A"), (f_b, 0, "B")]:
-            val = horner(f, x0)
-            if val == 0:
-                return True, self._certificate(chart, x0, "degenerate")
-            if hilbert_symbol(self.S.alpha, Fraction(val),
-                              finite_place(self.p)) == 1:
-                return True, self._certificate(chart, x0, 1)
-        for j in range(self.p):
-            found = self._decide(f_a, j, 1, chart="A")
-            if found is not None:
-                return True, found
-        # chart at infinity: w = 0 mod p (units are chart A's territory)
-        found = self._decide(f_b, 0, 1, chart="B")
-        if found is not None:
-            return True, found
-        return False, None
-
-    def _certificate(self, chart: str, x0: int,
-                     cert: Union[int, str]) -> CertifiedLocalX:
-        point = (x0, 1) if chart == "A" else ((1, x0) if x0 else INFINITY)
-        return CertifiedLocalX(x=point, place=finite_place(self.p),
-                               certificate=cert)
-
-    def _decide(self, f: tuple[int, ...], x0: int, k: int,
-                chart: str) -> Optional[CertifiedLocalX]:
-        p = self.p
-        val = horner(f, x0)
-        if val == 0:
-            return self._certificate(chart, x0, "degenerate")
-        v = split_valuation(val, p)[0]
-        determined = (v <= k - 3) if p == 2 else (v < k)
-        if determined:
-            if hilbert_symbol(self.S.alpha, Fraction(val),
-                              finite_place(p)) == 1:
-                return self._certificate(chart, x0, 1)
-            return None
-        deriv = horner(_derivative(f), x0)
-        if deriv != 0 and v > 2 * split_valuation(deriv, p)[0]:
-            # Newton/Hensel: a Q_p-root of the quartic near x0
-            return self._certificate(chart, x0, "degenerate")
-        if k >= self.max_depth:
+    def decide(x: ProjectivePoint, k: int) -> Optional[CertifiedLocalX]:
+        m, n = x
+        value = evaluate_quartic(f, m, n)
+        e = split_valuation(value, p)[0] if value else 0
+        if value == 0 or ((e <= k - 3) if p == 2 else (e < k)):
+            # a root, or one square class on all of x mod p^k
+            return _certificate(S, x, v, value)
+        affine = n == 1
+        deriv = horner(df_x, m) if affine else horner(df_w, n)
+        if deriv != 0 and e > 2 * split_valuation(deriv, p)[0]:
+            # Newton/Hensel: a Q_p-root of the quartic near x
+            return CertifiedLocalX(x, v, "degenerate")
+        if k >= max_depth:
             raise ArithmeticError(
                 f"local decision at p={p} did not stabilize by depth {k}")
         step = p**k
         for j in range(p):
-            found = self._decide(f, x0 + j * step, k + 1, chart)
+            child = (m + j * step, 1) if affine else (1, n + j * step)
+            found = decide(child, k + 1)
             if found is not None:
                 return found
         return None
+
+    for x in [(x0, 1) for x0 in range(p)] + [INFINITY]:
+        found = decide(x, 1)
+        if found is not None:
+            return found
+    return None
 
 
 def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0,)
 
 
-def _real_solvable(S: ChateletSurface) -> tuple[bool, Optional[CertifiedLocalX]]:
-    alpha = Fraction(S.alpha)
-    ints = S.Ptilde.integer_square_scaled
-    if ints[4] == 0:
-        # P~ vanishes at infinity: the point (infinity, 0, 0)
-        return True, CertifiedLocalX(INFINITY, REAL, "degenerate")
-    if alpha > 0:
-        for m in range(0, 6):
-            if S.Ptilde.value(1, m) != 0:
-                return True, CertifiedLocalX((m, 1), REAL, 1)
-    # alpha < 0: need P(x) >= 0 somewhere
-    poly = sympy.Poly(list(reversed(ints)), _SYMPY_X)
+def _real_sweep(S: ChateletSurface) -> Optional[CertifiedLocalX]:
+    """A real x with P~(x) >= 0, tried at a point of every interval
+    between and beyond the real roots of P(x) = P~(1, x).
+
+    P has simple roots on a smooth surface, so it changes sign at each
+    of them: it is positive somewhere iff it is positive at one of these
+    points.  Infinity, and every alpha > 0, are settled by _SIX_POINTS
+    before this runs.
+    """
+    poly = sympy.Poly(list(reversed(S.Ptilde.integer_square_scaled)),
+                      _SYMPY_X)
     candidates = {Fraction(0)}
     intervals = poly.intervals()
     endpoints: list[Fraction] = []
@@ -387,19 +378,10 @@ def _real_solvable(S: ChateletSurface) -> tuple[bool, Optional[CertifiedLocalX]]
         for left, right in zip(endpoints, endpoints[1:]):
             candidates.add((left + right) / 2)
     for x in sorted(candidates):
-        value = S.Ptilde.value(1, x)
-        if value == 0:
-            return True, CertifiedLocalX(
-                (x.numerator, x.denominator), REAL, "degenerate")
-        if value > 0:
-            return True, CertifiedLocalX(
-                (x.numerator, x.denominator), REAL, 1)
-    # rational roots give degenerate fibers even when P < 0 elsewhere
-    for root in poly.ground_roots():
-        r = Fraction(sympy.Rational(root))
-        return True, CertifiedLocalX((r.numerator, r.denominator),
-                                     REAL, "degenerate")
-    return False, None
+        found = _certify(S, (x.numerator, x.denominator), REAL)
+        if found is not None:
+            return found
+    return None
 
 
 def local_solvable_surface(
@@ -408,23 +390,27 @@ def local_solvable_surface(
     """Exact decision of V(Q_v) != 0, with a certified x-coordinate when
     solvable.
 
-    V(Q_v) is nonempty iff some x in P^1(Q_v) has (alpha, P~(x))_v = +1
-    or P~(x) = 0.
+    V(Q_v) is nonempty iff some x in P^1(Q_v) has P~(x) = 0 or
+    (alpha, P~(x))_v = +1.  Every place first tries _SIX_POINTS.  This
+    always succeeds where alpha is a square in Q_v (alpha > 0 at
+    infinity): there every nonzero value gives the symbol +1, and at
+    most four of the six points are roots of P~.  It also succeeds at
+    the places of `_unit_value_places`.  Otherwise the real place runs
+    `_real_sweep` and a finite place `_residue_sweep`.
     """
     S.require_smooth()
+    for x in _SIX_POINTS:
+        found = _certify(S, x, v)
+        if found is not None:
+            return True, found
     if v.is_real:
-        return _real_solvable(S)
-    if v.p > 10**5 and not _unit_value_places(S, v.p):
-        # the residue sweep is only feasible at huge p when the quick
-        # pass is sure to find a +1 fiber
+        found = _real_sweep(S)
+    elif v.p > 10**5:
         raise ArithmeticError(
             f"place {v} too large for exact residue enumeration")
-    if is_local_square(S.alpha, v):
-        # every fiber with nonzero value is split
-        for m in range(0, 6):
-            if S.Ptilde.value(1, m) != 0:
-                return True, CertifiedLocalX((m, 1), v, 1)
-    return _LocalDecider(S, v.p).solve()
+    else:
+        found = _residue_sweep(S, v)
+    return found is not None, found
 
 
 @dataclass(frozen=True)
@@ -513,7 +499,7 @@ def sample_certified_points(S: ChateletSurface, v: Place, n: int,
                             seed: int, height: int = 1000,
                             ) -> list[CertifiedLocalX]:
     """n distinct certified x-fibers at v, by seeded random search over
-    both charts up to the given height.  Deterministic per seed."""
+    P^1(Q) up to the given height.  Deterministic per seed."""
     rng = random.Random(seed)
     found: dict[ProjectivePoint, CertifiedLocalX] = {}
     attempts = 0
@@ -531,11 +517,9 @@ def sample_certified_points(S: ChateletSurface, v: Place, n: int,
             point = (m // g, den // g)
         if point in found:
             continue
-        value = S.Ptilde.value(point[1], point[0])
-        if value == 0:
-            found[point] = CertifiedLocalX(point, v, "degenerate")
-        elif hilbert_symbol(S.alpha, value, v) == 1:
-            found[point] = CertifiedLocalX(point, v, 1)
+        certified = _certify(S, point, v)
+        if certified is not None:
+            found[point] = certified
     if len(found) < n:
         raise InsufficientPointsError(
             f"only {len(found)} certified points found at {v} "

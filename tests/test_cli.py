@@ -221,6 +221,16 @@ class TestSurface:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("name", ["nonexistent.json", "."])
+    def test_unreadable_input(self, capsys, tmp_path, name):
+        # a missing file (FileNotFoundError) and a directory
+        # (IsADirectoryError) are usage errors, not tracebacks
+        code = main(["surface", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("surface: cannot read input: ")
+
     def test_singular_surface_is_stage_failure(self, capsys, tmp_path):
         path = tmp_path / "sing.json"
         path.write_text('{"alpha": "2", "P": ["0","0","1","0","0"]}')
@@ -250,8 +260,8 @@ class TestUsage:
 
 
 class TestGolden:
-    """Reports byte for byte as the CLI wrote them before the refactor
-    that added each file; refactors keep them."""
+    """Reports byte for byte as the CLI wrote them when each file was
+    last generated; refactors keep them."""
 
     @pytest.mark.parametrize("name, argv", [
         ("counterexample_height40", ["counterexample", "--height", "40"]),
@@ -259,8 +269,9 @@ class TestGolden:
         ("hilbert_697_41", ["hilbert", "697", "41"]),
         ("surface_stdin_height20", ["surface", "-", "--height", "20"]),
         ("bundle_fibers4", ["bundle", "--fibers", "4"]),
-        # Fraction coefficients, P(0) = 0, alpha a square at 2 (17) and
-        # the real place's sympy intervals (-3)
+        # Fraction coefficients, P(0) = 0 (the point (0, 1) is a
+        # degenerate witness at every place), alpha a square at 2 (17)
+        # and negative (-3)
         ("surface_alpha17_height20", ["surface", "-", "--height", "20"]),
         ("surface_alpha_minus3_height20",
          ["surface", "-", "--height", "20"]),

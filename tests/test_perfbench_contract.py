@@ -8,12 +8,14 @@ nothing is wrapped.
 
 `perfbench/check.py` checks every benchmark report; the golden reports
 of the benchmark's three subcommands must pass it, so a report the
-benchmark would count as an incorrect operation fails here first.
+benchmark would count as an incorrect operation fails here first.  Its
+local-table check also runs on the golden `surface` reports.
 """
 
 import importlib
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,19 @@ def test_golden_passes_benchmark_check(check, checker, golden):
         report, report["config"]["seed"])
     assert failures == []
     assert all(r == [] for r in record_failures), record_failures
+
+
+@pytest.mark.parametrize("golden", [
+    "surface_stdin_height20",
+    "surface_alpha17_height20",
+    "surface_alpha_minus3_height20",
+])
+def test_golden_local_table_passes_benchmark_check(check, golden):
+    # every row of the local table is recomputed with sympy, so a golden
+    # table is checked on its own, not only compared byte for byte
+    stages = json.loads((GOLDEN / f"{golden}.json").read_text())["stages"]
+    failures = check._Failures()
+    check._check_local(failures, stages["local"],
+                       Fraction(stages["surface"]["alpha"]),
+                       stages["surface"]["P"])
+    assert failures == []

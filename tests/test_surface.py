@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chatelet.local import REAL, finite_place, hilbert_symbol
+from chatelet.local import REAL, finite_place, hilbert_symbol, is_local_square
 from chatelet.quartic import BinaryQuartic
 from chatelet.surface import (
     ChateletParams,
@@ -137,7 +137,8 @@ class TestLocalSolvability:
         assert not ok
 
     def test_matches_sampling(self):
-        # decider never says "unsolvable" where sampling finds a fiber
+        # decider never says "unsolvable" where sampling finds a fiber,
+        # the real place included
         rng = random.Random(5)
         for _ in range(40):
             coeffs = tuple(rng.randint(-8, 8) for _ in range(5))
@@ -148,8 +149,8 @@ class TestLocalSolvability:
                                 provenance="user")
             if S.disc == 0:
                 continue
-            for p in (2, 3, 5):
-                v = finite_place(p)
+            for v in (REAL, finite_place(2), finite_place(3),
+                      finite_place(5)):
                 got, _ = local_solvable_surface(S, v)
                 if got:
                     continue
@@ -158,6 +159,59 @@ class TestLocalSolvability:
                         val = S.Ptilde.value(n, m)
                         assert val != 0
                         assert hilbert_symbol(S.alpha, val, v) == -1
+
+    def test_six_points_suffice(self, monkeypatch):
+        # where alpha is a square in Q_v, and at a unit-value place, the
+        # six fixed points decide: neither sweep may run
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr("chatelet.surface._residue_sweep", no_sweep)
+        monkeypatch.setattr("chatelet.surface._real_sweep", no_sweep)
+        places = [REAL] + [finite_place(p) for p in (2, 3, 5, 7, 17)]
+        # squares at oo (2, 7, 17, 11), 2 (17, -15, -7), 3 (-2, 7),
+        # 5 (-1, 11), 7 (2, 11, -3) and 17 (-1, 2, -2, -15)
+        alphas = [-1, 2, -2, 7, 17, -15, 11, -3, -7, Fraction(17, 4)]
+        rng = random.Random(11)
+        hits = {str(v): 0 for v in places}
+        forms = 0
+        while forms < 100:
+            coeffs = tuple(rng.randint(-9, 9) for _ in range(5))
+            if all(c == 0 for c in coeffs):
+                continue
+            S = ChateletSurface(alpha=Fraction(rng.choice(alphas)),
+                                Ptilde=BinaryQuartic(coeffs),
+                                provenance="user")
+            if S.disc == 0:
+                continue
+            forms += 1
+            for v in places:
+                if not is_local_square(S.alpha, v):
+                    continue
+                ok, wit = local_solvable_surface(S, v)
+                assert ok and wit.certificate in (1, "degenerate")
+                hits[str(v)] += 1
+        assert all(hits.values()), hits
+        q = 100003  # divides neither alpha nor the content of P~
+        S = ChateletSurface(alpha=Fraction(-3),
+                            Ptilde=BinaryQuartic((-1, -3, -1, -1, 2)),
+                            provenance="user")
+        ok, wit = local_solvable_surface(S, finite_place(q))
+        assert ok and wit.certificate == 1
+
+    def test_big_prime_guard_after_six_points(self):
+        v = finite_place(100003)
+        S = ChateletSurface(alpha=Fraction(100003),
+                            Ptilde=BinaryQuartic((0, 1, 0, 0, 1)),
+                            provenance="user")
+        ok, wit = local_solvable_surface(S, v)
+        assert ok and wit.x == (0, 1) and wit.certificate == "degenerate"
+        S = ChateletSurface(alpha=Fraction(100003),
+                            Ptilde=BinaryQuartic((-1, -3, -1, -1, 2)),
+                            provenance="user")
+        with pytest.raises(ArithmeticError,
+                           match="too large for exact residue enumeration"):
+            local_solvable_surface(S, v)
 
 
 class TestBrauer:
