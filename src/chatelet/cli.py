@@ -291,9 +291,19 @@ def _verify_surface(report: dict, S: ChateletSurface, args) -> int:
     except OutOfCertifiedRangeError as e:
         return _stop(report, "search", str(e), "inconclusive", args)
     stages["search"] = _search(search)
+    report["conclusion"] = _conclusion(local, search)
     report["status"] = "certified"
     _emit(report, args.out)
     return EXIT_OK
+
+
+def _conclusion(local, search) -> str:
+    """What the certified report shows: no local point at the first
+    failing place, a rational point, or none up to the search height."""
+    failing = [r.place for r in local.results if not r.solvable]
+    if failing:
+        return f"not-locally-solvable at {failing[0]}"
+    return "point-found" if search.found else "none-up-to-height"
 
 
 def cmd_iskovskikh(args) -> int:

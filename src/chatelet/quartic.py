@@ -1,5 +1,5 @@
 """Binary quartic forms over Q: evaluation, the integer model, the
-discriminant and irreducibility.
+discriminant, irreducibility and the real roots.
 
 A Chatelet surface y^2 - alpha z^2 = P(x) is stored through the binary
 quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
@@ -7,6 +7,9 @@ quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
 P(x) = P~(1, x) is ``q(x)``.  `evaluate_quartic` is the one formula for
 its value: the form's methods call it on Fractions and the fiber scan of
 `chatelet._kernel.pure` calls it on the integer model.
+`real_root_intervals` is the one real-root isolation: the real-place
+sweep of `chatelet.surface` reads it, and so does the scan's real sieve
+through `negative_segments`.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
 import sympy
 
 from chatelet.numbers import Rational, partial_factorize
 
-__all__ = ["BinaryQuartic", "evaluate_quartic", "quartic_disc",
-           "quartic_irreducible"]
+__all__ = ["BinaryQuartic", "evaluate_quartic", "negative_segments",
+           "quartic_disc", "quartic_irreducible", "real_root_intervals"]
 
 
 def evaluate_quartic(coeffs, m, n):
@@ -95,6 +99,47 @@ def disc_from_coeffs(coeffs):
 
 
 _X = sympy.Symbol("x")
+
+
+def real_root_intervals(coeffs, eps=None) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the real roots of P(x) = form(1, x), by
+    sympy's exact isolation: closed intervals [lo, hi] with rational
+    ends, in increasing order and pairwise disjoint except that
+    neighbours may share an end, each holding exactly one root and
+    together all of them.  A rational root may come as [r, r].  With
+    eps, each interval is refined to width at most eps."""
+    poly = sympy.Poly(list(reversed(coeffs)), _X)
+    return sorted((Fraction(lo), Fraction(hi))
+                  for (lo, hi), _mult in poly.intervals(eps=eps))
+
+
+def negative_segments(coeffs, eps) -> list[tuple[Optional[Fraction],
+                                                 Optional[Fraction]]]:
+    """The open segments (left, right) between and beyond the intervals
+    of `real_root_intervals(coeffs, eps)` on which P(x) = form(1, x) is
+    negative, in increasing order; None stands for -oo or +oo.
+
+    No root lies in such a segment, so P has one sign on all of it,
+    read from one exact evaluation at a rational point inside.  An
+    empty segment, between intervals that share an end, is dropped.
+    """
+    ends: list[Optional[Fraction]] = [None]
+    for lo, hi in real_root_intervals(coeffs, eps):
+        ends += [lo, hi]
+    ends.append(None)
+    segments = []
+    for left, right in zip(ends[::2], ends[1::2]):
+        if left is None:
+            inside = Fraction(0) if right is None else right - 1
+        elif right is None:
+            inside = left + 1
+        elif left < right:
+            inside = (left + right) / 2
+        else:
+            continue
+        if evaluate_quartic(coeffs, inside, 1) < 0:
+            segments.append((left, right))
+    return segments
 
 
 def quartic_irreducible(q: BinaryQuartic) -> bool:

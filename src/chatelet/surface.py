@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-import sympy
-
 from chatelet._kernel.pure import conic_scan
 from chatelet.local import (
     REAL,
@@ -43,7 +41,12 @@ from chatelet.numbers import (
     square_class,
     valuation,
 )
-from chatelet.quartic import BinaryQuartic, evaluate_quartic, quartic_disc
+from chatelet.quartic import (
+    BinaryQuartic,
+    evaluate_quartic,
+    quartic_disc,
+    real_root_intervals,
+)
 
 __all__ = [
     "ChateletParams", "ChateletSurface", "CertifiedLocalX", "BrauerClass",
@@ -273,8 +276,6 @@ def _unit_value_places(S: ChateletSurface, n: int) -> bool:
 # local solvability
 
 
-_SYMPY_X = sympy.Symbol("x")
-
 # points of P^1(Q) that stay distinct modulo every prime q >= 5
 _SIX_POINTS: tuple[ProjectivePoint, ...] = (
     (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), INFINITY)
@@ -364,15 +365,11 @@ def _real_sweep(S: ChateletSurface) -> Optional[CertifiedLocalX]:
     points.  Infinity, and every alpha > 0, are settled by _SIX_POINTS
     before this runs.
     """
-    poly = sympy.Poly(list(reversed(S.Ptilde.integer_square_scaled)),
-                      _SYMPY_X)
     candidates = {Fraction(0)}
-    intervals = poly.intervals()
-    endpoints: list[Fraction] = []
-    for (lo, hi), _mult in intervals:
-        endpoints.extend((Fraction(lo), Fraction(hi)))
+    endpoints = [end for interval in
+                 real_root_intervals(S.Ptilde.integer_square_scaled)
+                 for end in interval]
     if endpoints:
-        endpoints.sort()
         candidates.add(endpoints[0] - 1)
         candidates.add(endpoints[-1] + 1)
         for left, right in zip(endpoints, endpoints[1:]):
@@ -603,7 +600,15 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
 
     Exhaustive over the x-range; a found fiber x comes with an exact
     point (y, z) of its conic, and found=False means NO fiber of height
-    <= H is solvable over Q.
+    <= H is solvable over Q.  The scan (`conic_scan`) skips two kinds
+    of fiber without deciding them, and both skips are exact.  For
+    alpha < 0 it skips the x strictly inside a segment where P < 0.
+    Such a segment lies between isolating intervals of the real roots
+    (`real_root_intervals`, also used by the real sweep), so P has one
+    sign on it, and y^2 - alpha z^2 < 0 has no real point.  When P is
+    even in x it skips m > 0, since m and -m give one value and the
+    full loop meets -m first.  It returns the same first fiber as the
+    loop over every x.
     """
     S.require_smooth()
     alpha_sf, alpha_primes = square_class(S.alpha)

@@ -190,6 +190,7 @@ class TestSurface:
                              "--height", "20")
         assert code == EXIT_OK
         assert rep["stages"]["search"]["found"]
+        assert rep["conclusion"] == "point-found"
 
     def test_past_64_bits_is_inconclusive(self, capsys, monkeypatch):
         # the fiber scan meets a cofactor beyond the certified range
@@ -230,6 +231,18 @@ class TestSurface:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("surface: cannot read input: ")
+
+    def test_conclusion_names_failing_place(self, capsys, monkeypatch):
+        # alpha < 0 and P < 0 everywhere: no real point, so the certified
+        # report must not read like an empty search
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"alpha":"-1","P":["-1","0","0","0","-1"]}'))
+        code, rep = run_json(capsys, "surface", "-", "--height", "10")
+        assert code == EXIT_OK
+        assert rep["status"] == "certified"
+        assert rep["conclusion"] == "not-locally-solvable at oo"
+        assert not rep["stages"]["local"]["all_solvable"]
+        assert not rep["stages"]["search"]["found"]
 
     def test_singular_surface_is_stage_failure(self, capsys, tmp_path):
         path = tmp_path / "sing.json"

@@ -10,18 +10,29 @@ nothing is wrapped.
 of the benchmark's three subcommands must pass it, so a report the
 benchmark would count as an incorrect operation fails here first.  Its
 local-table check also runs on the golden `surface` reports.
+
+The tracer counts the scan's decisions where the scan looks
+``conic_decide`` up, in `chatelet._kernel.pure`; the scan must reach it
+there, and its sieve must keep it from seeing every fiber.
 """
 
 import importlib
 import importlib.util
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from chatelet._kernel import pure
 from chatelet.bundle import make_bundle, pullback, pullback_fiber
-from chatelet.surface import build_surface, find_params
+from chatelet.surface import (
+    build_surface,
+    find_params,
+    iskovskikh,
+    rational_point_search,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -89,3 +100,16 @@ def test_golden_local_table_passes_benchmark_check(check, golden):
                        Fraction(stages["surface"]["alpha"]),
                        stages["surface"]["P"])
     assert failures == []
+
+
+def test_scan_decides_through_traced_name(monkeypatch):
+    calls = []
+    real = pure.conic_decide
+    monkeypatch.setattr(pure, "conic_decide",
+                        lambda *a: calls.append(a) or real(*a))
+    H = 100
+    assert not rational_point_search(iskovskikh(), H).found
+    # x = infinity, then every coprime (m, n) with |m| <= H, 1 <= n <= H
+    fibers = 1 + sum(math.gcd(m, n) == 1
+                     for n in range(1, H + 1) for m in range(-H, H + 1))
+    assert 0 < len(calls) < fibers

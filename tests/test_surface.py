@@ -1,13 +1,22 @@
 """Construction, local solvability, obstruction and global search."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from chatelet.local import REAL, finite_place, hilbert_symbol, is_local_square
-from chatelet.quartic import BinaryQuartic
+from chatelet._kernel import pure
+from chatelet.local import (
+    REAL,
+    conic_decide,
+    finite_place,
+    hilbert_symbol,
+    is_local_square,
+)
+from chatelet.numbers import square_class
+from chatelet.quartic import BinaryQuartic, disc_from_coeffs
 from chatelet.surface import (
     ChateletParams,
     ChateletSurface,
@@ -300,6 +309,98 @@ class TestSearch:
                             provenance="user")
         res = rational_point_search(S, 5)
         assert res.found
+
+
+def _reference_scan(coeffs, alpha, alpha_odd_primes, H):
+    """The scan with neither sieve nor symmetry: every x of height <= H
+    in the scan's order, each evaluated and decided."""
+    for n in range(H + 1):
+        for m in (range(-H, H + 1) if n else (1,)):
+            if math.gcd(m, n) == 1:
+                r = sum(c * m**i * n**(4 - i) for i, c in enumerate(coeffs))
+                if r == 0 or conic_decide(alpha, alpha_odd_primes, r):
+                    return m, n
+    return None
+
+
+def _times(f, g):
+    """Product of two coefficient tuples, low degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _scan_case(rng, kind, H):
+    """A smooth integer quartic of the given kind."""
+    while True:
+        if kind == "random":
+            coeffs = [rng.randint(-9, 9) for _ in range(5)]
+            if rng.random() < 0.5:  # odd in one of c1, c3 only: not even
+                coeffs[rng.choice((1, 3))] = 0
+            coeffs = tuple(coeffs)
+        elif kind == "even":
+            c0, c2, c4 = (rng.randint(-9, 9) for _ in range(3))
+            coeffs = (c0, 0, c2, 0, c4)
+        elif kind == "rational-root":
+            # simple roots a/b and a2/b2 with b, b2 <= H, where P changes
+            # sign: each zero value sits at an end of a segment where P < 0
+            b, b2 = rng.randint(1, max(H, 1)), rng.randint(1, max(H, 1))
+            a, a2 = rng.randint(-2 * b, 2 * b), rng.randint(-2 * b2, 2 * b2)
+            if rng.random() < 0.5:  # an even form: roots +-a/b
+                f = (-a * a, 0, b * b)
+            else:
+                f = _times((-a, b), (-a2, b2))
+            g = (-rng.randint(1, 9), rng.randint(-3, 3),
+                 -rng.randint(1, 9))
+            coeffs = _times(f, g)
+        else:  # negative definite: -(x^2 + s x + u)(v x^2 + t x + w)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            u, v = s * s + rng.randint(1, 9), rng.randint(1, 9)
+            w = t * t + rng.randint(1, 9)
+            if rng.random() < 0.5:
+                s = t = 0
+            coeffs = tuple(-c for c in _times((u, s, 1), (w, t, v)))
+        if any(coeffs) and disc_from_coeffs(coeffs) != 0:
+            return coeffs
+
+
+class TestScanParity:
+    """`conic_scan` skips fibers by the real sieve and the x -> -x
+    symmetry; its first hit must be the one of the plain double loop."""
+
+    ALPHAS = (-1, -2, -3, -5, -6, -7, -15, -17, 1, 2, 3, 5, 7, 17, 697)
+
+    def test_first_hit_matches_reference(self, monkeypatch):
+        rng = random.Random(20261018)
+        decided = []
+        real_decide = pure.conic_decide
+        monkeypatch.setattr(pure, "conic_decide",
+                            lambda *a: decided.append(a) or real_decide(*a))
+        kinds = ("random", "even", "rational-root", "negative-definite")
+        seen = {"none": 0, "boundary-zero": 0, "skipped-whole": 0}
+        for i in range(400):
+            kind = kinds[i % 4]
+            H = rng.randint(0, 30)
+            coeffs = _scan_case(rng, kind, H)
+            alpha, primes = square_class(rng.choice(self.ALPHAS))
+            odd = tuple(p for p in primes if p != 2)
+            decided.clear()
+            hit = pure.conic_scan(coeffs, alpha, odd, H)
+            want = _reference_scan(coeffs, alpha, odd, H)
+            assert hit == want, (coeffs, alpha, H)
+            if want is None:
+                seen["none"] += 1
+            elif alpha < 0 and kind == "rational-root" and \
+                    sum(c * want[0]**k * want[1]**(4 - k)
+                        for k, c in enumerate(coeffs)) == 0:
+                seen["boundary-zero"] += 1
+            if kind == "negative-definite" and alpha < 0:
+                # only x = infinity is decided
+                assert len(decided) <= 1
+                seen["skipped-whole"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestIntegerModel:
