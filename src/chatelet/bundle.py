@@ -2,11 +2,14 @@
 over P^1, its bad (non-smooth) fibers, square-class-disjoint base-change
 coefficients, the d*t^2 pullback with a single pointless rational fiber,
 and fiber-by-fiber verification.
+
+The fiber depends on (u : v) only through s = (u/v)^2, the point of the
+linear pencil s Pinf + P0, so the bad fibers are read off one sextic in
+one variable, D(s) = disc(s Pinf + P0).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -38,7 +41,7 @@ __all__ = [
     "make_bundle", "fiber_at", "bad_fibers", "good_d_candidates",
     "pullback", "pullback_fiber", "pullback_fiber_param",
     "shrink_map", "standard_g", "RationalMap", "default_sample_ts",
-    "verify_pullback", "bundle_to_json", "bundle_from_json",
+    "verify_pullback", "bundle_to_json",
 ]
 
 
@@ -108,17 +111,10 @@ class SurfaceBundle:
 
 @dataclass(frozen=True)
 class BadFiberSet:
-    """Rational points of P^1 with a non-smooth bundle fiber: the
-    rational roots of the degree-12 discriminant pencil R(u, v)."""
+    """Rational points of P^1 with a non-smooth bundle fiber: the (u : v)
+    whose s = (u/v)^2 is a root of the sextic D(s) = disc(s Pinf + P0)."""
 
     fibers: tuple[FiberParam, ...]
-    # R as coefficients of u^i v^(12-i), i = 0..12
-    R_coeffs: tuple[Fraction, ...]
-
-    def R(self, u: Fraction, v: Fraction) -> Fraction:
-        u, v = Fraction(u), Fraction(v)
-        return sum((c * u**i * v ** (12 - i)
-                    for i, c in enumerate(self.R_coeffs)), Fraction(0))
 
     def affine_classes(self) -> set[Fraction]:
         """Square classes of the nonzero affine bad-fiber coordinates."""
@@ -175,30 +171,31 @@ def fiber_at(B: SurfaceBundle, t: FiberParam) -> ChateletSurface:
                            provenance="fiber")
 
 
-_U, _V = sympy.symbols("u v")
+_S = sympy.Symbol("s")
 
 
 def bad_fibers(B: SurfaceBundle) -> BadFiberSet:
-    """Discriminant pencil R(u, v) = disc(u^2 Pinf + v^2 P0), a binary
-    form of degree 12, with its rational roots."""
-    coeffs = tuple(
-        _U**2 * sympy.Rational(ci.numerator, ci.denominator)
-        + _V**2 * sympy.Rational(c0.numerator, c0.denominator)
-        for ci, c0 in zip(B.Pinf.coeffs, B.P0.coeffs))
-    disc = sympy.expand(disc_from_coeffs(coeffs))
-    poly = sympy.Poly(disc, _U, _V)
-    R = [Fraction(0)] * 13
-    for (i, j), c in poly.terms():
-        assert i + j == 12
-        R[i] = Fraction(c.p, c.q)
-    # v = 0 is never a root: R(1, 0) = disc(Pinf) != 0 (irreducible form)
-    roots = []
-    univ = sympy.Poly(disc.subs(_V, 1), _U)
-    for root, _mult in univ.ground_roots().items():
-        q = Fraction(root.p, root.q)
-        roots.append(FiberParam.canonical(q.numerator, q.denominator))
-    return BadFiberSet(fibers=tuple(sorted(roots, key=lambda f: (f.v, f.u))),
-                       R_coeffs=tuple(R))
+    """The rational roots of disc(u^2 Pinf + v^2 P0), read off the sextic
+    D(s) = disc(s Pinf + P0) in s = (u/v)^2.
+
+    A rational root s = r^2 > 0 gives the fibers (r : 1) and (-r : 1),
+    s = 0 gives (0 : 1), and a negative or non-square root gives no
+    rational fiber.  v = 0 is never bad: D has leading coefficient
+    disc(Pinf) != 0 (an irreducible form).
+    """
+    D = disc_from_coeffs([sympy.Poly([ci, c0], _S, domain=sympy.QQ)
+                          for ci, c0 in zip(B.Pinf.coeffs, B.P0.coeffs)])
+    fibers = []
+    for root in D.ground_roots():
+        if root < 0:
+            continue
+        u, v = math.isqrt(root.p), math.isqrt(root.q)
+        if u * u != root.p or v * v != root.q:
+            continue
+        fibers.append(FiberParam(u, v))
+        if u != 0:
+            fibers.append(FiberParam(u, -v))
+    return BadFiberSet(fibers=tuple(sorted(fibers, key=lambda f: (f.v, f.u))))
 
 
 def good_d_candidates(F: BadFiberSet, count: int) -> list[int]:
@@ -485,14 +482,3 @@ def bundle_to_json(B: Union[SurfaceBundle, PulledBackBundle]) -> dict:
         obj["d"] = str(d)
     return obj
 
-
-def bundle_from_json(obj: Union[str, dict],
-                     source: ChateletSurface) -> SurfaceBundle:
-    """Rebuild a bundle around its generating surface; P0 must match."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if [_frac_str(c) for c in source.Ptilde.coeffs] != obj["P0"]:
-        raise ValueError("P0 does not match the generating surface")
-    return make_bundle(
-        source,
-        BinaryQuartic(tuple(Fraction(c) for c in obj["Pinf"])))

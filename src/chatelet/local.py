@@ -61,10 +61,6 @@ class Place:
     def is_real(self) -> bool:
         return self.p is None
 
-    @property
-    def is_odd(self) -> bool:
-        return self.p is not None and self.p != 2
-
     def __str__(self) -> str:
         return "oo" if self.p is None else str(self.p)
 

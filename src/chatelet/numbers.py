@@ -195,6 +195,27 @@ def _trial_division(n: int) -> Generator[tuple[int, int], None, int]:
     return n
 
 
+def _split_cofactor(rest: int) -> tuple[list[tuple[int, int]], int]:
+    """The stage after `_trial_division`, shared by both factoring exits:
+    (primes of rest with exponents, uncertified cofactor).
+
+    A cofactor below 2**64 is split completely by Miller-Rabin
+    certification and Pollard rho.  One at or past 2**64 has no prime
+    factor below 10**6; it is tested once for a perfect power, and a
+    root below 2**64 is split the same way.  Otherwise it comes back
+    whole as the cofactor, which is 1 when the factorization is complete.
+    """
+    k = 1
+    if rest >= _CERTIFIED_PRIME_BOUND:
+        root, k = _perfect_power(rest)
+        if root >= _CERTIFIED_PRIME_BOUND:
+            return [], rest
+        rest = root
+    found: dict[int, int] = {}
+    _factor_into(rest, found)
+    return sorted((p, e * k) for p, e in found.items()), 1
+
+
 def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     """The prime factorization of the integer n >= 1, lazily: (p, e) pairs
     with each prime once and its full exponent, in increasing order.
@@ -202,15 +223,17 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     Small primes come from `_trial_division` as it finds them, so a
     caller that stops early (`chatelet.local.conic_decide` stops at the
     first prime that rejects) does no further work.  The cofactor left
-    over is split by Miller-Rabin certification and Pollard rho, which
-    raises :class:`OutOfCertifiedRangeError` when a factor past 2**64
-    cannot be certified prime.
+    over goes through `_split_cofactor`; the part of it that cannot be
+    certified raises :class:`OutOfCertifiedRangeError`.
     """
     rest = yield from _trial_division(n)
     if rest > 1:
-        found: dict[int, int] = {}
-        _factor_into(rest, found)
-        yield from sorted(found.items())
+        found, cofactor = _split_cofactor(rest)
+        if cofactor > 1:
+            raise OutOfCertifiedRangeError(
+                f"primality of {cofactor} is outside the certified 64-bit "
+                "range")
+        yield from found
 
 
 def factorize(n: int) -> Factorization:
@@ -228,38 +251,24 @@ def factorize(n: int) -> Factorization:
 def partial_factorize(n: int) -> tuple[Factorization, int]:
     """Bounded-effort factorization: (certified part, unfactored cofactor).
 
-    Runs the trial division of `prime_factors`; a cofactor below 2**64
-    is then split completely.  A cofactor at or past 2**64 has no prime
-    factor below 10**6.  It is tested once for a perfect power, and a
-    root below 2**64 is split like a small cofactor.  Otherwise it is
-    returned as it is: coprime to every certified prime, and 1 when the
-    factorization is complete.  Never raises
+    Runs the two stages of `prime_factors`, `_trial_division` and
+    `_split_cofactor`, but returns the cofactor that cannot be certified
+    where `prime_factors` raises: it is coprime to every certified
+    prime, and 1 when the factorization is complete.  Never raises
     :class:`OutOfCertifiedRangeError`.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    found: dict[int, int] = {}
+    found: list[tuple[int, int]] = []
     trial = _trial_division(abs(n))
     while True:
         try:
-            p, e = next(trial)
+            found.append(next(trial))
         except StopIteration as stop:
             rest = stop.value
             break
-        found[p] = e
-    k = 1
-    if rest >= _CERTIFIED_PRIME_BOUND:
-        root, j = _perfect_power(rest)
-        if root < _CERTIFIED_PRIME_BOUND:
-            rest, k = root, j
-    cofactor = 1
-    if rest < _CERTIFIED_PRIME_BOUND:
-        large: dict[int, int] = {}
-        _factor_into(rest, large)
-        found.update((p, e * k) for p, e in large.items())
-    else:
-        cofactor = rest
-    return Factorization(tuple(sorted(found.items()))), cofactor
+    large, cofactor = _split_cofactor(rest)
+    return Factorization(tuple(found + large)), cofactor
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
@@ -342,11 +351,6 @@ def split_valuation(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
-
-
-def unit_part(q: Rational, p: int) -> Fraction:
-    """q divided by p**valuation(q, p); a p-adic unit."""
-    return Fraction(q) / Fraction(p) ** valuation(q, p)
 
 
 def square_class(q: Rational, known: tuple[int, ...] = ()

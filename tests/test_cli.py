@@ -288,6 +288,8 @@ class TestGolden:
         ("surface_alpha17_height20", ["surface", "-", "--height", "20"]),
         ("surface_alpha_minus3_height20",
          ["surface", "-", "--height", "20"]),
+        # 26 distinct fibers, the end-to-end bundle run
+        ("bundle_fibers50", ["bundle", "--fibers", "50"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(

@@ -23,8 +23,10 @@ from chatelet.local import (
     support_places,
 )
 from chatelet.numbers import (
+    Factorization,
     OutOfCertifiedRangeError,
     factorize,
+    partial_factorize,
     squarefree_part,
 )
 
@@ -326,6 +328,16 @@ class TestConicWitness:
         # square class is found without factoring q s^2 as a whole
         q, s = 1099511627873, 1073741827  # q = 1 mod 4, both prime
         _assert_witness(q, q * s * s)
+
+    def test_prime_square_past_certified_range(self):
+        # q^2 is past 2^64 but its root q (prime, near 2^40) is not: both
+        # factoring exits split it, and (q, 0) is a point of the conic
+        q = 1099511627791
+        assert partial_factorize(q**2) == (Factorization(((q, 2),)), 1)
+        assert factorize(q**2).factors == ((q, 2),)
+        assert conic_decide(2, (), q**2) is True
+        assert conic_solvable_global(697, q**2, want_witness=True) == \
+            (True, (Fraction(q), Fraction(0)))
 
     def test_past_certified_range_raises(self):
         # q1 q2 with q1, q2 = 1 mod 4 primes near 2^40: a sum of two

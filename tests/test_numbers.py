@@ -19,7 +19,6 @@ from chatelet.numbers import (
     partial_factorize,
     square_class,
     squarefree_part,
-    unit_part,
     valuation,
 )
 
@@ -140,9 +139,6 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(0, 2)
 
-    def test_unit_part(self):
-        v = valuation(Fraction(24, 5), 2)
-        assert unit_part(Fraction(24, 5), 2) * 2**v == Fraction(24, 5)
 
 
 class TestSquarefreePart:

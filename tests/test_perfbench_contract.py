@@ -77,6 +77,7 @@ def test_pullback_fiber_has_quartic_coeffs(tracer):
     ("check_counterexample", "counterexample_height40"),
     ("check_iskovskikh", "iskovskikh_height80"),
     ("check_bundle", "bundle_fibers4"),
+    ("check_bundle", "bundle_fibers50"),
 ])
 def test_golden_passes_benchmark_check(check, checker, golden):
     report = json.loads((GOLDEN / f"{golden}.json").read_text())
