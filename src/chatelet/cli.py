@@ -25,6 +25,7 @@ from chatelet.numbers import OutOfCertifiedRangeError, is_prime
 from chatelet.surface import (
     ChateletSurface,
     ParamSearchError,
+    _frac_str,
     surface_from_json,
     surface_to_json,
 )
@@ -37,10 +38,6 @@ EXIT_STAGE = 3
 EXIT_INCONCLUSIVE = 4
 
 
-def _frac(q) -> str:
-    return surface_mod._frac_str(Fraction(q))
-
-
 def _point(x) -> Optional[list[str]]:
     if x is None:
         return None
@@ -50,7 +47,7 @@ def _point(x) -> Optional[list[str]]:
 def _witness(w) -> Optional[list[str]]:
     if w is None:
         return None
-    return [_frac(w[0]), _frac(w[1])]
+    return [_frac_str(w[0]), _frac_str(w[1])]
 
 
 def _local_report(rep) -> dict:
@@ -78,14 +75,14 @@ def _obstruction(rep) -> dict:
         "invariants": [
             {
                 "place": str(r.place),
-                "invariant": _frac(r.invariant),
+                "invariant": _frac_str(r.invariant),
                 "samples": r.samples,
                 "justification": r.justification,
             }
             for r in rep.records
         ],
         "good_places": rep.good_places_tag,
-        "sum": _frac(rep.invariant_sum),
+        "sum": _frac_str(rep.invariant_sum),
         "conclusion": rep.conclusion,
     }
 
@@ -136,13 +133,14 @@ def _report_shell(args, subcommand: str) -> dict:
     }
 
 
-def _stop(report: dict, stage: str, message: str, status: str, args) -> int:
-    """Emit the report cut at `stage`: "inconclusive" (exit 4) when a
-    number left the certified range, "error" (exit 3) otherwise."""
-    report["error"] = {"stage": stage, "message": message}
-    report["status"] = status
+def _stop(report: dict, stage: str, error: Exception, args) -> int:
+    """Emit the report cut at `stage` by `error`: "inconclusive" (exit 4)
+    when a number left the certified range, "error" (exit 3) otherwise."""
+    inconclusive = isinstance(error, OutOfCertifiedRangeError)
+    report["error"] = {"stage": stage, "message": str(error)}
+    report["status"] = "inconclusive" if inconclusive else "error"
     _emit(report, args.out)
-    return EXIT_INCONCLUSIVE if status == "inconclusive" else EXIT_STAGE
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_STAGE
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +154,15 @@ def cmd_counterexample(args) -> int:
     try:
         params = surface_mod.find_params(args.bound)
     except (ParamSearchError, ValueError) as e:
-        return _stop(report, "find_params", str(e), "error", args)
+        return _stop(report, "find_params", e, args)
     stages["params"] = {"a": params.a, "b": params.b, "c": params.c}
     S = surface_mod.build_surface(params)
     stages["surface"] = surface_to_json(S)
-    stages["surface"]["disc"] = _frac(S.disc)
+    stages["surface"]["disc"] = _frac_str(S.disc)
     stages["local"] = _local_report(S.local)
     if not S.local.all_solvable:
-        return _stop(report, "local", "constructed surface not locally "
-                     "solvable everywhere", "error", args)
+        return _stop(report, "local", ArithmeticError(
+            "constructed surface not locally solvable everywhere"), args)
     ob = surface_mod.obstruction_report(
         S, samples_per_place=args.samples, seed=args.seed)
     stages["obstruction"] = _obstruction(ob)
@@ -186,12 +184,12 @@ def cmd_bundle(args) -> int:
         S = surface_mod.build_surface(params)
         B = bundle_mod.make_bundle(S)
     except (ParamSearchError, ValueError) as e:
-        return _stop(report, "build", str(e), "error", args)
+        return _stop(report, "build", e, args)
     stages["bundle"] = bundle_mod.bundle_to_json(B)
     F = B.bad
     stages["bad_fibers"] = {
         "fibers": [_point((f.u, f.v)) for f in F.fibers],
-        "affine_classes": sorted(_frac(q) for q in F.affine_classes()),
+        "affine_classes": sorted(_frac_str(q) for q in F.affine_classes()),
     }
     if args.d is not None:
         d = args.d
@@ -200,15 +198,15 @@ def cmd_bundle(args) -> int:
     try:
         W = bundle_mod.pullback(B, d)
     except ValueError as e:
-        return _stop(report, "pullback", str(e), "error", args)
+        return _stop(report, "pullback", e, args)
     stages["pullback"] = {"d": str(d)}
     ts = bundle_mod.default_sample_ts(2 + args.fibers)
     try:
         rep = bundle_mod.verify_pullback(
             W, ts, search_H=args.height,
             obstruction_samples=args.samples, seed=args.seed)
-    except ArithmeticError as e:
-        return _stop(report, "verify_pullback", str(e), "error", args)
+    except (ValueError, ArithmeticError) as e:
+        return _stop(report, "verify_pullback", e, args)
     stages["special_fiber"] = {
         "obstruction": _obstruction(rep.special),
         "search": _search(rep.special_search),
@@ -240,8 +238,8 @@ def cmd_hilbert(args) -> int:
     if a == 0 or b == 0:
         sys.stderr.write("hilbert: arguments must be nonzero\n")
         return EXIT_USAGE
-    report["config"]["a"] = _frac(a)
-    report["config"]["b"] = _frac(b)
+    report["config"]["a"] = _frac_str(a)
+    report["config"]["b"] = _frac_str(b)
     if args.place is not None:
         if args.place == "oo":
             v = REAL
@@ -259,8 +257,12 @@ def cmd_hilbert(args) -> int:
         report["stages"] = {
             "symbol": {"place": str(v), "value": hilbert_symbol(a, b, v)}}
     else:
+        try:
+            places = support_places(a, b)
+        except ValueError as e:
+            return _stop(report, "table", e, args)
         table = [{"place": str(v), "value": hilbert_symbol(a, b, v)}
-                 for v in support_places(a, b)]
+                 for v in places]
         product = 1
         for row in table:
             product *= row["value"]
@@ -278,18 +280,16 @@ def _verify_surface(report: dict, S: ChateletSurface, args) -> int:
     stages: dict = {}
     report["stages"] = stages
     stages["surface"] = surface_to_json(S)
-    stages["surface"]["disc"] = _frac(S.disc)
+    stages["surface"]["disc"] = _frac_str(S.disc)
     try:
         local = S.local
-    except OutOfCertifiedRangeError as e:
-        return _stop(report, "local", str(e), "inconclusive", args)
     except (ValueError, ArithmeticError) as e:
-        return _stop(report, "local", str(e), "error", args)
+        return _stop(report, "local", e, args)
     stages["local"] = _local_report(local)
     try:
         search = surface_mod.rational_point_search(S, args.height)
     except OutOfCertifiedRangeError as e:
-        return _stop(report, "search", str(e), "inconclusive", args)
+        return _stop(report, "search", e, args)
     stages["search"] = _search(search)
     report["conclusion"] = _conclusion(local, search)
     report["status"] = "certified"

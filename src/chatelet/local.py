@@ -27,9 +27,9 @@ from sympy.ntheory import sqrt_mod
 
 from chatelet.numbers import (
     Rational,
-    _legendre,
     factorize,
     is_prime,
+    legendre,
     prime_factors,
     split_valuation,
     square_class,
@@ -39,7 +39,7 @@ __all__ = [
     "Place", "REAL", "finite_place",
     "hilbert_symbol", "hilbert_bruteforce_oracle", "product_formula_check",
     "is_local_square", "inv_from_symbol",
-    "conic_solvable_local", "conic_solvable_global", "support_places",
+    "conic_solvable_global", "support_places",
 ]
 
 INV_ZERO = Fraction(0)
@@ -110,9 +110,9 @@ def _hilbert_int(a: int, b: int, p: int) -> int:
         return -1 if exponent % 2 else 1
     sym = -1 if s * t * ((p - 1) // 2) % 2 else 1
     if t % 2:
-        sym *= _legendre(u, p)
+        sym *= legendre(u, p)
     if s % 2:
-        sym *= _legendre(w, p)
+        sym *= legendre(w, p)
     return sym
 
 
@@ -227,7 +227,7 @@ def is_local_square(t: Rational, v: Place) -> bool:
         return False
     if p == 2:
         return u % 8 == 1
-    return _legendre(u, p) == 1
+    return legendre(u, p) == 1
 
 
 def inv_from_symbol(s: int) -> Fraction:
@@ -237,19 +237,6 @@ def inv_from_symbol(s: int) -> Fraction:
     if s == -1:
         return INV_HALF
     raise ValueError(f"not a symbol value: {s}")
-
-
-def conic_solvable_local(alpha: Rational, r: Rational, v: Place) -> bool:
-    """Does y^2 - alpha z^2 = r have a Q_v-point?
-
-    r = 0 counts as solvable (y = z = 0); otherwise this is the Hilbert
-    symbol condition.
-    """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if r == 0:
-        return True
-    return hilbert_symbol(alpha, r, v) == 1
 
 
 def conic_solvable_global(
@@ -299,7 +286,7 @@ def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
     # the remaining primes q of r are odd and prime to alpha, where the
     # symbol is (alpha/q)^{v_q(r)}
     for q, e in prime_factors(m):
-        if e % 2 and _legendre(alpha, q) == -1:
+        if e % 2 and legendre(alpha, q) == -1:
             return False
     return True
 

@@ -304,27 +304,12 @@ def horner(coeffs, x):
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"legendre requires an odd prime, got {p}")
-    return _legendre(a, p)
-
-
-def _legendre(a: int, p: int) -> int:
-    """(a/p) by Euler's criterion; p must be an odd prime (unchecked)."""
+    """Legendre symbol (a/p) by Euler's criterion.  p must be an odd
+    prime; unchecked, since every caller passes a certified one."""
     a %= p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m >= 2; requires gcd(a, m) = 1."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return pow(a, -1, m)
 
 
 def valuation(q: Rational, p: int) -> int:

@@ -7,9 +7,11 @@ quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
 P(x) = P~(1, x) is ``q(x)``.  `evaluate_quartic` is the one formula for
 its value: the form's methods call it on Fractions and the fiber scan of
 `chatelet._kernel.pure` calls it on the integer model.
-`real_root_intervals` is the one real-root isolation: the real-place
-sweep of `chatelet.surface` reads it, and so does the scan's real sieve
-through `negative_segments`.
+`real_root_intervals` is the one real-root isolation and `sign_points`
+the one walk over its intervals: one rational point on each piece of the
+real line where P has one sign.  The real-place sweep of
+`chatelet.surface` certifies one of these points, and the scan's real
+sieve reads them through `negative_segments`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import sympy
 from chatelet.numbers import Rational, partial_factorize
 
 __all__ = ["BinaryQuartic", "evaluate_quartic", "negative_segments",
-           "quartic_disc", "quartic_irreducible", "real_root_intervals"]
+           "quartic_disc", "quartic_irreducible", "real_root_intervals",
+           "sign_points"]
 
 
 def evaluate_quartic(coeffs, m, n):
@@ -113,33 +116,48 @@ def real_root_intervals(coeffs, eps=None) -> list[tuple[Fraction, Fraction]]:
                   for (lo, hi), _mult in poly.intervals(eps=eps))
 
 
-def negative_segments(coeffs, eps) -> list[tuple[Optional[Fraction],
-                                                 Optional[Fraction]]]:
-    """The open segments (left, right) between and beyond the intervals
-    of `real_root_intervals(coeffs, eps)` on which P(x) = form(1, x) is
-    negative, in increasing order; None stands for -oo or +oo.
+def sign_points(coeffs, eps=None) -> list[tuple[Optional[Fraction],
+                                               Fraction,
+                                               Optional[Fraction]]]:
+    """One rational point on each piece of the real line where
+    P(x) = form(1, x) has one sign, as triples (left, x, right) in
+    increasing order; None stands for -oo or +oo.
 
-    No root lies in such a segment, so P has one sign on all of it,
-    read from one exact evaluation at a rational point inside.  An
-    empty segment, between intervals that share an end, is dropped.
+    The pieces come from the intervals of `real_root_intervals(coeffs,
+    eps)`: each open segment (left, right) between or beyond them, with
+    x inside it, and each end x that two neighbouring intervals share,
+    given as (x, x, x).  No root lies on a piece: a segment avoids every
+    interval, and a shared end that were a root would be the one root of
+    both intervals.  So a shared end lies strictly between its two
+    roots, and when the roots of P are simple, so that P changes sign at
+    each of them, every region where P has one sign holds a piece.
     """
     ends: list[Optional[Fraction]] = [None]
     for lo, hi in real_root_intervals(coeffs, eps):
         ends += [lo, hi]
     ends.append(None)
-    segments = []
+    points = []
     for left, right in zip(ends[::2], ends[1::2]):
         if left is None:
             inside = Fraction(0) if right is None else right - 1
         elif right is None:
             inside = left + 1
-        elif left < right:
-            inside = (left + right) / 2
         else:
-            continue
-        if evaluate_quartic(coeffs, inside, 1) < 0:
-            segments.append((left, right))
-    return segments
+            inside = (left + right) / 2
+        points.append((left, inside, right))
+    return points
+
+
+def negative_segments(coeffs, eps) -> list[tuple[Optional[Fraction],
+                                                 Optional[Fraction]]]:
+    """The open segments (left, right) of `sign_points(coeffs, eps)` on
+    which P(x) = form(1, x) is negative, in increasing order; None stands
+    for -oo or +oo.  P has one sign on a segment, read from one exact
+    evaluation at its point; a shared end is not a segment.
+    """
+    return [(left, right) for left, x, right in sign_points(coeffs, eps)
+            if (left is None or right is None or left < right)
+            and evaluate_quartic(coeffs, x, 1) < 0]
 
 
 def quartic_irreducible(q: BinaryQuartic) -> bool:

@@ -35,7 +35,6 @@ from chatelet.numbers import (
     horner,
     is_prime,
     legendre,
-    mod_inverse,
     partial_factorize,
     split_valuation,
     square_class,
@@ -45,15 +44,15 @@ from chatelet.quartic import (
     BinaryQuartic,
     evaluate_quartic,
     quartic_disc,
-    real_root_intervals,
+    sign_points,
 )
 
 __all__ = [
-    "ChateletParams", "ChateletSurface", "CertifiedLocalX", "BrauerClass",
+    "ChateletParams", "ChateletSurface", "CertifiedLocalX",
     "LocalPlaceResult", "LocalReport", "ObstructionReport", "SearchResult",
     "find_params", "build_surface", "iskovskikh", "bad_places",
-    "local_solvable_surface", "verify_local_everywhere", "brauer_class",
-    "eval_invariant", "sample_certified_points", "obstruction_report",
+    "local_solvable_surface", "verify_local_everywhere",
+    "eval_invariant_all_reps", "sample_certified_points", "obstruction_report",
     "rational_point_search", "surface_to_json", "surface_from_json",
     "ParamSearchError", "InsufficientPointsError", "InvariantNotConstantError",
 ]
@@ -81,7 +80,8 @@ class ChateletParams:
     """Parameters (a, b, c) of the Hasse-principle counterexample.
 
     a, b are primes = 1 mod 8 exceeding 5, a is not a square mod b,
-    and b divides ac + 1.
+    and b divides ac + 1.  They also give the surface's quaternion
+    Brauer class (ab, x^2 + c), evaluated through `rep_values`.
     """
 
     a: int
@@ -101,6 +101,16 @@ class ChateletParams:
             raise ValueError("a must be a non-square mod b")
         if (self.a * self.c + 1) % self.b != 0:
             raise ValueError("b must divide a*c + 1")
+
+    def rep_values(self, x: ProjectivePoint) -> tuple[int, int]:
+        """The integer values of x^2 + c and a x^2 + ac + 1 at x = (m : n),
+        homogeneous of even degree, so their square classes are
+        well-defined on P^1.  Their product is P~(x), a norm from
+        Q(sqrt(ab)) on the surface, so either one is a second slot of
+        the class."""
+        m, n = x
+        return (m * m + self.c * n * n,
+                self.a * m * m + (self.a * self.c + 1) * n * n)
 
 
 @dataclass(frozen=True)
@@ -159,32 +169,6 @@ class CertifiedLocalX:
     certificate: Union[int, str]
 
 
-@dataclass(frozen=True)
-class BrauerClass:
-    """The quaternion class (ab, x^2+c) on a constructed surface.
-
-    Carries the three interchangeable second-slot representations
-    x^2 + c,  a x^2 + ac + 1,  1 + c/x^2; at every certified local point
-    any nonvanishing representation gives the same local invariant.
-    """
-
-    alpha: int
-    a: int
-    b: int
-    c: int
-
-    def rep_values(self, x: ProjectivePoint) -> tuple[Fraction, Fraction]:
-        """Homogeneous values of x^2 + c and a x^2 + ac + 1 at (m : n).
-
-        Both are homogeneous of even degree, so their square classes are
-        well-defined on P^1.
-        """
-        m, n = x
-        f1 = Fraction(m * m + self.c * n * n)
-        f2 = Fraction(self.a * m * m + (self.a * self.c + 1) * n * n)
-        return f1, f2
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -200,7 +184,7 @@ def find_params(bound: int) -> ChateletParams:
               and legendre(q % b, b) == -1), None)
     if a is None:
         raise ParamSearchError(f"not found below bound {bound}")
-    c = (-mod_inverse(a, b)) % b
+    c = -pow(a, -1, b) % b
     if c > bound:
         raise ParamSearchError(f"not found below bound {bound}")
     return ChateletParams(a=a, b=b, c=c)
@@ -357,24 +341,15 @@ def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _real_sweep(S: ChateletSurface) -> Optional[CertifiedLocalX]:
-    """A real x with P~(x) >= 0, tried at a point of every interval
-    between and beyond the real roots of P(x) = P~(1, x).
+    """A real x with P~(x) > 0: the first of `sign_points` of
+    P(x) = P~(1, x) that `_certify` accepts.
 
-    P has simple roots on a smooth surface, so it changes sign at each
-    of them: it is positive somewhere iff it is positive at one of these
-    points.  Infinity, and every alpha > 0, are settled by _SIX_POINTS
-    before this runs.
+    P has simple roots on a smooth surface, so every region where it has
+    one sign holds one of these points, and none of them is a root: P is
+    positive somewhere iff it is positive at one of them.  Infinity, and
+    every alpha > 0, are settled by _SIX_POINTS before this runs.
     """
-    candidates = {Fraction(0)}
-    endpoints = [end for interval in
-                 real_root_intervals(S.Ptilde.integer_square_scaled)
-                 for end in interval]
-    if endpoints:
-        candidates.add(endpoints[0] - 1)
-        candidates.add(endpoints[-1] + 1)
-        for left, right in zip(endpoints, endpoints[1:]):
-            candidates.add((left + right) / 2)
-    for x in sorted(candidates):
+    for _left, x, _right in sign_points(S.Ptilde.integer_square_scaled):
         found = _certify(S, (x.numerator, x.denominator), REAL)
         if found is not None:
             return found
@@ -452,43 +427,21 @@ def verify_local_everywhere(S: ChateletSurface) -> LocalReport:
 # Brauer class and invariants
 
 
-def brauer_class(S: ChateletSurface) -> BrauerClass:
-    """The class (ab, x^2 + c); requires the constructed factorization."""
-    if S.params is None:
-        raise ValueError(
-            "Brauer class is only provided for constructed surfaces")
-    p = S.params
-    return BrauerClass(alpha=p.a * p.b, a=p.a, b=p.b, c=p.c)
-
-
-def eval_invariant(A: BrauerClass, pt: CertifiedLocalX) -> Fraction:
-    """inv_v(A(P_v)) for a local point over the certified x-fiber.
-
-    Evaluates whichever second-slot representation of A does not vanish;
-    at certified points all nonvanishing representations agree.
-    """
-    f1, f2 = A.rep_values(pt.x)
-    value = f1 if f1 != 0 else f2
-    if value == 0:
-        raise ValueError("all representations vanish; surface not smooth")
-    return inv_from_symbol(hilbert_symbol(A.alpha, value, pt.place))
-
-
-def eval_invariant_all_reps(A: BrauerClass,
+def eval_invariant_all_reps(params: ChateletParams,
                             pt: CertifiedLocalX) -> list[Fraction]:
-    """Invariants from every nonvanishing representation (for testing
-    representation independence).  Includes 1 + c/x^2, which differs from
-    x^2 + c by the square x^2 whenever x != 0, infinity."""
-    f1, f2 = A.rep_values(pt.x)
+    """inv_v of the class (ab, x^2 + c) of `params` at a local point over
+    the certified x-fiber, once from every nonvanishing representation of
+    its second slot: x^2 + c, a x^2 + ac + 1 and 1 + c/x^2, which differs
+    from x^2 + c by the square x^2 whenever x != 0, infinity.  The class
+    is well defined, so at a certified point all of them agree; the
+    obstruction checks that they do."""
+    f1, f2 = params.rep_values(pt.x)
     m, n = pt.x
-    values = []
-    if f1 != 0:
-        values.append(f1)
-    if f2 != 0:
-        values.append(f2)
+    values = [f for f in (f1, f2) if f != 0]
     if m != 0 and n != 0 and f1 != 0:
-        values.append(f1 / (m * m))  # 1 + c/x^2 up to the square n^2
-    return [inv_from_symbol(hilbert_symbol(A.alpha, val, pt.place))
+        values.append(Fraction(f1, m * m))  # 1 + c/x^2 up to the square n^2
+    alpha = params.a * params.b
+    return [inv_from_symbol(hilbert_symbol(alpha, val, pt.place))
             for val in values]
 
 
@@ -543,7 +496,9 @@ class ObstructionReport:
 
 def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
                        seed: int = 0) -> ObstructionReport:
-    """Evaluate the Brauer-Manin obstruction of a constructed surface.
+    """Evaluate the Brauer-Manin obstruction of a constructed surface,
+    for the class (ab, x^2 + c) read from its params (ValueError on a
+    surface without them).
 
     Reads the surface's local table `S.local` (computed on first use),
     which must be solvable everywhere; samples certified points at each
@@ -552,7 +507,9 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
     """
     if samples_per_place < 1:
         raise ValueError("samples_per_place must be at least 1")
-    A = brauer_class(S)
+    if S.params is None:
+        raise ValueError(
+            "Brauer class is only provided for constructed surfaces")
     if not S.local.all_solvable:
         raise ArithmeticError(
             "constructed surface unexpectedly fails local solvability")
@@ -560,7 +517,8 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
     total = Fraction(0)
     for res in S.local.results:
         pts = sample_certified_points(S, res.place, samples_per_place, seed)
-        invs = {inv for pt in pts for inv in eval_invariant_all_reps(A, pt)}
+        invs = {inv for pt in pts
+                for inv in eval_invariant_all_reps(S.params, pt)}
         if len(invs) != 1:
             raise InvariantNotConstantError(
                 f"invariant not constant at {res.place}: {sorted(invs)}")
@@ -603,9 +561,9 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     <= H is solvable over Q.  The scan (`conic_scan`) skips two kinds
     of fiber without deciding them, and both skips are exact.  For
     alpha < 0 it skips the x strictly inside a segment where P < 0.
-    Such a segment lies between isolating intervals of the real roots
-    (`real_root_intervals`, also used by the real sweep), so P has one
-    sign on it, and y^2 - alpha z^2 < 0 has no real point.  When P is
+    Such a segment is a piece of `sign_points`, the walk over the real
+    roots that the real sweep also takes, so P has one sign on it, and
+    y^2 - alpha z^2 < 0 has no real point.  When P is
     even in x it skips m > 0, since m and -m give one value and the
     full loop meets -m first.  It returns the same first fiber as the
     loop over every x.

@@ -38,6 +38,8 @@ GOLDEN_STDIN = {
     "surface_alpha17_height20": '{"alpha":"17","P":["0","1","0","0","1/2"]}',
     "surface_alpha_minus3_height20":
         '{"alpha":"-3","P":["0","1","0","0","1/2"]}',
+    "surface_real_gap_height20":
+        '{"alpha":"-2","P":["-1","-7","17","-7","-5"]}',
 }
 
 
@@ -75,6 +77,14 @@ class TestHilbert:
         code, rep = run_json(capsys, "hilbert", "--", "-1/2", "3/5")
         assert code == EXIT_OK
         assert rep["stages"]["product"] == 1
+
+    def test_past_64_bits_is_inconclusive(self, capsys):
+        # the support needs the primes of a prime past 2^64
+        code, rep = run_json(capsys, "hilbert", str(2**64 + 13), "3")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        assert rep["error"]["stage"] == "table"
+        assert "certified 64-bit range" in rep["error"]["message"]
 
 
 class TestCounterexample:
@@ -161,6 +171,19 @@ class TestBundle:
                              "--fibers", "2")
         assert code == EXIT_STAGE
         assert rep["error"]["stage"] == "pullback"
+
+    @pytest.mark.parametrize("argv, stage", [
+        # d itself is a prime past 2^64: its square class is uncertified
+        (["--d", str(2**64 + 13)], "pullback"),
+        # a fiber value of the fiber scan has a prime factor past 2^64
+        (["--d", "10000000019", "--fibers", "1"], "verify_pullback"),
+    ])
+    def test_past_64_bits_is_inconclusive(self, capsys, argv, stage):
+        code, rep = run_json(capsys, "bundle", *argv)
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        assert rep["error"]["stage"] == stage
+        assert "certified 64-bit range" in rep["error"]["message"]
 
     def test_byte_determinism(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -290,6 +313,9 @@ class TestGolden:
          ["surface", "-", "--height", "20"]),
         # 26 distinct fibers, the end-to-end bundle run
         ("bundle_fibers50", ["bundle", "--fibers", "50"]),
+        # alpha < 0 and the six points fail at oo: the real witness is a
+        # point of a sign region of P between its real roots
+        ("surface_real_gap_height20", ["surface", "-", "--height", "20"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(

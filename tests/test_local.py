@@ -12,7 +12,6 @@ from chatelet.local import (
     Place,
     conic_decide,
     conic_solvable_global,
-    conic_solvable_local,
     default_oracle_precision,
     finite_place,
     hilbert_bruteforce_oracle,
@@ -174,10 +173,8 @@ class TestInv:
 
 
 class TestConic:
-    def test_local_zero(self):
-        assert conic_solvable_local(697, 0, finite_place(17))
-
     def test_global_examples(self):
+        assert conic_solvable_global(697, 0) == (True, (0, 0))
         ok, wit = conic_solvable_global(2, 7, want_witness=True)
         assert ok and wit is not None
         y, z = wit
@@ -191,7 +188,7 @@ class TestConic:
     def test_global_iff_everywhere_local(self, alpha, r):
         ok, _ = conic_solvable_global(alpha, r)
         everywhere = all(
-            conic_solvable_local(alpha, r, v)
+            hilbert_symbol(alpha, r, v) == 1
             for v in support_places(alpha, r))
         assert ok == everywhere
 

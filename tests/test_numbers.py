@@ -15,7 +15,6 @@ from chatelet.numbers import (
     factorize,
     is_prime,
     legendre,
-    mod_inverse,
     partial_factorize,
     square_class,
     squarefree_part,
@@ -115,15 +114,6 @@ class TestLegendre:
                 a = rng.randrange(1, p)
                 squares = {x * x % p for x in range(1, p)}
                 assert legendre(a, p) == (1 if a in squares else -1)
-
-
-class TestModular:
-    def test_inverse(self):
-        assert mod_inverse(7, 17) == 5
-
-    def test_inverse_error(self):
-        with pytest.raises(ValueError):
-            mod_inverse(6, 9)
 
 
 class TestValuation:

@@ -91,6 +91,7 @@ def test_golden_passes_benchmark_check(check, checker, golden):
     "surface_stdin_height20",
     "surface_alpha17_height20",
     "surface_alpha_minus3_height20",
+    "surface_real_gap_height20",
 ])
 def test_golden_local_table_passes_benchmark_check(check, golden):
     # every row of the local table is recomputed with sympy, so a golden

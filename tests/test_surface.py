@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from chatelet import surface as surface_mod
 from chatelet._kernel import pure
 from chatelet.local import (
     REAL,
@@ -15,17 +17,20 @@ from chatelet.local import (
     hilbert_symbol,
     is_local_square,
 )
-from chatelet.numbers import square_class
-from chatelet.quartic import BinaryQuartic, disc_from_coeffs
+from chatelet.numbers import horner, square_class
+from chatelet.quartic import (
+    BinaryQuartic,
+    disc_from_coeffs,
+    evaluate_quartic,
+    negative_segments,
+)
 from chatelet.surface import (
     ChateletParams,
     ChateletSurface,
     InvariantNotConstantError,
     ParamSearchError,
     bad_places,
-    brauer_class,
     build_surface,
-    eval_invariant,
     eval_invariant_all_reps,
     find_params,
     iskovskikh,
@@ -223,34 +228,99 @@ class TestLocalSolvability:
             local_solvable_surface(S, v)
 
 
-class TestBrauer:
-    def test_class_fields(self, S):
-        A = brauer_class(S)
-        assert (A.alpha, A.a, A.b, A.c) == (697, 41, 17, 12)
+_X = sympy.Symbol("x")
 
+
+def _roots_inside(sturm, left, right):
+    """The number of roots of the square-free P strictly inside the open
+    segment (left, right), None standing for -oo or +oo, from sympy's
+    Sturm sequence of P.  By Sturm's theorem the sign changes of the
+    sequence drop by one at each root and nowhere else, so V(left) -
+    V(right) counts the roots in (left, right]."""
+    def changes(x, at_minus_infinity):
+        signs = []
+        for coeffs in sturm:
+            if x is not None:
+                value = horner(coeffs, x)
+            elif at_minus_infinity:
+                value = coeffs[-1] * (-1) ** (len(coeffs) - 1)
+            else:
+                value = coeffs[-1]
+            if value:
+                signs.append(value > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    on_right = right is not None and horner(sturm[0], right) == 0
+    return changes(left, True) - changes(right, False) - on_right
+
+
+class TestRealWalk:
+    """The real place of a surface with alpha < 0, against sympy."""
+
+    def test_against_sympy_root_count(self):
+        # Iskovskikh's form, whose only pieces with P >= 0 are shared
+        # ends of isolating intervals, the forms (x^2 - p)(q - x^2),
+        # positive only where p < x^2 < q, and seeded forms
+        forms = [(-6, 0, 5, 0, -1)]
+        forms += [(-p * q, 0, p + q, 0, -1)
+                  for q in range(2, 21) for p in range(1, q)]
+        rng = random.Random(20261019)
+        while len(forms) < 1000:
+            coeffs = tuple(rng.randint(-9, 9) for _ in range(5))
+            if any(coeffs) and disc_from_coeffs(coeffs) != 0:
+                forms.append(coeffs)
+        solvable = 0
+        for i, coeffs in enumerate(forms):
+            S = ChateletSurface(alpha=Fraction(rng.choice((-1, -2, -7))),
+                                Ptilde=BinaryQuartic(coeffs),
+                                provenance="user")
+            poly = sympy.Poly(list(reversed(coeffs)), _X)
+            # with alpha < 0, y^2 - alpha z^2 = P~(x) has a real point iff
+            # P~ takes a value >= 0: at a real root, or at x = infinity
+            expected = int(poly.count_roots()) > 0 or coeffs[4] >= 0
+            ok, _ = local_solvable_surface(S, REAL)
+            assert ok == expected, coeffs
+            # the walk alone is complete, without the six points
+            assert (surface_mod._real_sweep(S) is not None) == expected, \
+                coeffs
+            solvable += expected
+            sturm = [[Fraction(int(c.p), int(c.q))
+                      for c in reversed(q.all_coeffs())]
+                     for q in poly.sturm()]
+            eps = Fraction(1, 10**6) if i % 2 else None
+            for left, right in negative_segments(coeffs, eps):
+                assert _roots_inside(sturm, left, right) == 0, coeffs
+                if left is None:
+                    inside = Fraction(0) if right is None else right - 1
+                else:
+                    inside = left + 1 if right is None else \
+                        (left + right) / 2
+                assert evaluate_quartic(coeffs, inside, 1) < 0, coeffs
+        assert 0 < solvable < len(forms)
+
+
+class TestBrauer:
     def test_requires_constructed(self):
         with pytest.raises(ValueError):
-            brauer_class(iskovskikh())
+            obstruction_report(iskovskikh())
 
     def test_invariant_constant_and_rep_independent(self, S):
-        A = brauer_class(S)
         for v in bad_places(S)[0]:
             pts = sample_certified_points(S, v, 25, seed=7)
             invs = set()
             for pt in pts:
-                reps = eval_invariant_all_reps(A, pt)
+                reps = eval_invariant_all_reps(S.params, pt)
                 assert len(set(reps)) == 1
-                invs.add(eval_invariant(A, pt))
+                invs.add(reps[0])
             assert len(invs) == 1
             expected = Fraction(1, 2) if str(v) == "17" else Fraction(0)
             assert invs == {expected}
 
     def test_representations_never_both_vanish(self, S):
         # resultant of x^2+c and a x^2+ac+1 is nonzero: f2 - a f1 = n^2
-        A = brauer_class(S)
         for m, n in ((1, 0), (0, 1), (3, 2), (-7, 5)):
-            f1, f2 = A.rep_values((m, n))
-            assert f2 - A.a * f1 == n * n
+            f1, f2 = S.params.rep_values((m, n))
+            assert f2 - S.params.a * f1 == n * n
             assert f1 != 0 or f2 != 0
 
 
