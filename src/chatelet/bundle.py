@@ -16,14 +16,13 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
-import sympy
-
 from chatelet.local import Place
 from chatelet.numbers import horner, squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
     quartic_irreducible,
+    rational_roots,
 )
 from chatelet.surface import (
     INFINITY,
@@ -171,7 +170,28 @@ def fiber_at(B: SurfaceBundle, t: FiberParam) -> ChateletSurface:
                            provenance="fiber")
 
 
-_S = sympy.Symbol("s")
+def _pencil_disc(B: SurfaceBundle) -> list[Fraction]:
+    """The coefficients of D(s) = disc(s Pinf + P0), low degree first.
+
+    The discriminant is a sextic in the form's coefficients, so D has
+    degree at most 6 and its values at s = 0..6 fix it.  Newton's forward
+    differences give D(s) = sum_k (Delta^k D)(0) C(s, k), with
+    C(s, k) = s (s - 1) ... (s - k + 1) / k!.
+    """
+    values = [disc_from_coeffs([s * ci + c0 for ci, c0
+                                in zip(B.Pinf.coeffs, B.P0.coeffs)])
+              for s in range(7)]
+    D = [Fraction(0)] * 7
+    binomial = [Fraction(1)]  # C(s, k), low degree first
+    for k in range(7):
+        for i, b in enumerate(binomial):
+            D[i] += values[0] * b
+        values = [y - x for x, y in zip(values, values[1:])]
+        # C(s, k + 1) = C(s, k) (s - k) / (k + 1)
+        binomial = [((binomial[i - 1] if i else 0)
+                     - (k * binomial[i] if i <= k else 0)) / (k + 1)
+                    for i in range(k + 2)]
+    return D
 
 
 def bad_fibers(B: SurfaceBundle) -> BadFiberSet:
@@ -183,14 +203,12 @@ def bad_fibers(B: SurfaceBundle) -> BadFiberSet:
     rational fiber.  v = 0 is never bad: D has leading coefficient
     disc(Pinf) != 0 (an irreducible form).
     """
-    D = disc_from_coeffs([sympy.Poly([ci, c0], _S, domain=sympy.QQ)
-                          for ci, c0 in zip(B.Pinf.coeffs, B.P0.coeffs)])
     fibers = []
-    for root in D.ground_roots():
+    for root in rational_roots(_pencil_disc(B)):
         if root < 0:
             continue
-        u, v = math.isqrt(root.p), math.isqrt(root.q)
-        if u * u != root.p or v * v != root.q:
+        u, v = math.isqrt(root.numerator), math.isqrt(root.denominator)
+        if u * u != root.numerator or v * v != root.denominator:
             continue
         fibers.append(FiberParam(u, v))
         if u != 0:

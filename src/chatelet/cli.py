@@ -246,9 +246,12 @@ def cmd_hilbert(args) -> int:
         else:
             try:
                 p = int(args.place)
-                if not is_prime(p):
-                    raise ValueError
+                prime = p >= 2 and is_prime(p)
+            except OutOfCertifiedRangeError as e:
+                return _stop(report, "symbol", e, args)
             except ValueError:
+                prime = False
+            if not prime:
                 sys.stderr.write(
                     f"hilbert: --place must be 'oo' or a prime, "
                     f"got {args.place!r}\n")

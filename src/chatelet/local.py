@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from sympy.ntheory import sqrt_mod
-
 from chatelet.numbers import (
     Rational,
     factorize,
@@ -32,6 +30,7 @@ from chatelet.numbers import (
     legendre,
     prime_factors,
     split_valuation,
+    sqrt_mod,
     square_class,
 )
 
@@ -362,11 +361,11 @@ def _legendre_descent(A: int, A_primes: tuple[int, ...], R: int,
 
 def _sqrt_mod_squarefree(a: int, primes: tuple[int, ...]) -> int:
     """t with t^2 = a modulo the product M of the distinct primes and
-    |t| <= M/2, by a root modulo each prime and the Chinese remainder
-    theorem."""
+    |t| <= M/2, by the root modulo each prime of
+    `chatelet.numbers.sqrt_mod` and the Chinese remainder theorem."""
     t, M = 0, 1
     for p in primes:
-        root = sqrt_mod(a % p, p)
+        root = sqrt_mod(a, p)
         if root is None:
             raise ArithmeticError(f"{a} is not a square modulo {p}")
         t += M * ((root - t) * pow(M, -1, p) % p)

@@ -3,8 +3,8 @@
 Everything downstream of this module is exact: integers are Python ints,
 rationals are :class:`fractions.Fraction`.  The routines here supply the
 elementary number theory the rest of the package leans on — certified
-primality, factorization, Legendre symbols, p-adic valuations and
-square-class reduction.
+primality, factorization, Legendre symbols, square roots modulo a
+prime, p-adic valuations and square-class reduction.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Generator, Iterator, Union
+from typing import Generator, Iterator, Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -310,6 +310,40 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_mod(a: int, p: int) -> Optional[int]:
+    """The root t of t^2 = a mod p with 0 <= t <= p/2, or None when a is
+    not a square modulo p.  p must be prime; unchecked, like `legendre`.
+
+    Tonelli-Shanks: write p - 1 = q 2^s with q odd and take the least
+    non-residue z.  Start from t = a^((q+1)/2) and b = a^q, so that
+    t^2 = a b and b has order 2^i for some i < s.  While b != 1, multiply
+    t by e = c^(2^(m-i-1)), where c, a power of z^q, has order 2^m: then
+    t^2 = a b still holds for b e^2, whose order is smaller than 2^i.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if legendre(a, p) == -1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    m, c, t, b = s, pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % p
+            i += 1
+        e = pow(c, 1 << (m - i - 1), p)
+        m, c = i, e * e % p
+        t, b = t * e % p, b * c % p
+    return min(t, p - t)
 
 
 def valuation(q: Rational, p: int) -> int:

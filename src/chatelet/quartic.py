@@ -7,11 +7,15 @@ quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
 P(x) = P~(1, x) is ``q(x)``.  `evaluate_quartic` is the one formula for
 its value: the form's methods call it on Fractions and the fiber scan of
 `chatelet._kernel.pure` calls it on the integer model.
-`real_root_intervals` is the one real-root isolation and `sign_points`
-the one walk over its intervals: one rational point on each piece of the
-real line where P has one sign.  The real-place sweep of
-`chatelet.surface` certifies one of these points, and the scan's real
-sieve reads them through `negative_segments`.
+`real_root_intervals` is the one real-root isolation, for univariate
+polynomials of any degree: Descartes' rule of signs with bisection on
+the squarefree part, in exact integer arithmetic.  `rational_roots`
+reads the rational roots off its intervals; `quartic_irreducible` and
+the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
+walk over its intervals: one rational point on each piece of the real
+line where P has one sign.  The real-place sweep of `chatelet.surface`
+certifies one of these points, and the scan's real sieve reads them
+through `negative_segments`.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-import sympy
-
 from chatelet.numbers import Rational, partial_factorize
 
 __all__ = ["BinaryQuartic", "evaluate_quartic", "negative_segments",
-           "quartic_disc", "quartic_irreducible", "real_root_intervals",
-           "sign_points"]
+           "quartic_disc", "quartic_irreducible", "rational_roots",
+           "real_root_intervals", "sign_points"]
 
 
 def evaluate_quartic(coeffs, m, n):
@@ -87,7 +89,7 @@ def quartic_disc(q: BinaryQuartic) -> Fraction:
 def disc_from_coeffs(coeffs):
     """The standard degree-6 integer polynomial in the coefficients
     c0..c4 of sum c_i x^i w^(4-i).  Ring-agnostic: the coefficients may
-    be Fractions or sympy expressions."""
+    be ints or Fractions."""
     e, d, c, b, a = coeffs
     return (
         256 * a**3 * e**3 - 192 * a**2 * b * d * e**2
@@ -101,19 +103,183 @@ def disc_from_coeffs(coeffs):
     )
 
 
-_X = sympy.Symbol("x")
+def _primitive(f: list[int]) -> list[int]:
+    """The integer polynomial f (low degree first) divided by its content
+    and sign, so that its leading coefficient is positive, with high zero
+    coefficients dropped; [] for the zero polynomial."""
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return []
+    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """The remainder of lc(g)^k f on division by g != 0, for integer
+    polynomials, with the least k that keeps it integral."""
+    f = list(f)
+    while len(f) >= len(g):
+        c, shift = f[-1], len(f) - len(g)
+        f = [g[-1] * a for a in f]
+        for i, b in enumerate(g):
+            f[shift + i] -= c * b
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+def _squarefree(coeffs) -> list[int]:
+    """The squarefree part f / gcd(f, f') of f = sum c_i x^i (ints or
+    Fractions), as a primitive integer polynomial with positive leading
+    coefficient: the same distinct roots, each simple."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    f = _primitive([int(c * den) for c in coeffs])
+    if not f:
+        raise ValueError("the zero polynomial has no isolated roots")
+    g, h = f, _primitive([i * c for i, c in enumerate(f)][1:])
+    while h:  # Euclid on primitive parts: g ends as gcd(f, f')
+        g, h = h, _primitive(_pseudo_remainder(g, h))
+    # f = g * q exactly, and q is integral by Gauss's lemma
+    q = [0] * (len(f) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = f[k + len(g) - 1] // g[-1]
+        for i, b in enumerate(g):
+            f[k + i] -= q[k] * b
+    return q
+
+
+def _sign_at(f: list[int], x: Fraction) -> int:
+    """The sign of f(x) for an integer polynomial f, from the integer
+    q^n f(p/q) = sum f_i p^i q^(n-i) (homogeneous Horner rule)."""
+    p, q = x.numerator, x.denominator
+    acc, qk = f[-1], 1
+    for c in reversed(f[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return (acc > 0) - (acc < 0)
+
+
+def _taylor_shift(f: list[int]) -> list[int]:
+    """f(y + 1), by n(n+1)/2 additions."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += f[j + 1]
+    return f
+
+
+def _sign_changes(f: list[int]) -> int:
+    signs = [c > 0 for c in f if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _unit_intervals(g: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """The roots of the squarefree integer polynomial g in the open unit
+    interval (0, 1), by Descartes' rule of signs with bisection
+    (Collins and Akritas, SYMSAC 1976).
+
+    A dyadic interval I = (c/2^k, (c+1)/2^k) is carried as the
+    polynomial h(y) = 2^(kn) g((c + y)/2^k), whose roots in (0, 1) are
+    those of g in I.  The sign changes of (y+1)^n h(1/(y+1)) bound their
+    number and have its parity: none means no root, one means exactly
+    one.  I is kept when it holds one root and neither end is a root
+    (h(0), h(1) != 0); otherwise it is halved, and a root at its
+    midpoint is kept as [m, m].  The halves of I are carried by
+    2^n h(y/2) and its shift by 1.  Bisection ends because g is
+    squarefree: a small enough interval has no root nearby, or one root
+    away from its ends.
+    """
+    n = len(g) - 1
+    out = []
+    stack = [(g, 0, 0)]
+    while stack:
+        h, c, k = stack.pop()
+        count = _sign_changes(_taylor_shift(h[::-1]))
+        if count == 0:
+            continue
+        if count == 1 and h[0] and sum(h):
+            out.append((Fraction(c, 1 << k), Fraction(c + 1, 1 << k)))
+            continue
+        left = [a << (n - i) for i, a in enumerate(h)]
+        right = _taylor_shift(left)
+        if right[0] == 0:
+            mid = Fraction(2 * c + 1, 1 << (k + 1))
+            out.append((mid, mid))
+        stack += [(right, 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+    return out
+
+
+def _root_intervals(f: list[int], eps) -> list[tuple[Fraction, Fraction]]:
+    """`real_root_intervals` of the squarefree primitive f."""
+    n = len(f) - 1
+    if n == 0:
+        return []
+    # Fujiwara's bound: every root has |x| <= 2 max_i |f_(n-i) / f_n|^(1/i),
+    # and each term is below 2^e when 2^(e i) f_n > |f_(n-i)|
+    e = 0
+    for i in range(1, n + 1):
+        while f[-1] << (e * i) <= abs(f[n - i]):
+            e += 1
+    B = 2 << e
+    intervals = [(Fraction(0), Fraction(0))] if f[0] == 0 else []
+    for side in (B, -B):
+        # the roots of f(side * y) in (0, 1) are those of f in (0, B),
+        # or in (-B, 0)
+        g = [c * side**i for i, c in enumerate(f)]
+        intervals += [tuple(sorted((side * lo, side * hi)))
+                      for lo, hi in _unit_intervals(g)]
+    intervals.sort()
+    if eps is None:
+        return intervals
+    refined = []
+    for lo, hi in intervals:
+        # the ends are no roots and the root is simple: f changes sign
+        # once inside, so halving toward the sign change keeps it
+        s = _sign_at(f, lo)
+        while hi - lo > eps:
+            mid = (lo + hi) / 2
+            m = _sign_at(f, mid)
+            if m == 0:
+                lo = hi = mid
+            elif m == s:
+                lo = mid
+            else:
+                hi = mid
+        refined.append((lo, hi))
+    return refined
 
 
 def real_root_intervals(coeffs, eps=None) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the real roots of P(x) = form(1, x), by
-    sympy's exact isolation: closed intervals [lo, hi] with rational
+    """Isolating intervals of the real roots of P(x) = sum c_i x^i, of
+    any degree, by Descartes' rule of signs with bisection on its
+    squarefree part: closed intervals [lo, hi] with rational
     ends, in increasing order and pairwise disjoint except that
     neighbours may share an end, each holding exactly one root and
     together all of them.  A rational root may come as [r, r].  With
     eps, each interval is refined to width at most eps."""
-    poly = sympy.Poly(list(reversed(coeffs)), _X)
-    return sorted((Fraction(lo), Fraction(hi))
-                  for (lo, hi), _mult in poly.intervals(eps=eps))
+    return _root_intervals(_squarefree(coeffs), eps)
+
+
+def rational_roots(coeffs) -> list[Fraction]:
+    """The distinct rational roots of P(x) = sum c_i x^i, in increasing
+    order.
+
+    Let f be the squarefree primitive integer part of P, of degree n and
+    leading coefficient a.  A root p/q in lowest terms has q | a, so
+    y = a x is an integer root of the monic transform a^(n-1) f(y/a).
+    An isolating interval of width at most 1/(2a) holds at most one
+    integer y / a, which is tested exactly.
+    """
+    f = _squarefree(coeffs)
+    a = f[-1]
+    roots = []
+    for lo, hi in _root_intervals(f, Fraction(1, 2 * a)):
+        x = Fraction(math.ceil(lo * a), a)
+        if x <= hi and _sign_at(f, x) == 0:
+            roots.append(x)
+    return roots
 
 
 def sign_points(coeffs, eps=None) -> list[tuple[Optional[Fraction],
@@ -164,13 +330,34 @@ def quartic_irreducible(q: BinaryQuartic) -> bool:
     """Is the form irreducible in Q[w, x]?
 
     w | q (the root at infinity) is checked directly, since the
-    dehomogenization drops it; every other factor, linear or quadratic,
-    is found by the complete factorization of the integer model's
-    dehomogenization.  Neither depends on the model's content or sign.
+    dehomogenization drops it.  The dehomogenization f of the integer
+    model, of degree 4 with leading coefficient c4, has a linear factor
+    iff it has a rational root.  Without one, it is a product of two
+    quadratics iff the resolvent cubic of its monic transform
+    c4^3 f(y/c4) = y^4 + a y^3 + b y^2 + c y + d,
+    R(r) = r^3 - b r^2 + (ac - 4d) r - (a^2 d - 4bd + c^2), has a
+    rational root r for which r^2 - 4d and a^2 - 4(b - r) are both
+    squares (Kappe and Warren, Amer. Math. Monthly 96, 1989): for the
+    split (y^2 + s y + u)(y^2 + s' y + u'), r = u + u' is the root, and
+    u, u' and s, s' are the roots of t^2 - r t + d and t^2 + a t + (b - r).
+    None of this depends on the model's content or sign.
     """
     ints = q.integer_square_scaled
     if ints[4] == 0:
         return False  # w divides the form
-    poly = sympy.Poly(list(reversed(ints)), _X)
-    _, factors = poly.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
+    if rational_roots(ints):
+        return False
+    c0, c1, c2, c3, c4 = ints
+    a, b, c, d = c3, c2 * c4, c1 * c4**2, c0 * c4**3
+    # R is monic with integer coefficients, so its rational roots are
+    # integers
+    for r in rational_roots([-(a * a * d - 4 * b * d + c * c),
+                             a * c - 4 * d, -b, 1]):
+        r = r.numerator
+        if _is_square(r * r - 4 * d) and _is_square(a * a - 4 * (b - r)):
+            return False
+    return True
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -71,6 +75,22 @@ class TestHilbert:
     def test_bad_place_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "hilbert", "3", "5", "--place", "6")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("place", ["1", str(2**64 - 1), "-7", "x"])
+    def test_non_prime_place_is_usage_error(self, capsys, place):
+        # 2^64 - 1 is composite and certified so
+        code, out = run_cli(capsys, "hilbert", "697", "41",
+                            "--place", place)
+        assert code == EXIT_USAGE and out == ""
+
+    def test_place_past_64_bits_is_inconclusive(self, capsys):
+        # 2^64 + 13 is prime, but not certifiably so
+        code, rep = run_json(capsys, "hilbert", "697", "41",
+                             "--place", str(2**64 + 13))
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        assert rep["error"]["stage"] == "symbol"
+        assert "certified 64-bit range" in rep["error"]["message"]
 
     def test_rational_arguments(self, capsys):
         # "--" keeps argparse from reading the negative rational as a flag
@@ -293,6 +313,36 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert "must be at least" in err
+
+
+def test_subcommands_never_import_sympy():
+    """sympy is a test-side oracle only: no subcommand imports it, at the
+    top of a module or lazily.  Checked in a fresh interpreter, since
+    the test modules themselves import sympy."""
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from chatelet.cli import main
+        runs = [
+            ["hilbert", "697", "41"],
+            ["counterexample", "--height", "20"],
+            ["iskovskikh", "--height", "20"],
+            ["bundle", "--fibers", "2"],
+            ["surface", "-", "--height", "20"],
+        ]
+        sys.stdin = io.StringIO({GOLDEN_STDIN["surface_real_gap_height20"]!r})
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules
+                            if m.partition(".")[0] == "sympy"))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == f"{[EXIT_OK] * 5} []"
 
 
 class TestGolden:

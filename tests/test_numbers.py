@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from chatelet.numbers import (
     is_prime,
     legendre,
     partial_factorize,
+    sqrt_mod,
     square_class,
     squarefree_part,
     valuation,
@@ -114,6 +116,40 @@ class TestLegendre:
                 a = rng.randrange(1, p)
                 squares = {x * x % p for x in range(1, p)}
                 assert legendre(a, p) == (1 if a in squares else -1)
+
+
+class TestSqrtMod:
+    """Tonelli-Shanks against sympy's square root modulo p, which also
+    returns the root in [0, p/2]."""
+
+    def test_small_primes(self):
+        rng = random.Random(4)
+        assert [sqrt_mod(a, 2) for a in range(4)] == [0, 1, 0, 1]
+        for p in sympy.primerange(3, 10**4):
+            cases = {0, 1, 2, p - 1, p + 3, -5}
+            cases |= {rng.randrange(p) for _ in range(6)}
+            cases |= {rng.randrange(p) ** 2 for _ in range(3)}
+            for a in cases:
+                assert sqrt_mod(a, p) == sympy_sqrt_mod(a % p, p), (a, p)
+
+    def test_primes_one_mod_2_to_16(self):
+        # p - 1 divisible by 2^16: the loop runs with s >= 16
+        rng = random.Random(5)
+        primes = []
+        while len(primes) < 30:
+            p = rng.randrange(1, 2**48) * 2**16 + 1
+            if p < 2**64 and sympy.isprime(p):
+                primes.append(p)
+        for p in primes:
+            residues = [pow(rng.randrange(1, p), 2 ** rng.randrange(1, 17), p)
+                        for _ in range(4)]
+            others = [rng.randrange(1, p) for _ in range(4)]
+            for a in residues + others:
+                root = sqrt_mod(a, p)
+                assert root == sympy_sqrt_mod(a, p), (a, p)
+                if root is not None:
+                    assert root * root % p == a and 2 * root < p
+            assert all(sqrt_mod(a, p) is not None for a in residues)
 
 
 class TestValuation:

@@ -1,4 +1,5 @@
-"""Binary quartics: discriminant and irreducibility over Q."""
+"""Binary quartics: discriminant, irreducibility over Q, and the exact
+real and rational roots of univariate polynomials, against sympy."""
 
 import math
 import random
@@ -7,10 +8,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from chatelet import quartic
 from chatelet.quartic import (
     BinaryQuartic,
     quartic_disc,
     quartic_irreducible,
+    rational_roots,
+    real_root_intervals,
 )
 
 _x = sympy.Symbol("x")
@@ -250,3 +254,150 @@ class TestIrreducibility:
             q = BinaryQuartic(coeffs)
             assert quartic_irreducible(q) == _bruteforce_irreducible(coeffs)
             checked += 1
+
+    def test_against_sympy_factor_list(self):
+        # forms built to factor or not in each way the test must see:
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) has no rational root;
+        # x^4 - 10x^2 + 1, the minimal polynomial of sqrt 2 + sqrt 3, is
+        # irreducible over Q but reducible modulo every prime; the
+        # surfaces' (x^2 + c)(ax^2 + ac + 1); w | q; and seeded forms
+        forms = [(4, 0, 0, 0, 1), (1, 0, -10, 0, 1), (1, 1, 1, 1, 0),
+                 (0, 0, 1, 0, 0), (0, 0, 0, 0, 7), (2, 0, 0, 0, 0)]
+        forms += [(c * (a * c + 1), 0, 2 * a * c + 1, 0, a)
+                  for a in (1, 3, 41) for c in (-12, -2, 1, 12)]
+        forms += [tuple(int(e.coeff(_x, i)) for i in range(5))
+                  for e in (sympy.expand((_x**2 + 2) * (3 * _x**2 - 5)),
+                            sympy.expand((_x**2 + _x + 1) * (_x**2 - 7)),
+                            sympy.expand((2 * _x**2 - 1)**2),
+                            sympy.expand((_x - 3)**2 * (_x**2 + 1)))]
+        rng = random.Random(15)
+        forms += [tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                        for _ in range(5)) for _ in range(400)]
+        reducible = 0
+        for coeffs in forms:
+            if not any(coeffs):
+                continue
+            q = BinaryQuartic(coeffs)
+            c = q.coeffs
+            expected = False
+            if c[4] != 0:
+                poly = sympy.Poly([sympy.Rational(str(ci)) for ci in c[::-1]],
+                                  _x, domain=sympy.QQ)
+                _, factors = poly.factor_list()
+                expected = len(factors) == 1 and factors[0][1] == 1
+            assert quartic_irreducible(q) == expected, coeffs
+            reducible += not expected
+        assert 20 < reducible < len(forms) - 100
+
+
+def _mul(f, g):
+    """The product of two polynomials, low degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_polys(rng, count):
+    """Seeded integer quartics and sextics, a third of them with planted
+    rational roots, some repeated."""
+    polys = []
+    while len(polys) < count:
+        degree = rng.choice((4, 6))
+        f = [rng.randint(-20, 20) for _ in range(degree + 1)]
+        if rng.random() < 0.35:
+            for _ in range(rng.randint(1, 2)):
+                p, q = rng.randint(-9, 9), rng.randint(1, 6)
+                f = _mul(f[:-1], [-p, q])  # degree stays the same
+        if any(f):
+            polys.append(f)
+    return polys
+
+
+def _close_roots(H):
+    """Polynomials with two roots closer together than 1/H^2: the
+    rational 1/(3H^2) and 2/(3H^2), and the irrational roots
+    (M +- sqrt 2)/N of (N x - M)^2 - 2 with N = 4 H^2, times other
+    factors."""
+    N, M = 4 * H * H, 3 * H * H + 1
+    close = [M * M - 2, -2 * N * M, N * N]
+    rational = _mul(_mul([-2, 0, 1], [-1, 3 * H * H]), [-2, 3 * H * H])
+    return [rational, _mul(close, [-1, -2, 3]), _mul(close, [5, 0, -1, 0, 1])]
+
+
+def _check_isolation(coeffs, intervals, eps=None):
+    """The contract of `real_root_intervals`, against sympy: one interval
+    per distinct real root (as many as `Poly.intervals` finds), closed
+    [lo, hi] in increasing order, disjoint except for shared ends, and
+    each holding exactly one root (sympy's Sturm count on the closed
+    interval), so together all of them; width at most eps."""
+    poly = sympy.Poly(list(reversed(coeffs)), _x).sqf_part()
+    assert len(intervals) == len(poly.intervals()), coeffs
+    for lo, hi in intervals:
+        assert lo <= hi
+        if eps is not None:
+            assert hi - lo <= eps
+        assert poly.count_roots(sympy.Rational(str(lo)),
+                                sympy.Rational(str(hi))) == 1, (coeffs, lo)
+    for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+        assert hi <= lo, coeffs
+
+
+class TestRealRootIntervals:
+    def test_against_sympy(self):
+        rng = random.Random(16)
+        for i, f in enumerate(_random_polys(rng, 300)):
+            _check_isolation(f, real_root_intervals(f))
+            eps = Fraction(1, 10**6) if i % 2 else Fraction(1, 7)
+            _check_isolation(f, real_root_intervals(f, eps), eps)
+
+    def test_fractions_and_low_degree(self):
+        # Fraction coefficients, a zero root, leading zeros, constants
+        for f in ([Fraction(1, 2), 0, Fraction(-3, 7)], [0, 1, 0, 0, 0],
+                  [0, -3, 1, 0, 0], [5], [0, 0, 0, 0, Fraction(1, 3)],
+                  [-1, 0, 1, 0, 0, 0, 0]):
+            _check_isolation(f, real_root_intervals(f))
+        assert real_root_intervals([0, 1, 0]) == [(0, 0)]
+        with pytest.raises(ValueError):
+            real_root_intervals([0, 0, 0])
+
+    def test_close_roots(self):
+        H = 1000
+        eps = Fraction(1, (H + 1) ** 2)
+        for f in _close_roots(H):
+            _check_isolation(f, real_root_intervals(f))
+            _check_isolation(f, real_root_intervals(f, eps), eps)
+
+    def test_rational_root_may_be_a_point(self):
+        # roots met as midpoints of the bisection, and the root 0
+        assert real_root_intervals([2, -3, 1]) == [(1, 1), (2, 2)]
+        assert real_root_intervals([0, -1, 0, 1]) == [(-1, -1), (0, 0),
+                                                      (1, 1)]
+
+    def test_dropped_root_fails(self, monkeypatch):
+        # an isolation that drops the first root on each side of 0 must
+        # not pass the oracle that the tests above rely on
+        real = quartic._unit_intervals
+        monkeypatch.setattr(quartic, "_unit_intervals",
+                            lambda g: real(g)[1:])
+        f = [-6, 0, 5, 0, -1]  # -(x^2 - 2)(x^2 - 3)
+        with pytest.raises(AssertionError):
+            _check_isolation(f, real_root_intervals(f))
+
+
+class TestRationalRoots:
+    def test_against_sympy(self):
+        rng = random.Random(17)
+        polys = _random_polys(rng, 300) + _close_roots(1000)
+        for f in polys:
+            poly = sympy.Poly(list(reversed(f)), _x)
+            expected = sorted(Fraction(int(r.p), int(r.q))
+                              for r in poly.ground_roots())
+            assert rational_roots(f) == expected, f
+
+    def test_large_leading_coefficient(self):
+        # roots p/q with q | a for a of 40 digits
+        a = 10**40 + 1
+        f = _mul(_mul([3, 0, 1], [-7, a]), [5, 1])
+        assert rational_roots(f) == [Fraction(-5), Fraction(7, a)]
