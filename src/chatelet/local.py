@@ -5,15 +5,16 @@ the real place, valuations and Legendre symbols at odd p, the epsilon/omega
 congruence formula at 2), written once for integers in `_hilbert_int`;
 rational arguments are first moved to an integer of the same square class.
 `conic_decide` is the package's one Hasse-Minkowski decision for
-y^2 - alpha z^2 = r: it evaluates that formula at 2 and at the primes of
-alpha, then reads the remaining primes of r, with their full exponents,
-from the package's one factoring routine `chatelet.numbers.prime_factors`
-and stops at the first that rejects.  This module does no factoring of
-its own.  The fiber scan of `chatelet._kernel.pure` and
-`conic_solvable_global` both call it.  A rational point of a solvable
-conic is found exactly by Legendre's descent and checked by
-substitution.  An independent exhaustive-enumeration oracle is provided
-for testing the closed form.
+y^2 - alpha z^2 = r, with r given as a product of parts: it evaluates
+that formula on r at 2, at the primes of alpha and at the primes that
+two parts may share, then reads the remaining primes of each part, with
+their full exponents, from the package's one factoring routine
+`chatelet.numbers.prime_factors` and stops at the first that rejects.
+This module does no factoring of its own.  The fiber scan of
+`chatelet._kernel.pure` and `conic_solvable_global` both call it.  A
+rational point of a solvable conic is found exactly by Legendre's
+descent and checked by substitution.  An independent
+exhaustive-enumeration oracle is provided for testing the closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from chatelet.numbers import (
+    OutOfCertifiedRangeError,
     Rational,
     factorize,
     is_prime,
@@ -262,31 +264,45 @@ def conic_solvable_global(
                               Fraction(r))
 
 
-def conic_decide(alpha: int, alpha_odd_primes: tuple[int, ...], r: int) -> bool:
-    """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q.
+def conic_decide(alpha: int, checked_primes: tuple[int, ...],
+                 *parts: int) -> bool:
+    """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q,
+    where r is the product of the nonzero integers ``parts``.
 
-    ``alpha`` must be a squarefree integer with odd prime divisors
-    ``alpha_odd_primes``; r is a nonzero integer.  The conic is solvable
-    iff (alpha, r)_v = +1 at every place v.  Places are checked cheapest
-    first so that unsolvable inputs exit early: the real place, 2, the
-    odd primes of alpha, then the remaining primes of r in the order
-    `chatelet.numbers.prime_factors` yields them, which stops factoring
-    at the first prime that rejects.
+    ``alpha`` must be a squarefree integer, and ``checked_primes`` must
+    hold its odd primes and every odd prime that divides two of the
+    parts; with one part r, the odd primes of alpha suffice.  The conic
+    is solvable iff (alpha, r)_v = +1 at every place v.  Places are
+    checked cheapest first so that unsolvable inputs exit early: the
+    real place, 2 and the checked primes on r, then the remaining primes
+    of each part.  Each such prime q is odd, prime to alpha and divides
+    that part alone, so the symbol there is (alpha/q)^{v_q(part)}.  The
+    primes of a part come in the order `chatelet.numbers.prime_factors`
+    yields them, which stops factoring at the first prime that rejects.
+    A part whose primes cannot all be certified is passed over until
+    the other parts are read, and raises only if none of them rejects.
     """
+    r = math.prod(parts)
     if alpha < 0 and r < 0:
         return False
     if _hilbert_int(alpha, r, 2) != 1:
         return False
-    m = split_valuation(abs(r), 2)[1]
-    for p in alpha_odd_primes:
+    for p in checked_primes:
         if _hilbert_int(alpha, r, p) != 1:
             return False
-        m = split_valuation(m, p)[1]
-    # the remaining primes q of r are odd and prime to alpha, where the
-    # symbol is (alpha/q)^{v_q(r)}
-    for q, e in prime_factors(m):
-        if e % 2 and legendre(alpha, q) == -1:
-            return False
+    uncertified = None
+    for part in parts:
+        m = split_valuation(abs(part), 2)[1]
+        for p in checked_primes:
+            m = split_valuation(m, p)[1]
+        try:
+            for q, e in prime_factors(m):
+                if e % 2 and legendre(alpha, q) == -1:
+                    return False
+        except OutOfCertifiedRangeError as err:
+            uncertified = err
+    if uncertified is not None:
+        raise uncertified
     return True
 
 

@@ -20,8 +20,8 @@ Rational = Union[int, Fraction]
 #: deterministic.
 _CERTIFIED_PRIME_BOUND = 2**64
 
-# Deterministic for all n < 3.3 * 10^24, in particular for n < 2^64
-# (Sorenson & Webster).
+# Deterministic for all n < 3.18 * 10^23, in particular for n < 2^64
+# (Sorenson & Webster, psi_12).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Trial division runs to 2000 while the cofactor is below 2**64 and to
@@ -98,14 +98,13 @@ def _miller_rabin(n: int, bases) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test, certified for n < 2**64.
 
-    Raises :class:`OutOfCertifiedRangeError` for larger inputs rather
-    than returning a probabilistic answer.
+    A larger n is proven composite by a small prime factor or a
+    Miller-Rabin witness, and then the answer is False.  One that passes
+    every witness raises :class:`OutOfCertifiedRangeError` rather than
+    returning a probabilistic answer.
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
-    if n >= _CERTIFIED_PRIME_BOUND:
-        raise OutOfCertifiedRangeError(
-            f"primality of {n} is outside the certified 64-bit range")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -113,7 +112,12 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    return _miller_rabin(n, _MR_WITNESSES)
+    if not _miller_rabin(n, _MR_WITNESSES):
+        return False
+    if n >= _CERTIFIED_PRIME_BOUND:
+        raise OutOfCertifiedRangeError(
+            f"primality of {n} is outside the certified 64-bit range")
+    return True
 
 
 def _pollard_rho(n: int) -> int:

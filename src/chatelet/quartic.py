@@ -1,16 +1,21 @@
 """Binary quartic forms over Q: evaluation, the integer model, the
-discriminant, irreducibility and the real roots.
+discriminant, the factorization over Q and the real roots.
 
 A Chatelet surface y^2 - alpha z^2 = P(x) is stored through the binary
 quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
 `BinaryQuartic` is the package's one quartic type and its affine value
 P(x) = P~(1, x) is ``q(x)``.  `evaluate_quartic` is the one formula for
 its value: the form's methods call it on Fractions and the fiber scan of
-`chatelet._kernel.pure` calls it on the integer model.
+`chatelet._kernel.pure` calls it on the integer model.  `evaluate_form`
+is the same Horner rule for binary forms of any degree.
+`rational_factors` splits the integer model into primitive irreducible
+forms over Q; `quartic_irreducible` counts them, and the fiber scan
+decides each fiber from their values, with `form_resultant` bounding the
+primes that two of them share.
 `real_root_intervals` is the one real-root isolation, for univariate
 polynomials of any degree: Descartes' rule of signs with bisection on
 the squarefree part, in exact integer arithmetic.  `rational_roots`
-reads the rational roots off its intervals; `quartic_irreducible` and
+reads the rational roots off its intervals; `rational_factors` and
 the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
 walk over its intervals: one rational point on each piece of the real
 line where P has one sign.  The real-place sweep of `chatelet.surface`
@@ -28,8 +33,9 @@ from typing import Optional
 
 from chatelet.numbers import Rational, partial_factorize
 
-__all__ = ["BinaryQuartic", "evaluate_quartic", "negative_segments",
-           "quartic_disc", "quartic_irreducible", "rational_roots",
+__all__ = ["BinaryQuartic", "evaluate_form", "evaluate_quartic",
+           "form_resultant", "negative_segments", "quartic_disc",
+           "quartic_irreducible", "rational_factors", "rational_roots",
            "real_root_intervals", "sign_points"]
 
 
@@ -141,7 +147,13 @@ def _squarefree(coeffs) -> list[int]:
     g, h = f, _primitive([i * c for i, c in enumerate(f)][1:])
     while h:  # Euclid on primitive parts: g ends as gcd(f, f')
         g, h = h, _primitive(_pseudo_remainder(g, h))
-    # f = g * q exactly, and q is integral by Gauss's lemma
+    return _exact_quotient(f, g)
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g for integer polynomials where g divides f with an integral
+    quotient, as it does when g is primitive (Gauss's lemma)."""
+    f = list(f)
     q = [0] * (len(f) - len(g) + 1)
     for k in reversed(range(len(q))):
         q[k] = f[k + len(g) - 1] // g[-1]
@@ -150,14 +162,21 @@ def _squarefree(coeffs) -> list[int]:
     return q
 
 
+def evaluate_form(coeffs, m, n):
+    """The binary form sum(c_i * x^i * w^(d-i)) of degree d =
+    len(coeffs) - 1 at (w, x) = (n, m), by the homogeneous Horner rule;
+    `evaluate_quartic` is its unrolled case d = 4."""
+    acc, nk = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        nk *= n
+        acc = acc * m + c * nk
+    return acc
+
+
 def _sign_at(f: list[int], x: Fraction) -> int:
     """The sign of f(x) for an integer polynomial f, from the integer
-    q^n f(p/q) = sum f_i p^i q^(n-i) (homogeneous Horner rule)."""
-    p, q = x.numerator, x.denominator
-    acc, qk = f[-1], 1
-    for c in reversed(f[:-1]):
-        qk *= q
-        acc = acc * p + c * qk
+    q^n f(p/q) (`evaluate_form` at (w, x) = (q, p))."""
+    acc = evaluate_form(f, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -326,37 +345,116 @@ def negative_segments(coeffs, eps) -> list[tuple[Optional[Fraction],
             and evaluate_quartic(coeffs, x, 1) < 0]
 
 
-def quartic_irreducible(q: BinaryQuartic) -> bool:
-    """Is the form irreducible in Q[w, x]?
+def rational_factors(ints) -> tuple[int, list[tuple[int, ...]]]:
+    """The factorization of the integer binary quartic
+    sum c_i x^i w^(4-i) over Q: (k, forms) with an integer k and
+    primitive, irreducible integer binary forms f_i (coefficient tuples,
+    low x-degree first, of length degree + 1, with a positive last
+    nonzero coefficient) such that k * prod(f_i) is the quartic.  The
+    forms are listed by degree, then by coefficients.
 
-    w | q (the root at infinity) is checked directly, since the
-    dehomogenization drops it.  The dehomogenization f of the integer
-    model, of degree 4 with leading coefficient c4, has a linear factor
-    iff it has a rational root.  Without one, it is a product of two
-    quadratics iff the resolvent cubic of its monic transform
-    c4^3 f(y/c4) = y^4 + a y^3 + b y^2 + c y + d,
+    If the dehomogenization f has degree d < 4, the form is w^(4-d)
+    times f, and w is the form (1, 0).  Linear factors of f come from
+    its rational roots: the root p/q in lowest terms gives q x - p.  The
+    part g left without a rational root is irreducible unless it is a
+    quartic that splits into two quadratics.  That happens iff the
+    resolvent cubic of its monic transform
+    e^3 g(y/e) = y^4 + a y^3 + b y^2 + c y + d, e the leading
+    coefficient of g,
     R(r) = r^3 - b r^2 + (ac - 4d) r - (a^2 d - 4bd + c^2), has a
     rational root r for which r^2 - 4d and a^2 - 4(b - r) are both
     squares (Kappe and Warren, Amer. Math. Monthly 96, 1989): for the
     split (y^2 + s y + u)(y^2 + s' y + u'), r = u + u' is the root, and
-    u, u' and s, s' are the roots of t^2 - r t + d and t^2 + a t + (b - r).
-    None of this depends on the model's content or sign.
+    u, u' and s, s' are the roots of t^2 - r t + d and t^2 - a t + (b - r).
+    Which s goes with which u is settled by multiplying out; y = e x
+    then gives the two quadratics in x.
     """
-    ints = q.integer_square_scaled
-    if ints[4] == 0:
-        return False  # w divides the form
-    if rational_roots(ints):
-        return False
-    c0, c1, c2, c3, c4 = ints
+    d = max(i for i, c in enumerate(ints) if c)
+    f = list(ints[:d + 1])
+    factors = []
+    for root in rational_roots(f):
+        linear = (-root.numerator, root.denominator)
+        while _sign_at(f, root) == 0:
+            f = _exact_quotient(f, linear)
+            factors.append(linear)
+    if len(f) == 5:
+        factors += _quadratic_pair(f) or [tuple(_primitive(f))]
+    elif len(f) > 1:
+        factors.append(tuple(_primitive(f)))
+    k = ints[d] // math.prod(g[-1] for g in factors)
+    return k, sorted([(1, 0)] * (4 - d) + factors,
+                     key=lambda g: (len(g), g))
+
+
+def _quadratic_pair(f: list[int]) -> Optional[list[tuple[int, ...]]]:
+    """The two primitive quadratic factors of the integer quartic f with
+    no rational root, or None when it is irreducible; see
+    `rational_factors`."""
+    c0, c1, c2, c3, c4 = f
     a, b, c, d = c3, c2 * c4, c1 * c4**2, c0 * c4**3
     # R is monic with integer coefficients, so its rational roots are
-    # integers
+    # integers, and so are u, u', s and s'
     for r in rational_roots([-(a * a * d - 4 * b * d + c * c),
                              a * c - 4 * d, -b, 1]):
         r = r.numerator
-        if _is_square(r * r - 4 * d) and _is_square(a * a - 4 * (b - r)):
-            return False
-    return True
+        du, ds = r * r - 4 * d, a * a - 4 * (b - r)
+        if not (_is_square(du) and _is_square(ds)):
+            continue
+        u, s = (r + math.isqrt(du)) // 2, (a + math.isqrt(ds)) // 2
+        for u1 in (u, r - u):
+            pair = [(u1, s, 1), (r - u1, a - s, 1)]
+            if _times(*pair) == [d, c, b, a, 1]:
+                # y = c4 x: y^2 + s y + u is c4^2 x^2 + s c4 x + u
+                return [tuple(_primitive([u0, s0 * c4, c4 * c4]))
+                        for u0, s0, _ in pair]
+    return None
+
+
+def _times(f, g) -> list[int]:
+    """The product of two polynomials, low degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def form_resultant(f, g) -> int:
+    """The resultant of two integer binary forms of degrees >= 1, given
+    as in `rational_factors`: the determinant of their Sylvester matrix
+    in the coefficients of x^d, ..., w^d.  A prime that divides f(w, x)
+    and g(w, x) at coprime integers w, x divides it."""
+    d, e = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (e - 1 - i) for i in range(e)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (d - 1 - i) for i in range(d)]
+    return _determinant(rows)
+
+
+def _determinant(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by Bareiss's
+    fraction-free elimination: every division is exact."""
+    rows = [list(row) for row in rows]
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return sign * rows[-1][-1]
+
+
+def quartic_irreducible(q: BinaryQuartic) -> bool:
+    """Is the form irreducible in Q[w, x]?  It is when
+    `rational_factors` of its integer model finds one factor; none of
+    this depends on the model's content or sign."""
+    return len(rational_factors(q.integer_square_scaled)[1]) == 1
 
 
 def _is_square(n: int) -> bool:

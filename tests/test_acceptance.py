@@ -145,7 +145,7 @@ def test_criterion_6_desk_scale_emptiness():
     local_i = verify_local_everywhere(I)
     elapsed = time.time() - t0
     ok = (not res_s.found and not res_i.found and local_i.all_solvable
-          and elapsed < 20)
+          and elapsed < 10)
     _line(6, ok, "no solvable fiber up to H=500 on the constructed and "
           "Iskovskikh surfaces; Iskovskikh everywhere locally solvable",
           elapsed)

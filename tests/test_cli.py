@@ -76,9 +76,11 @@ class TestHilbert:
         code, _ = run_cli(capsys, "hilbert", "3", "5", "--place", "6")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("place", ["1", str(2**64 - 1), "-7", "x"])
+    @pytest.mark.parametrize("place", ["1", str(2**64 - 1), "-7", "x",
+                                       str(2**65)])
     def test_non_prime_place_is_usage_error(self, capsys, place):
-        # 2^64 - 1 is composite and certified so
+        # 2^64 - 1 is composite and certified so; so is 2^65, past the
+        # certified range
         code, out = run_cli(capsys, "hilbert", "697", "41",
                             "--place", place)
         assert code == EXIT_USAGE and out == ""

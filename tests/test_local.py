@@ -1,5 +1,6 @@
 """Hilbert symbols, local squares and conic solvability."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -256,6 +257,36 @@ class TestConicDecision:
         assert factorize(n).factors == tuple((p, 1) for p in primes)
         for alpha in (2, 3, -1, 697, 5):
             _check_decision(alpha, n)
+
+    def test_parts_decide_as_their_product(self):
+        # with the odd primes they share checked, parts decide as r
+        rng = random.Random(36)
+        for _ in range(400):
+            alpha = squarefree_part(rng.choice(
+                [n for n in range(-60, 61) if n]))
+            odd = _odd_primes(alpha)
+            common = rng.choice([1, 3, 5, 9, 15, 49])
+            parts = [common * rng.choice([-1, 1]) * rng.randint(1, 10**5)
+                     for _ in range(rng.randint(1, 3))]
+            shared = {p for i, a in enumerate(parts) for b in parts[i + 1:]
+                      for p in factorize(math.gcd(a, b)).primes()}
+            checked = odd + tuple(sorted(shared - {2} - set(odd)))
+            assert conic_decide(alpha, checked, *parts) == conic_decide(
+                alpha, odd, math.prod(parts)), (alpha, parts)
+
+    def test_uncertified_part_is_read_last(self):
+        # U = 2^64 + 13 has no certified factorization.  The part
+        # q = 10000121 rejects, with (3/q) = -1, whichever comes first;
+        # the product U q is past 2^64 with no prime below 10^6, so it
+        # alone cannot be decided
+        U, q = 2**64 + 13, 10000121
+        assert conic_decide(3, (3,), U, q) is False
+        assert conic_decide(3, (3,), q, U) is False
+        with pytest.raises(OutOfCertifiedRangeError):
+            conic_decide(3, (3,), U * q)
+        # no part rejects: the uncertified one raises
+        with pytest.raises(OutOfCertifiedRangeError):
+            conic_decide(5, (5,), U, 1000151)
 
     def test_rational_arguments(self):
         # conic_solvable_global moves (alpha, r) to integers of the same

@@ -45,8 +45,13 @@ class TestIsPrime:
         assert not is_prime(2**62 - 1)
 
     def test_beyond_certified_range(self):
+        # a composite past 2^64 is proven so by a small prime or a
+        # Miller-Rabin witness; only a probable prime raises
+        assert not is_prime(2**64)
+        assert not is_prime(2**65)
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
         with pytest.raises(OutOfCertifiedRangeError):
-            is_prime(2**64)
+            is_prime(2**64 + 13)
 
 
 class TestFactorize:

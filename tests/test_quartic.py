@@ -13,6 +13,7 @@ from chatelet.quartic import (
     BinaryQuartic,
     quartic_disc,
     quartic_irreducible,
+    rational_factors,
     rational_roots,
     real_root_intervals,
 )
@@ -288,6 +289,86 @@ class TestIrreducibility:
             assert quartic_irreducible(q) == expected, coeffs
             reducible += not expected
         assert 20 < reducible < len(forms) - 100
+
+
+# primes near 2^40: the quartics (a1 x^2 + Q1)(a2 x^2 + Q2) take values
+# past 2^64 at heights of a few dozen
+Q1, Q2 = 1099511627791, 1099511627689
+
+
+def _monic_factors(polys):
+    """The univariate polynomials (coefficients low degree first) made
+    monic over Q, as sorted strings."""
+    return sorted(str(sympy.Poly(list(reversed(f)), _x, domain=sympy.QQ)
+                      .monic().as_expr()) for f in polys)
+
+
+class TestRationalFactors:
+    """`rational_factors` against sympy's `factor_list` of the
+    dehomogenized form; the form w carries the degree that it drops."""
+
+    def _check(self, ints):
+        k, forms = rational_factors(ints)
+        for f in forms:
+            assert len(f) >= 2 and math.gcd(*f) == 1, f
+            assert next(c for c in reversed(f) if c) > 0, f
+        assert forms == sorted(forms, key=lambda f: (len(f), f))
+        product = [k]
+        for f in forms:
+            product = _mul(product, f)
+        assert tuple(product) == tuple(ints)
+        d = max(i for i, c in enumerate(ints) if c)
+        assert forms.count((1, 0)) == 4 - d
+        _, factors = sympy.Poly(list(reversed(ints[:d + 1])), _x,
+                                domain=sympy.QQ).factor_list()
+        want = [[int(c) for c in reversed(g.clear_denoms()[1].all_coeffs())]
+                for g, e in factors for _ in range(e)]
+        got = [f for f in forms if f != (1, 0)]
+        assert _monic_factors(got) == _monic_factors(want), ints
+        return k, forms
+
+    def test_examples(self):
+        assert rational_factors((5916, 0, 985, 0, 41)) == (
+            1, [(12, 0, 1), (493, 0, 41)])
+        # x^4 + 4 splits into two quadratics without a rational root
+        assert rational_factors((4, 0, 0, 0, 1)) == (
+            1, [(2, -2, 1), (2, 2, 1)])
+        # content, two linear factors and an irreducible quadratic
+        assert rational_factors((-6, 0, 0, 0, 6)) == (
+            6, [(-1, 1), (1, 1), (1, 0, 1)])
+        # w | q: the form w = (1, 0)
+        assert rational_factors((1, 1, 1, 1, 0)) == (
+            1, [(1, 0), (1, 1), (1, 0, 1)])
+        assert rational_factors((1, 0, -10, 0, 1)) == (
+            1, [(1, 0, -10, 0, 1)])
+
+    def test_against_sympy_factor_list(self):
+        rng = random.Random(16)
+        forms = [(4, 0, 0, 0, 1), (1, 0, -10, 0, 1), (1, 1, 1, 1, 0),
+                 (0, 0, 1, 0, 0), (0, 0, 0, 0, 7), (2, 0, 0, 0, 0),
+                 (-6, 0, 0, 0, 6), (2, 1, 9, 4, 4), (4, 0, -4, 0, 1)]
+        # the surfaces past 2^64 of the scan tests
+        forms += [(Q1 * Q2, 0, a1 * Q2 + a2 * Q1, 0, a1 * a2)
+                  for a1, a2 in ((3, 7), (7, 3), (3, 11))]
+        shapes = ((1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1), (4,), (3,),
+                  (2,), (1, 2))
+        for i in range(240):
+            # k times random factors of the given degrees; a product of
+            # degree below 4 gets a power of w, so c4 = 0
+            f = [rng.choice((1, -1, 2, -3, 6, 12))]
+            for d in shapes[i % len(shapes)]:
+                g = [rng.randint(-6, 6) for _ in range(d)]
+                f = _mul(f, g + [rng.choice((1, 2, 3, 5, -4))])
+            forms.append(tuple(f + [0] * (5 - len(f))))
+        seen = {"linear": 0, "content": 0, "w": 0, "quadratic-pair": 0}
+        for ints in forms:
+            k, fs = self._check(ints)
+            seen["linear"] += any(len(f) == 2 and f != (1, 0) for f in fs)
+            seen["content"] += abs(k) > 1
+            seen["w"] += (1, 0) in fs
+            seen["quadratic-pair"] += ([len(f) for f in fs] == [3, 3]
+                                       and fs[0][2] * fs[1][2] > 1)
+        assert min(seen.values()) >= 20, seen
 
 
 def _mul(f, g):

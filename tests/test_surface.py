@@ -436,9 +436,60 @@ def _scan_case(rng, kind, H):
             return coeffs
 
 
+def _shared_case(rng):
+    """A smooth k * f_1 * ... * f_s with small rational factors: their
+    resultants are seldom units, so at some fibers two parts share an
+    odd prime, which only the checked primes may decide."""
+    shapes = ((1, 1, 2), (1, 1, 1, 1), (2, 2), (1, 3))
+    while True:
+        f = (rng.choice((1, -1, 2, -3, 6, -6, 10)),)
+        for d in rng.choice(shapes):
+            g = tuple(rng.randint(-6, 6) for _ in range(d))
+            f = _times(f, g + (rng.randint(1, 4),))
+        if disc_from_coeffs(f) != 0:
+            return f
+
+
+def _prime_to_2alpha(g, alpha):
+    """g with the primes of 2 alpha divided out."""
+    while (h := math.gcd(g, 2 * alpha)) > 1:
+        g //= h
+    return g
+
+
+def _shares_odd_prime(parts, alpha):
+    """Do two of the parts share a prime that does not divide 2 alpha?"""
+    return any(_prime_to_2alpha(math.gcd(a, b), alpha) > 1
+               for i, a in enumerate(parts) for b in parts[i + 1:])
+
+
+def _odd_of(alpha, checked):
+    """The odd primes of alpha, which `conic_scan` puts first in its
+    checked primes."""
+    return tuple(p for p in checked if alpha % p == 0)
+
+
+def _without_resultant_primes(real):
+    """A broken decision that checks the odd primes of alpha only."""
+    return lambda alpha, checked, *parts: real(
+        alpha, _odd_of(alpha, checked), *parts)
+
+
+def _gcd_of_all_parts(real):
+    """A broken decision that falls back to the product only when a
+    prime outside 2 alpha divides all the parts at once."""
+    def decide(alpha, checked, *parts):
+        odd = _odd_of(alpha, checked)
+        if _prime_to_2alpha(math.gcd(*parts), alpha) > 1:
+            return real(alpha, odd, math.prod(parts))
+        return real(alpha, odd, *parts)
+    return decide
+
+
 class TestScanParity:
     """`conic_scan` skips fibers by the real sieve and the x -> -x
-    symmetry; its first hit must be the one of the plain double loop."""
+    symmetry, and decides a split quartic from its factor values; its
+    first hit must be the one of the plain double loop."""
 
     ALPHAS = (-1, -2, -3, -5, -6, -7, -15, -17, 1, 2, 3, 5, 7, 17, 697)
 
@@ -471,6 +522,141 @@ class TestScanParity:
                 assert len(decided) <= 1
                 seen["skipped-whole"] += 1
         assert min(seen.values()) >= 20, seen
+
+    SHARED_ALPHAS = (-1, -2, -3, -5, -6, -7, -15, 1, 2, 3, 5, 7, 15, 21)
+
+    def _shared_cases(self):
+        rng = random.Random(20261019)
+        cases = []
+        for _ in range(200):
+            coeffs = _shared_case(rng)
+            alpha, primes = square_class(rng.choice(self.SHARED_ALPHAS))
+            odd = tuple(p for p in primes if p != 2)
+            cases.append((coeffs, alpha, odd, rng.randint(1, 30)))
+        return cases
+
+    def test_shared_primes_first_hit_matches_reference(self, monkeypatch):
+        # a split quartic is decided from its parts; where two parts
+        # share an odd prime, the checked primes (those of k and of the
+        # resultants) keep the decision that of the product
+        decided = []
+        real_decide = pure.conic_decide
+        monkeypatch.setattr(pure, "conic_decide",
+                            lambda *a: decided.append(a) or real_decide(*a))
+        shared = 0
+        for coeffs, alpha, odd, H in self._shared_cases():
+            decided.clear()
+            hit = pure.conic_scan(coeffs, alpha, odd, H)
+            assert hit == _reference_scan(coeffs, alpha, odd, H), (
+                coeffs, alpha, H)
+            shared += any(_shares_odd_prime(parts, alpha)
+                          for _, _, *parts in decided)
+        assert shared >= 50, shared
+
+    @pytest.mark.parametrize("broken", [_without_resultant_primes,
+                                        _gcd_of_all_parts])
+    def test_broken_checks_are_caught(self, monkeypatch, broken):
+        # the cases above tell each broken check from the right one
+        monkeypatch.setattr(pure, "conic_decide", broken(conic_decide))
+        assert any(pure.conic_scan(coeffs, alpha, odd, H)
+                   != _reference_scan(coeffs, alpha, odd, H)
+                   for coeffs, alpha, odd, H in self._shared_cases())
+
+
+class TestFiberParts:
+    """The set-up of `conic_scan`: checked primes and fiber parts."""
+
+    def test_constructed_surface_splits(self):
+        checked, parts = pure._fiber_parts((5916, 0, 985, 0, 41), (17, 41))
+        # (x^2 + 12)(41 x^2 + 493) has resultant 1
+        assert checked == (17, 41)
+        assert parts(-7, 3) == [12 * 9 + 49, 493 * 9 + 41 * 49]
+
+    def test_shared_primes_are_checked(self):
+        # 6 x^4 - 6 = 6 (x - 1)(x + 1)(x^2 + 1): k = 6 and every
+        # resultant is +-2, so 3 joins the odd primes of alpha
+        checked, parts = pure._fiber_parts((-6, 0, 0, 0, 6), (5,))
+        assert checked == (5, 3)
+        assert parts(-7, 1) == [6 * -8, -6, 50]
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, -10, 0, 1),   # irreducible
+        (4, 0, -4, 0, 1),    # (x^2 - 2)^2: a zero resultant
+        # (x^2 - A)(x^2 - 2), A - 2 = 2^64 + 13: the resultant
+        # (A - 2)^2 has no certified prime
+        (2 * (2**64 + 15), 0, -(2**64 + 17), 0, 1),
+    ])
+    def test_one_part(self, coeffs):
+        checked, parts = pure._fiber_parts(coeffs, (3,))
+        assert checked == (3,)
+        assert parts(5, 2) == [evaluate_quartic(coeffs, 5, 2)]
+
+
+# primes near 2^40
+Q1, Q2 = 1099511627791, 1099511627689
+
+
+def _sympy_solvable(alpha, values):
+    """y^2 - alpha z^2 = prod(values) is solvable over Q: the symbol is
+    +1 at oo, 2, the primes of alpha and the primes that sympy finds in
+    each value."""
+    r = math.prod(values)
+    places = {2, *sympy.factorint(alpha)}
+    places.discard(-1)
+    if all(hilbert_symbol(alpha, r, finite_place(p)) == 1 for p in places) \
+            and hilbert_symbol(alpha, r, REAL) == 1:
+        places = {p for v in values for p in sympy.factorint(v)} - {-1}
+        return all(hilbert_symbol(alpha, r, finite_place(p)) == 1
+                   for p in places)
+    return False
+
+
+class TestSearchPast64Bits:
+    """P = (a1 x^2 + Q1)(a2 x^2 + Q2) takes values past 2^64 at height
+    30, and no prime past 2^64 is certified; each factor value stays
+    below 2^64, so the scan decides from the factors."""
+
+    @staticmethod
+    def _surface(a1, a2, alpha):
+        return ChateletSurface(
+            alpha=Fraction(alpha),
+            Ptilde=BinaryQuartic((Q1 * Q2, 0, a1 * Q2 + a2 * Q1, 0, a1 * a2)),
+            provenance="user")
+
+    @staticmethod
+    def _fibers(H):
+        yield 1, 0
+        for n in range(1, H + 1):
+            for m in range(-H, H + 1):
+                if math.gcd(m, n) == 1:
+                    yield m, n
+
+    @pytest.mark.parametrize("a1, a2, alpha", [(3, 7, 3), (7, 3, -1)])
+    def test_no_solvable_fiber(self, a1, a2, alpha):
+        S = self._surface(a1, a2, alpha)
+        assert S.Ptilde(30) > 2**64
+        assert not rational_point_search(S, 30).found
+        for m, n in self._fibers(30):
+            assert not _sympy_solvable(
+                alpha, (a1 * m * m + Q1 * n * n, a2 * m * m + Q2 * n * n))
+
+    def test_solvable_fiber_needs_resultant_primes(self):
+        # Res(3 x^2 + Q1, 11 x^2 + Q2) = (3 Q2 - 11 Q1)^2 is divisible by
+        # 31^2 and 141872468107^2, which the scan checks on the product
+        a1, a2, alpha = 3, 11, 5
+        coeffs = self._surface(a1, a2, alpha).Ptilde.integer_square_scaled
+        checked, _ = pure._fiber_parts(coeffs, (5,))
+        assert checked == (5, 31, 141872468107)
+        # the point of that fiber needs a Legendre descent through
+        # integers past 2^64, so the search itself still stops there
+        hit = pure.conic_scan(coeffs, alpha, (5,), 30)
+        assert hit == (-30, 1)
+        for m, n in self._fibers(30):
+            solvable = _sympy_solvable(
+                alpha, (a1 * m * m + Q1 * n * n, a2 * m * m + Q2 * n * n))
+            assert solvable == ((m, n) == hit)
+            if solvable:
+                break
 
 
 class TestIntegerModel:
