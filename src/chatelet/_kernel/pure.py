@@ -20,7 +20,7 @@ checked.  So is a split quartic whose k or resultants cannot be
 factored with certified primes, or have a zero resultant (a repeated
 factor).
 
-Two rules skip fibers before any evaluation, and neither changes the
+Three rules skip fibers before any evaluation, and none changes the
 first hit:
 
 * *Real sieve.*  For alpha < 0 the conic y^2 - alpha z^2 = r has no real
@@ -30,6 +30,26 @@ first hit:
   place.  Its integer bounds come from exact floor and ceiling of
   Fractions; a zero value can only sit at a root, which lies in an
   isolating interval and never inside a segment.
+* *Disc sieve.*  At 2 and at each checked prime p the scan walks the
+  residue discs of :func:`chatelet.quartic.residue_discs` once, to the
+  largest depth whose p-power is at most the number of pairs (m, n) it
+  visits, about 2H^2, and keeps the discs of constant square class on
+  which the symbol (alpha, P~)_p is -1.  On such a disc,
+  x = x0 mod p^k with e = v_p(P~(x0)) < k at odd p and e <= k - 3 at
+  2, every value is P~(x0)(1 + p^(k-e) t) with t in Z_p, and
+  1 + p^(k-e) t is a square in Z_p; so the symbol of the centre holds
+  on the whole disc, a fiber there has no Q_p-point, and by
+  Hasse-Minkowski no rational one.  A point (m : n) with
+  gcd(m, n) = 1 lies at x = m n^-1 in Z_p when p does not divide n,
+  and at w = n m^-1 in pZ_p otherwise.  So one `bytes` table of the
+  residues of the kept affine discs modulo p^K, K the depth of the
+  deepest, and one of the kept discs at infinity reject it by one
+  lookup.  Discs with a root, Newton discs and discs still open at the
+  walk's depth are never skipped, and a kept disc holds no zero value,
+  so no zero fiber is skipped.  The walk may take no more discs than a
+  row of the scan has pairs, 2H + 1, so that a scan that stops early
+  pays little for it: a p above that, or a walk that needs more, gives
+  no table.
 * *Symmetry.*  When c1 = c3 = 0 the form is even in x, so m and -m give
   the same value.  The full loop takes m = -H..H in increasing order,
   so its first hit at each n is the most negative solvable m, which is
@@ -42,9 +62,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
-from chatelet.local import conic_decide
+from chatelet.local import conic_decide, finite_place, hilbert_symbol
 from chatelet.numbers import OutOfCertifiedRangeError, factorize
 from chatelet.quartic import (
     evaluate_form,
@@ -52,6 +73,7 @@ from chatelet.quartic import (
     form_resultant,
     negative_segments,
     rational_factors,
+    residue_discs,
 )
 
 
@@ -61,8 +83,8 @@ def conic_scan(coeffs, alpha: int, alpha_odd_primes,
     y^2 - alpha*z^2 = value-of-quartic is solvable over Q, or None.
 
     Enumerates n = 0 (only (1, 0), i.e. x = infinity) then n = 1..H with
-    m = -H..H coprime to n, less the m that the real sieve and the
-    symmetry of the module docstring skip.  A zero quartic value counts
+    m = -H..H coprime to n, less the m that the real sieve, the disc
+    sieve and the symmetry of the module docstring skip.  A zero quartic value counts
     as solvable (the degenerate fiber carries the point (x, 0, 0)).
     """
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
@@ -71,13 +93,91 @@ def conic_scan(coeffs, alpha: int, alpha_odd_primes,
     segments = (negative_segments(coeffs, Fraction(1, (H + 1) ** 2))
                 if alpha < 0 else [])
     checked, parts = _fiber_parts(coeffs, alpha_odd_primes)
+    sieves = _disc_sieves(coeffs, alpha, checked, H)
     for n in range(H + 1):
-        for m in (_unsieved(segments, n, H, top) if n else (1,)):
-            if math.gcd(m, n) == 1:
-                values = parts(m, n)
-                if 0 in values or conic_decide(alpha, checked, *values):
-                    return m, n
+        spans = _unsieved(segments, n, H, top) if n else [(1,)]
+        row = [m for span in spans for m in span if math.gcd(m, n) == 1]
+        for sieve in sieves:
+            row = _survivors(sieve, n, row)
+        for m in row:
+            values = parts(m, n)
+            if 0 in values or conic_decide(alpha, checked, *values):
+                return m, n
     return None
+
+
+def _disc_sieves(coeffs, alpha: int, checked, H: int) -> list:
+    """The `_disc_sieve`s of 2 and of the checked primes for a scan of
+    height H, which visits 1 + H(2H + 1) pairs (m, n), 2H + 1 to a row,
+    where they find a disc."""
+    pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
+    return [sieve for p in (2, *checked)
+            if (sieve := _disc_sieve(coeffs, alpha, p, pairs, row))]
+
+
+def _disc_sieve(coeffs, alpha: int, p: int, pairs: int, row: int):
+    """(p, affine, at_infinity): the residue discs of `residue_discs` on
+    which the symbol (alpha, P~)_p is -1, or None when there is none.
+    The affine discs make a table read at x = m/n in Z_p and those at
+    infinity one read at w = n/m in pZ_p; each is the `_table` of its
+    discs, or None.
+
+    The walk goes to the largest depth K with p^K <= pairs.  It must
+    cost no more than a row of the scan, so it gets no more than `row`
+    discs: a p above that gets no walk, and a walk that needs more is
+    dropped.  A scan that stops early then pays little for its tables.
+    """
+    if p > row:
+        return None
+    depth = 1
+    while p ** (depth + 1) <= pairs:
+        depth += 1
+    discs = list(islice(residue_discs(coeffs, p, depth), row + 1))
+    if len(discs) > row:
+        return None
+    place = finite_place(p)
+    affine, at_infinity = [], []
+    for (m, n), k, kind in discs:
+        if kind == "class" and hilbert_symbol(
+                alpha, evaluate_quartic(coeffs, m, n), place) == -1:
+            # the disc is the residues of m, or at infinity of n, mod p^k
+            if n == 1:
+                affine.append((m, p**k))
+            else:
+                at_infinity.append((n, p**k))
+    if not affine and not at_infinity:
+        return None
+    return p, _table(affine), _table(at_infinity)
+
+
+def _table(discs):
+    """(p^K, bytes) with entry 1 on the residues start mod step of each
+    disc (start, step), K the depth of the deepest; None for no disc."""
+    if not discs:
+        return None
+    modulus = max(step for _, step in discs)
+    table = bytearray(modulus)
+    for start, step in discs:
+        table[start::step] = b"\x01" * (modulus // step)
+    return modulus, bytes(table)
+
+
+def _survivors(sieve, n: int, row: list[int]) -> list[int]:
+    """The m of the row whose point (m : n), gcd(m, n) = 1, lies in no
+    disc of the sieve: its tables are read at x = m n^-1 mod p^K when p
+    does not divide n, and otherwise at w = n m^-1 mod p^K, m being a
+    unit at p."""
+    p, affine, at_infinity = sieve
+    if n % p:
+        if affine is None:
+            return row
+        modulus, table = affine
+        u = pow(n, -1, modulus)
+        return [m for m in row if not table[m * u % modulus]]
+    if at_infinity is None:
+        return row
+    modulus, table = at_infinity
+    return [m for m in row if not table[n * pow(m, -1, modulus) % modulus]]
 
 
 def _fiber_parts(coeffs, alpha_odd_primes):
@@ -118,18 +218,22 @@ def _evaluator(f):
     return lambda m, n: evaluate_form(f, m, n)
 
 
-def _unsieved(segments, n: int, H: int, top: int):
-    """The m in -H..top, in increasing order, with m/n in no segment.
+def _unsieved(segments, n: int, H: int, top: int) -> list[range]:
+    """The ranges of the m in -H..top, in increasing order, with m/n in
+    no segment.
 
     m/n lies in the open segment (left, right) iff
-    floor(left*n) < m < ceil(right*n); the segments are disjoint and
+    floor(left*n) < m < ceil(right*n), both read in integers from the
+    ends' numerators and denominators; the segments are disjoint and
     increasing, so these ranges are too.
     """
-    start = -H
+    spans, start = [], -H
     for left, right in segments:
-        stop = -H if left is None else math.floor(left * n) + 1
-        yield from range(start, min(stop, top + 1))
+        stop = -H if left is None else \
+            left.numerator * n // left.denominator + 1
+        spans.append(range(start, min(stop, top + 1)))
         if right is None:
-            return
-        start = max(start, math.ceil(right * n))
-    yield from range(start, top + 1)
+            return spans
+        start = max(start, -(-right.numerator * n // right.denominator))
+    spans.append(range(start, top + 1))
+    return spans

@@ -20,7 +20,11 @@ the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
 walk over its intervals: one rational point on each piece of the real
 line where P has one sign.  The real-place sweep of `chatelet.surface`
 certifies one of these points, and the scan's real sieve reads them
-through `negative_segments`.
+through `negative_segments`.  `residue_discs` is the one p-adic walk:
+residue discs that tile P^1(Z_p), each of constant square class,
+centred at a root, holding one by Newton's criterion, or left open at a
+given depth.  The p-adic sweep of `chatelet.surface` and the scan's disc
+sieve read it.
 """
 
 from __future__ import annotations
@@ -29,14 +33,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Optional
 
-from chatelet.numbers import Rational, partial_factorize
+from chatelet.numbers import (
+    Rational,
+    horner,
+    partial_factorize,
+    split_valuation,
+)
 
 __all__ = ["BinaryQuartic", "evaluate_form", "evaluate_quartic",
            "form_resultant", "negative_segments", "quartic_disc",
            "quartic_irreducible", "rational_factors", "rational_roots",
-           "real_root_intervals", "sign_points"]
+           "real_root_intervals", "residue_discs", "sign_points"]
 
 
 def evaluate_quartic(coeffs, m, n):
@@ -343,6 +353,74 @@ def negative_segments(coeffs, eps) -> list[tuple[Optional[Fraction],
     return [(left, right) for left, x, right in sign_points(coeffs, eps)
             if (left is None or right is None or left < right)
             and evaluate_quartic(coeffs, x, 1) < 0]
+
+
+def residue_discs(coeffs, p: int, depth: int):
+    """The residue discs that tile P^1(Z_p) for the integer binary
+    quartic P~ = sum c_i x^i w^(4-i), as (centre, k, kind) in depth-first
+    order.
+
+    A disc is a projective point centre = (m, n) and a depth k >= 1: the
+    affine disc x = m mod p^k, from the centres (x0, 1) with
+    x0 = 0..p-1, or the disc at infinity (1, w) with w = n mod p^k, from
+    the centre (1, 0) with w = 0 mod p.  Its kind is
+    * "root": P~(centre) = 0;
+    * "class": P~ has one square class on the disc, that of P~(centre).
+      This holds when e = v_p(P~(centre)) < k at odd p and e <= k - 3 at
+      p = 2: every value on the disc is P~(centre) + p^k t with t in
+      Z_p, that is P~(centre)(1 + p^(k-e) t'), and 1 + p^j t' is a square
+      in Z_p once j >= 1 at odd p and j >= 3 at 2 (Hensel);
+    * "newton": Newton's criterion e > 2 v_p(P~'(centre)) holds in the
+      disc's chart, so the disc holds a Q_p-root of P~;
+    * "open": none of these by depth k = `depth`.
+    Any other disc is split into its p children, the affine ones
+    m + j p^k or those at infinity n + j p^k, j = 0..p-1.  The walk ends:
+    off the roots of P~ the valuations are bounded, and at a simple root
+    Newton's criterion holds on a small enough disc.
+    """
+    # the derivatives of P~(1, x) and P~(w, 1), for the Newton criterion
+    df_x, df_w = _derivative(coeffs), _derivative(coeffs[::-1])
+    low = _unit_square_depth(p)
+    # one iterator of sibling centres per depth, so memory stays
+    # O(depth) however large p is
+    stack = [(chain(zip(range(p), repeat(1)), [(1, 0)]), 1)]
+    while stack:
+        centres, k = stack[-1]
+        centre = next(centres, None)
+        if centre is None:
+            stack.pop()
+            continue
+        m, n = centre
+        value = evaluate_quartic(coeffs, m, n)
+        if value == 0:
+            yield centre, k, "root"
+            continue
+        e = split_valuation(value, p)[0]
+        if e <= k - low:
+            yield centre, k, "class"
+            continue
+        affine = n == 1
+        deriv = horner(df_x, m) if affine else horner(df_w, n)
+        if deriv != 0 and e > 2 * split_valuation(deriv, p)[0]:
+            yield centre, k, "newton"
+        elif k >= depth:
+            yield centre, k, "open"
+        else:
+            step = p**k
+            children = (zip(range(m, m + p * step, step), repeat(1))
+                        if affine else
+                        zip(repeat(1), range(n, n + p * step, step)))
+            stack.append((children, k + 1))
+
+
+def _unit_square_depth(p: int) -> int:
+    """The least j for which every 1 + p^j t, t in Z_p, is a square in
+    Z_p: 1 at odd p, 3 at p = 2."""
+    return 3 if p == 2 else 1
+
+
+def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0,)
 
 
 def rational_factors(ints) -> tuple[int, list[tuple[int, ...]]]:

@@ -32,11 +32,9 @@ from chatelet.local import (
 from chatelet.numbers import (
     Rational,
     factorize,
-    horner,
     is_prime,
     legendre,
     partial_factorize,
-    split_valuation,
     square_class,
     valuation,
 )
@@ -44,6 +42,7 @@ from chatelet.quartic import (
     BinaryQuartic,
     evaluate_quartic,
     quartic_disc,
+    residue_discs,
     sign_points,
 )
 
@@ -285,59 +284,31 @@ def _certify(S: ChateletSurface, x: ProjectivePoint,
 
 
 def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
-    """Exact decision of V(Q_p) != 0 by adaptive residue subdivision.
+    """Exact decision of V(Q_p) != 0 over the residue discs of
+    `residue_discs`: the first disc whose kind certifies a point.
 
-    A residue class x = x0 mod p^k where the value P~(x) has valuation
-    small relative to k has a constant square class, hence a decided
-    Hilbert symbol.  Undecided classes are split into their p children;
-    classes passing the Newton criterion contain a Q_p-root of P~ (a
-    degenerate fiber with an obvious point).  Terminates for smooth
-    surfaces: valuations away from roots are bounded, and roots in Q_p
-    are simple, so Newton eventually certifies them.
-
-    The classes are projective points: (x0, 1) for x0 = 0..p-1, whose
-    children vary x0, and at infinity (1, w0) with w0 = 0 mod p, whose
-    children vary w0.
+    A disc of constant square class certifies when the Hilbert symbol of
+    its centre is +1; a root or a Newton disc holds a Q_p-root of P~, a
+    degenerate fiber with an obvious point.  The discs tile P^1(Z_p), so
+    when none certifies, V(Q_p) is empty.  The walk ends for smooth
+    surfaces; one still open at a depth beyond the valuations of 4 alpha
+    and disc(P~) is an error.
     """
     p = v.p
     f = S.Ptilde.integer_square_scaled
-    # the derivatives of P~(1, x) and P~(w, 1), for the Newton criterion
-    df_x, df_w = _derivative(f), _derivative(f[::-1])
     base = valuation(4 * S.alpha, p) + valuation(S.disc, p)
     max_depth = abs(base) + 3 + 64
-
-    def decide(x: ProjectivePoint, k: int) -> Optional[CertifiedLocalX]:
-        m, n = x
-        value = evaluate_quartic(f, m, n)
-        e = split_valuation(value, p)[0] if value else 0
-        if value == 0 or ((e <= k - 3) if p == 2 else (e < k)):
-            # a root, or one square class on all of x mod p^k
-            return _certificate(S, x, v, value)
-        affine = n == 1
-        deriv = horner(df_x, m) if affine else horner(df_w, n)
-        if deriv != 0 and e > 2 * split_valuation(deriv, p)[0]:
-            # Newton/Hensel: a Q_p-root of the quartic near x
-            return CertifiedLocalX(x, v, "degenerate")
-        if k >= max_depth:
-            raise ArithmeticError(
-                f"local decision at p={p} did not stabilize by depth {k}")
-        step = p**k
-        for j in range(p):
-            child = (m + j * step, 1) if affine else (1, n + j * step)
-            found = decide(child, k + 1)
+    for x, k, kind in residue_discs(f, p, max_depth):
+        if kind == "class":
+            found = _certify(S, x, v)
             if found is not None:
                 return found
-        return None
-
-    for x in [(x0, 1) for x0 in range(p)] + [INFINITY]:
-        found = decide(x, 1)
-        if found is not None:
-            return found
+        elif kind == "open":
+            raise ArithmeticError(
+                f"local decision at p={p} did not stabilize by depth {k}")
+        else:
+            return CertifiedLocalX(x, v, "degenerate")
     return None
-
-
-def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0,)
 
 
 def _real_sweep(S: ChateletSurface) -> Optional[CertifiedLocalX]:
@@ -558,15 +529,18 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
 
     Exhaustive over the x-range; a found fiber x comes with an exact
     point (y, z) of its conic, and found=False means NO fiber of height
-    <= H is solvable over Q.  The scan (`conic_scan`) skips two kinds
-    of fiber without deciding them, and both skips are exact.  For
+    <= H is solvable over Q.  The scan (`conic_scan`) skips three kinds
+    of fiber without deciding them, and every skip is exact.  For
     alpha < 0 it skips the x strictly inside a segment where P < 0.
     Such a segment is a piece of `sign_points`, the walk over the real
     roots that the real sweep also takes, so P has one sign on it, and
-    y^2 - alpha z^2 < 0 has no real point.  When P is
-    even in x it skips m > 0, since m and -m give one value and the
-    full loop meets -m first.  It returns the same first fiber as the
-    loop over every x.
+    y^2 - alpha z^2 < 0 has no real point.  At 2 and at the primes it
+    checks it skips the x in a residue disc of `residue_discs`, the
+    walk that the p-adic sweep also takes, on which P~ has one square
+    class with symbol (alpha, P~)_p = -1, so the fiber has no p-adic
+    point.  When P is even in x it skips m > 0, since m and -m give one
+    value and the full loop meets -m first.  It returns the same first
+    fiber as the loop over every x.
     """
     S.require_smooth()
     alpha_sf, alpha_primes = square_class(S.alpha)

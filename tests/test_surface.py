@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from chatelet import quartic as quartic_mod
 from chatelet import surface as surface_mod
 from chatelet._kernel import pure
 from chatelet.local import (
@@ -17,14 +18,16 @@ from chatelet.local import (
     hilbert_symbol,
     is_local_square,
 )
-from chatelet.numbers import horner, square_class
+from chatelet.numbers import horner, split_valuation, square_class
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
     evaluate_quartic,
     negative_segments,
+    residue_discs,
 )
 from chatelet.surface import (
+    CertifiedLocalX,
     ChateletParams,
     ChateletSurface,
     InvariantNotConstantError,
@@ -226,6 +229,118 @@ class TestLocalSolvability:
         with pytest.raises(ArithmeticError,
                            match="too large for exact residue enumeration"):
             local_solvable_surface(S, v)
+
+
+def _reference_sweep(S, v):
+    """The p-adic sweep as a recursion over residue classes, the walk of
+    `residue_discs` written out: the first class that certifies a
+    point, or None."""
+    p = v.p
+    f = S.Ptilde.integer_square_scaled
+    df_x = tuple(i * c for i, c in enumerate(f))[1:]
+    df_w = tuple(i * c for i, c in enumerate(f[::-1]))[1:]
+
+    def decide(x, k):
+        m, n = x
+        value = evaluate_quartic(f, m, n)
+        if value == 0:
+            return CertifiedLocalX(x, v, "degenerate")
+        e = split_valuation(value, p)[0]
+        if (e <= k - 3) if p == 2 else (e < k):
+            return CertifiedLocalX(x, v, 1) \
+                if hilbert_symbol(S.alpha, value, v) == 1 else None
+        deriv = horner(df_x, m) if n == 1 else horner(df_w, n)
+        if deriv != 0 and e > 2 * split_valuation(deriv, p)[0]:
+            return CertifiedLocalX(x, v, "degenerate")
+        for j in range(p):
+            child = (m + j * p**k, 1) if n == 1 else (1, n + j * p**k)
+            found = decide(child, k + 1)
+            if found is not None:
+                return found
+        return None
+
+    for x in [(x0, 1) for x0 in range(p)] + [(1, 0)]:
+        found = decide(x, 1)
+        if found is not None:
+            return found
+    return None
+
+
+class TestResidueDiscs:
+    """`residue_discs`, the one p-adic walk: it tiles P^1(Z_p), and the
+    local decider and the scan's disc sieve both read it."""
+
+    SURFACES = {"constructed": lambda: build_surface(find_params(100)),
+                "iskovskikh": iskovskikh}
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 41])
+    @pytest.mark.parametrize("name", ["constructed", "iskovskikh"])
+    def test_discs_tile_the_line(self, name, p):
+        f = self.SURFACES[name]().Ptilde.integer_square_scaled
+        deepest = max(k for _, k, _ in residue_discs(f, p, 80))
+        for depth in (1, 2, 80):
+            discs = list(residue_discs(f, p, depth))
+            affine = [(m, k) for (m, n), k, _ in discs if n == 1]
+            at_infinity = [(n, k) for (m, n), k, _ in discs if n != 1]
+            assert all(m == 1 and n % p == 0
+                       for (m, n), _, _ in discs if n != 1)
+            # measures p^-k: all of Z_p, and pZ_p in w = 1/x
+            assert sum(Fraction(1, p**k) for _, k in affine) == 1
+            assert sum(Fraction(1, p**k) for _, k in at_infinity) == \
+                Fraction(1, p)
+            for chart in (affine, at_infinity):
+                for i, (a, k) in enumerate(chart):
+                    for b, j in chart[i + 1:]:
+                        assert (a - b) % p**min(k, j), (a, k, b, j)
+            kinds = [kind for _, _, kind in discs]
+            assert ("open" in kinds) == (depth < deepest)
+            for (m, n), k, kind in discs:
+                value = evaluate_quartic(f, m, n)
+                assert (value == 0) == (kind == "root")
+                if kind != "class":
+                    continue
+                # one square class: value(t) / value is a p-adic square
+                for t in range(1, 6):
+                    point = (m + t * p**k, 1) if n == 1 else \
+                        (1, n + t * p**k)
+                    ratio = Fraction(evaluate_quartic(f, *point), value)
+                    assert is_local_square(ratio, finite_place(p))
+
+    def test_disc_counts(self):
+        # the cover of the constructed surface at its bad places
+        f = build_surface(find_params(100)).Ptilde.integer_square_scaled
+        counts = {p: (len(discs), max(k for _, k, _ in discs),
+                      sum(kind == "newton" for _, _, kind in discs))
+                  for p in (2, 3, 17, 29, 41)
+                  for discs in [list(residue_discs(f, p, 80))]}
+        assert counts == {2: (52, 7, 0), 3: (6, 2, 2), 17: (34, 2, 0),
+                          29: (58, 2, 0), 41: (82, 2, 0)}
+
+    def test_sweep_matches_recursion(self):
+        # the seeded cases of TestLocalSolvability, and the two surfaces
+        # at their bad places, give the certificate of the recursion
+        cases = [(S, finite_place(p))
+                 for S in (build_surface(find_params(100)), iskovskikh())
+                 for p in (2, 3, 17, 29, 41)]
+        cases.append((ChateletSurface(
+            alpha=Fraction(3), Ptilde=BinaryQuartic((-4, 1, 2, -3, 3)),
+            provenance="user"), finite_place(3)))
+        rng = random.Random(5)
+        for _ in range(40):
+            coeffs = tuple(rng.randint(-8, 8) for _ in range(5))
+            if all(c == 0 for c in coeffs):
+                continue
+            S = ChateletSurface(alpha=Fraction(rng.choice([-1, 2, 3, -5])),
+                                Ptilde=BinaryQuartic(coeffs),
+                                provenance="user")
+            if S.disc != 0:
+                cases += [(S, finite_place(p)) for p in (2, 3, 5)]
+        unsolvable = 0
+        for S, v in cases:
+            want = _reference_sweep(S, v)
+            assert surface_mod._residue_sweep(S, v) == want, (S, v)
+            unsolvable += want is None
+        assert len(cases) > 100 and unsolvable
 
 
 _X = sympy.Symbol("x")
@@ -486,27 +601,60 @@ def _gcd_of_all_parts(real):
     return decide
 
 
+def _sieve_skips(coeffs, alpha, odd, H):
+    """(m, n, p) for each coprime pair of height <= H that the disc sieve
+    of `conic_scan` at p skips, read from the whole row m = -H..H."""
+    checked, _ = pure._fiber_parts(coeffs, odd)
+    for sieve in pure._disc_sieves(coeffs, alpha, checked, H):
+        for n in range(H + 1):
+            row = [m for m in (range(-H, H + 1) if n else (1,))
+                   if math.gcd(m, n) == 1]
+            kept = set(pure._survivors(sieve, n, row))
+            yield from ((m, n, sieve[0]) for m in row if m not in kept)
+
+
+def _unproven_skip(coeffs, alpha, odd, m, n, p):
+    """Is the skip of (m : n) at p wrong: a zero value, a symbol at p
+    other than -1, or a fiber that the unsieved `conic_decide` accepts?"""
+    r = evaluate_quartic(coeffs, m, n)
+    return (r == 0 or hilbert_symbol(alpha, r, finite_place(p)) != -1
+            or conic_decide(alpha, odd, r))
+
+
+def _newton_as_class(real):
+    """A broken disc walk that takes Newton discs for discs of constant
+    class."""
+    return lambda *args: ((centre, k, "class" if kind == "newton" else kind)
+                          for centre, k, kind in real(*args))
+
+
 class TestScanParity:
-    """`conic_scan` skips fibers by the real sieve and the x -> -x
-    symmetry, and decides a split quartic from its factor values; its
-    first hit must be the one of the plain double loop."""
+    """`conic_scan` skips fibers by the real sieve, the disc sieve and
+    the x -> -x symmetry, and decides a split quartic from its factor
+    values; its first hit must be the one of the plain double loop."""
 
     ALPHAS = (-1, -2, -3, -5, -6, -7, -15, -17, 1, 2, 3, 5, 7, 17, 697)
 
-    def test_first_hit_matches_reference(self, monkeypatch):
+    def _random_cases(self):
         rng = random.Random(20261018)
-        decided = []
-        real_decide = pure.conic_decide
-        monkeypatch.setattr(pure, "conic_decide",
-                            lambda *a: decided.append(a) or real_decide(*a))
         kinds = ("random", "even", "rational-root", "negative-definite")
-        seen = {"none": 0, "boundary-zero": 0, "skipped-whole": 0}
+        cases = []
         for i in range(400):
             kind = kinds[i % 4]
             H = rng.randint(0, 30)
             coeffs = _scan_case(rng, kind, H)
             alpha, primes = square_class(rng.choice(self.ALPHAS))
             odd = tuple(p for p in primes if p != 2)
+            cases.append((kind, coeffs, alpha, odd, H))
+        return cases
+
+    def test_first_hit_matches_reference(self, monkeypatch):
+        decided = []
+        real_decide = pure.conic_decide
+        monkeypatch.setattr(pure, "conic_decide",
+                            lambda *a: decided.append(a) or real_decide(*a))
+        seen = {"none": 0, "boundary-zero": 0, "skipped-whole": 0}
+        for kind, coeffs, alpha, odd, H in self._random_cases():
             decided.clear()
             hit = pure.conic_scan(coeffs, alpha, odd, H)
             want = _reference_scan(coeffs, alpha, odd, H)
@@ -522,6 +670,44 @@ class TestScanParity:
                 assert len(decided) <= 1
                 seen["skipped-whole"] += 1
         assert min(seen.values()) >= 20, seen
+
+    def _all_cases(self):
+        return [case[1:] for case in self._random_cases()] + \
+            self._shared_cases()
+
+    def test_disc_sieve_skips_only_rejected_fibers(self):
+        # every fiber a disc table skips has symbol -1 at its prime, so
+        # the unsieved decision rejects it; the first hits are checked
+        # against the plain loop above and below
+        seen = {"no 2-table": 0, "2 | alpha": 0, "at infinity": 0}
+        for coeffs, alpha, odd, H in self._all_cases():
+            skips = list(_sieve_skips(coeffs, alpha, odd, H))
+            for m, n, p in skips:
+                assert not _unproven_skip(coeffs, alpha, odd, m, n, p), (
+                    coeffs, alpha, (m, n), p)
+            if alpha % 8 == 1 and H:
+                assert all(p != 2 for _, _, p in skips)
+                seen["no 2-table"] += 1
+            seen["2 | alpha"] += alpha % 2 == 0 and \
+                any(p == 2 for _, _, p in skips)
+            seen["at infinity"] += any(n % p == 0 for _, n, p in skips)
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("module, name, broken", [
+        # the constancy rule loosened by one: v <= k at odd p ...
+        (quartic_mod, "_unit_square_depth",
+         lambda real: lambda p: 3 if p == 2 else 0),
+        # ... and v <= k - 2 at 2
+        (quartic_mod, "_unit_square_depth",
+         lambda real: lambda p: 2 if p == 2 else 1),
+        (pure, "residue_discs", _newton_as_class),
+    ], ids=["odd-p-by-one", "two-by-one", "newton-decided"])
+    def test_broken_discs_are_caught(self, monkeypatch, module, name,
+                                     broken):
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        assert any(_unproven_skip(coeffs, alpha, odd, m, n, p)
+                   for coeffs, alpha, odd, H in self._all_cases()
+                   for m, n, p in _sieve_skips(coeffs, alpha, odd, H))
 
     SHARED_ALPHAS = (-1, -2, -3, -5, -6, -7, -15, 1, 2, 3, 5, 7, 15, 21)
 
@@ -592,6 +778,31 @@ class TestFiberParts:
         assert parts(5, 2) == [evaluate_quartic(coeffs, 5, 2)]
 
 
+class TestDiscWalkBudget:
+    """A walk behind the scan's disc tables costs no more than a row of
+    the scan: 2H + 1 discs."""
+
+    def test_prime_past_a_row_gets_no_walk(self, monkeypatch):
+        # the walk at 1000003 would cost 500 rows of this scan, whose hit
+        # is in its first row
+        walked = []
+        real = pure.residue_discs
+        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
+            walked.append(p) or real(f, p, depth)))
+        hit = pure.conic_scan((7, 1, 0, 2, 3), 1000003, (1000003,), 1000)
+        assert hit == (-990, 1)
+        assert walked == [2]
+
+    def test_walk_past_a_row_is_dropped(self):
+        # 41 divides every value, so every disc at 41 splits once: 1722
+        # discs, more than a row at height 30 and fewer than at 1000
+        coeffs = tuple(41 * c for c in (1, 1, 0, 0, 1))
+        assert len(list(residue_discs(coeffs, 41, 2))) == 1722
+        assert pure._disc_sieves(coeffs, 41, (41,), 30) == []
+        assert [sieve[0] for sieve in
+                pure._disc_sieves(coeffs, 41, (41,), 1000)] == [41]
+
+
 # primes near 2^40
 Q1, Q2 = 1099511627791, 1099511627689
 
@@ -657,6 +868,21 @@ class TestSearchPast64Bits:
             assert solvable == ((m, n) == hit)
             if solvable:
                 break
+
+    def test_large_checked_primes_get_no_table(self, monkeypatch):
+        # height 30 visits 1 + 30 * 61 = 1831 pairs, so the walk at 2 goes
+        # to depth 10, at 5 to 4 and at 31 to 2, and 141872468107 gets no
+        # walk and no table; the hit is the one found above
+        coeffs = self._surface(3, 11, 5).Ptilde.integer_square_scaled
+        walked = []
+        real = pure.residue_discs
+        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
+            walked.append((p, depth)) or real(f, p, depth)))
+        assert pure.conic_scan(coeffs, 5, (5,), 30) == (-30, 1)
+        assert walked == [(2, 10), (5, 4), (31, 2)]
+        checked, _ = pure._fiber_parts(coeffs, (5,))
+        assert [sieve[0] for sieve in
+                pure._disc_sieves(coeffs, 5, checked, 30)] == [2, 5]
 
 
 class TestIntegerModel:
