@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from chatelet.local import Place
-from chatelet.numbers import horner, squarefree_part
+from chatelet.numbers import squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
+    evaluate_form,
     quartic_irreducible,
     rational_roots,
 )
@@ -39,7 +40,7 @@ __all__ = [
     "FiberRecord", "BundleReport", "RealShrink", "NonarchShrink",
     "make_bundle", "fiber_at", "bad_fibers", "good_d_candidates",
     "pullback", "pullback_fiber", "pullback_fiber_param",
-    "shrink_map", "standard_g", "RationalMap", "default_sample_ts",
+    "standard_g", "RationalMap", "default_sample_ts",
     "verify_pullback", "bundle_to_json",
 ]
 
@@ -295,8 +296,8 @@ class RationalMap:
             if dn < dd:
                 return Fraction(0)
             return self.num[dn] / self.den[dd]
-        n = horner(self.num, Fraction(y))
-        d = horner(self.den, Fraction(y))
+        n = evaluate_form(self.num, Fraction(y), 1)
+        d = evaluate_form(self.den, Fraction(y), 1)
         if d == 0:
             return None
         return n / d
@@ -350,19 +351,6 @@ class NonarchShrink:
             if pow(u, self.M, mod) % target_mod != 1:
                 return False
         return True
-
-
-def shrink_map(kind: str, **kw) -> Union[RealShrink, NonarchShrink]:
-    """shrink_map("real", m=...) or
-    shrink_map("nonarch", p=..., r=..., g=RationalMap-or-target)."""
-    if kind == "real":
-        return RealShrink(m=kw["m"])
-    if kind == "nonarch":
-        g = kw["g"]
-        if not isinstance(g, RationalMap):
-            g = standard_g(Fraction(g))
-        return NonarchShrink(p=kw["p"], r=kw["r"], g=g)
-    raise ValueError(f"unknown shrink kind: {kind}")
 
 
 # ---------------------------------------------------------------------------

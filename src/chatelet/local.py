@@ -10,11 +10,14 @@ that formula on r at 2, at the primes of alpha and at the primes that
 two parts may share, then reads the remaining primes of each part, with
 their full exponents, from the package's one factoring routine
 `chatelet.numbers.prime_factors` and stops at the first that rejects.
+It returns None for an unsolvable conic and the square class of r for
+a solvable one, collected on the way, so r's primes are read once.
 This module does no factoring of its own.  The fiber scan of
 `chatelet._kernel.pure` and `conic_solvable_global` both call it.  A
 rational point of a solvable conic is found exactly by Legendre's
-descent and checked by substitution.  An independent
-exhaustive-enumeration oracle is provided for testing the closed form.
+descent from that square class and checked by substitution.  An
+independent exhaustive-enumeration oracle is provided for testing the
+closed form.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
     "Place", "REAL", "finite_place",
     "hilbert_symbol", "hilbert_bruteforce_oracle", "product_formula_check",
     "is_local_square", "inv_from_symbol",
-    "conic_solvable_global", "support_places",
+    "conic_decide", "conic_solvable_global", "support_places",
 ]
 
 INV_ZERO = Fraction(0)
@@ -248,7 +251,8 @@ def conic_solvable_global(
     Exact: alpha and r are moved to integers of the same square classes
     (alpha squarefree) and decided by `conic_decide`.  With want_witness,
     a solvable conic also returns a rational point (y, z), found by
-    Legendre descent and checked by substitution (`_conic_point`).
+    Legendre descent from the square class of r that the decision read
+    and checked by substitution (`_conic_point`).
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -256,24 +260,27 @@ def conic_solvable_global(
         return True, (Fraction(0), Fraction(0))
     alpha_sf, alpha_primes = square_class(alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)
-    if not conic_decide(alpha_sf, odd_primes, _integral(r)):
+    r_class = conic_decide(alpha_sf, odd_primes, _integral(r))
+    if r_class is None:
         return False, None
     if not want_witness:
         return True, None
     return True, _conic_point(Fraction(alpha), alpha_sf, alpha_primes,
-                              Fraction(r))
+                              Fraction(r), *r_class)
 
 
 def conic_decide(alpha: int, checked_primes: tuple[int, ...],
-                 *parts: int) -> bool:
+                 *parts: int) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q,
-    where r is the product of the nonzero integers ``parts``.
+    where r is the product of the nonzero integers ``parts``: None when
+    a place rejects, and otherwise the square class (R, primes of R) of
+    r, as `chatelet.numbers.square_class` gives it.
 
     ``alpha`` must be a squarefree integer, and ``checked_primes`` must
-    hold its odd primes and every odd prime that divides two of the
-    parts; with one part r, the odd primes of alpha suffice.  The conic
-    is solvable iff (alpha, r)_v = +1 at every place v.  Places are
-    checked cheapest first so that unsolvable inputs exit early: the
+    hold its odd primes, each once, and every odd prime that divides two
+    of the parts; with one part r, the odd primes of alpha suffice.  The
+    conic is solvable iff (alpha, r)_v = +1 at every place v.  Places
+    are checked cheapest first so that unsolvable inputs exit early: the
     real place, 2 and the checked primes on r, then the remaining primes
     of each part.  Each such prime q is odd, prime to alpha and divides
     that part alone, so the symbol there is (alpha/q)^{v_q(part)}.  The
@@ -281,15 +288,19 @@ def conic_decide(alpha: int, checked_primes: tuple[int, ...],
     yields them, which stops factoring at the first prime that rejects.
     A part whose primes cannot all be certified is passed over until
     the other parts are read, and raises only if none of them rejects.
+    The square class is collected on the way: each remaining prime of
+    odd exponent is kept once it passes, and 2 and the checked primes
+    of odd valuation on r join them at the end.
     """
     r = math.prod(parts)
     if alpha < 0 and r < 0:
-        return False
+        return None
     if _hilbert_int(alpha, r, 2) != 1:
-        return False
+        return None
     for p in checked_primes:
         if _hilbert_int(alpha, r, p) != 1:
-            return False
+            return None
+    odd = []
     uncertified = None
     for part in parts:
         m = split_valuation(abs(part), 2)[1]
@@ -297,31 +308,35 @@ def conic_decide(alpha: int, checked_primes: tuple[int, ...],
             m = split_valuation(m, p)[1]
         try:
             for q, e in prime_factors(m):
-                if e % 2 and legendre(alpha, q) == -1:
-                    return False
+                if e % 2:
+                    if legendre(alpha, q) == -1:
+                        return None
+                    odd.append(q)
         except OutOfCertifiedRangeError as err:
             uncertified = err
     if uncertified is not None:
         raise uncertified
-    return True
+    odd += [p for p in (2, *checked_primes) if split_valuation(r, p)[0] % 2]
+    odd.sort()
+    R = math.prod(odd)
+    return (R if r > 0 else -R), tuple(odd)
 
 
 def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],
-                 r: Fraction) -> tuple[Fraction, Fraction]:
+                 r: Fraction, R: int, R_primes: tuple[int, ...]
+                 ) -> tuple[Fraction, Fraction]:
     """A rational point (y, z), y, z >= 0, of y^2 - alpha z^2 = r for a
     conic already decided solvable, with r != 0.
 
-    A is the squarefree part of alpha and A_primes its primes.  Write
-    alpha = A a^2 and r = R s^2 with R squarefree and a, s > 0 rational.
+    A and R are the squarefree parts of alpha and r, listed with their
+    primes.  Write alpha = A a^2 and r = R s^2 with a, s > 0 rational.
     A nontrivial integer point (x, u, w) of x^2 - A u^2 = R w^2 from
     `_legendre_descent` gives (y, z) = (s x / w, s u / (a w)).  Only
     A = 1 allows w = 0; then alpha = a^2 and the factorization
     (y - a z)(y + a z) = r gives y = (r + 1)/2, z = (r - 1)/(2a).
     The point is checked by substitution before it is returned.
     """
-    n = _integral(r)
-    R, R_primes = square_class(n, A_primes)
-    s = Fraction(math.isqrt(n // R), r.denominator)
+    s = Fraction(math.isqrt(_integral(r) // R), r.denominator)
     a = Fraction(math.isqrt(_integral(alpha) // A), alpha.denominator)
     x, u, w = _legendre_descent(A, A_primes, R, R_primes)
     if w:

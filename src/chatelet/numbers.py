@@ -297,16 +297,6 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def horner(coeffs, x):
-    """sum(coeffs[i] * x**i) by Horner's rule.  The accumulator starts as
-    the integer 0, so integer coefficients and x stay in int arithmetic;
-    Fraction inputs give a Fraction."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) by Euler's criterion.  p must be an odd
     prime; unchecked, since every caller passes a certified one."""
@@ -376,28 +366,18 @@ def split_valuation(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
-def square_class(q: Rational, known: tuple[int, ...] = ()
-                 ) -> tuple[int, tuple[int, ...]]:
+def square_class(q: Rational) -> tuple[int, tuple[int, ...]]:
     """(d, primes): the squarefree integer d (sign preserved) with
     q = d * (square), and the primes of d in increasing order.
 
     Two nonzero rationals lie in the same square class of Q*/Q*^2 exactly
-    when their squarefree parts coincide.  The primes in `known` are
-    divided out of n*d (q = n/d) before the rest is factorized.
+    when their squarefree parts coincide.
     """
     if q == 0:
         raise ValueError("0 has no square class")
-    rest = abs(q.numerator * q.denominator)
-    odd = []
-    for p in known:
-        e, rest = split_valuation(rest, p)
-        if e % 2:
-            odd.append(p)
-    odd += [p for p, e in factorize(rest) if e % 2]
-    d = 1 if q > 0 else -1
-    for p in odd:
-        d *= p
-    return d, tuple(sorted(odd))
+    odd = tuple(p for p, e in factorize(q.numerator * q.denominator)
+                if e % 2)
+    return (1 if q > 0 else -1) * math.prod(odd), odd
 
 
 def squarefree_part(q: Rational) -> int:

@@ -7,7 +7,8 @@ quartic P~(w, x) = w^4 P(x / w), whose coefficients are those of P;
 P(x) = P~(1, x) is ``q(x)``.  `evaluate_quartic` is the one formula for
 its value: the form's methods call it on Fractions and the fiber scan of
 `chatelet._kernel.pure` calls it on the integer model.  `evaluate_form`
-is the same Horner rule for binary forms of any degree.
+is the same Horner rule for binary forms of any degree, and at w = 1
+for polynomials in one variable.
 `rational_factors` splits the integer model into primitive irreducible
 forms over Q; `quartic_irreducible` counts them, and the fiber scan
 decides each fiber from their values, with `form_resultant` bounding the
@@ -38,7 +39,6 @@ from typing import Optional
 
 from chatelet.numbers import (
     Rational,
-    horner,
     partial_factorize,
     split_valuation,
 )
@@ -175,7 +175,8 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
 def evaluate_form(coeffs, m, n):
     """The binary form sum(c_i * x^i * w^(d-i)) of degree d =
     len(coeffs) - 1 at (w, x) = (n, m), by the homogeneous Horner rule;
-    `evaluate_quartic` is its unrolled case d = 4."""
+    at n = 1 it is the polynomial sum(c_i * m^i).  `evaluate_quartic` is
+    its unrolled case d = 4."""
     acc, nk = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
         nk *= n
@@ -400,7 +401,8 @@ def residue_discs(coeffs, p: int, depth: int):
             yield centre, k, "class"
             continue
         affine = n == 1
-        deriv = horner(df_x, m) if affine else horner(df_w, n)
+        deriv = (evaluate_form(df_x, m, 1) if affine
+                 else evaluate_form(df_w, n, 1))
         if deriv != 0 and e > 2 * split_valuation(deriv, p)[0]:
             yield centre, k, "newton"
         elif k >= depth:

@@ -264,23 +264,17 @@ _SIX_POINTS: tuple[ProjectivePoint, ...] = (
     (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), INFINITY)
 
 
-def _certificate(S: ChateletSurface, x: ProjectivePoint, v: Place,
-                 value: Rational) -> Optional[CertifiedLocalX]:
+def _certify(S: ChateletSurface, x: ProjectivePoint,
+             v: Place) -> Optional[CertifiedLocalX]:
     """The rule behind every local point: x certifies V(Q_v) != 0 when
-    P~(x) = 0 or (alpha, P~(x))_v = +1.  `value` is P~(x) up to a
-    nonzero rational square."""
+    P~(x) = 0 or (alpha, P~(x))_v = +1.  P~(x) is read from the integer
+    model, which differs from it by a nonzero rational square."""
+    value = evaluate_quartic(S.Ptilde.integer_square_scaled, *x)
     if value == 0:
         return CertifiedLocalX(x, v, "degenerate")
     if hilbert_symbol(S.alpha, value, v) == 1:
         return CertifiedLocalX(x, v, 1)
     return None
-
-
-def _certify(S: ChateletSurface, x: ProjectivePoint,
-             v: Place) -> Optional[CertifiedLocalX]:
-    """`_certificate` of x, read from the integer model of P~."""
-    return _certificate(
-        S, x, v, evaluate_quartic(S.Ptilde.integer_square_scaled, *x))
 
 
 def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
@@ -416,25 +410,26 @@ def eval_invariant_all_reps(params: ChateletParams,
             for val in values]
 
 
+# the height of the x that `sample_certified_points` draws
+_SAMPLE_HEIGHT = 1000
+
+
 def sample_certified_points(S: ChateletSurface, v: Place, n: int,
-                            seed: int, height: int = 1000,
-                            ) -> list[CertifiedLocalX]:
+                            seed: int) -> list[CertifiedLocalX]:
     """n distinct certified x-fibers at v, by seeded random search over
-    P^1(Q) up to the given height.  Deterministic per seed."""
+    P^1(Q) up to height _SAMPLE_HEIGHT.  Deterministic per seed."""
     rng = random.Random(seed)
     found: dict[ProjectivePoint, CertifiedLocalX] = {}
     attempts = 0
     budget = 400 * max(n, 1) + 10**5
     while len(found) < n and attempts < budget:
         attempts += 1
-        m = rng.randint(-height, height)
-        den = rng.randint(0, height)
+        m = rng.randint(-_SAMPLE_HEIGHT, _SAMPLE_HEIGHT)
+        den = rng.randint(0, _SAMPLE_HEIGHT)
         if den == 0:
             point = INFINITY
         else:
             g = math.gcd(m, den)
-            if g == 0:
-                continue
             point = (m // g, den // g)
         if point in found:
             continue
@@ -529,18 +524,9 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
 
     Exhaustive over the x-range; a found fiber x comes with an exact
     point (y, z) of its conic, and found=False means NO fiber of height
-    <= H is solvable over Q.  The scan (`conic_scan`) skips three kinds
-    of fiber without deciding them, and every skip is exact.  For
-    alpha < 0 it skips the x strictly inside a segment where P < 0.
-    Such a segment is a piece of `sign_points`, the walk over the real
-    roots that the real sweep also takes, so P has one sign on it, and
-    y^2 - alpha z^2 < 0 has no real point.  At 2 and at the primes it
-    checks it skips the x in a residue disc of `residue_discs`, the
-    walk that the p-adic sweep also takes, on which P~ has one square
-    class with symbol (alpha, P~)_p = -1, so the fiber has no p-adic
-    point.  When P is even in x it skips m > 0, since m and -m give one
-    value and the full loop meets -m first.  It returns the same first
-    fiber as the loop over every x.
+    <= H is solvable over Q.  The scan (`conic_scan`) skips fibers by
+    three exact rules, proved in `chatelet._kernel.pure`, and returns
+    the same first fiber as the loop over every x.
     """
     S.require_smooth()
     alpha_sf, alpha_primes = square_class(S.alpha)

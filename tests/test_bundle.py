@@ -23,7 +23,6 @@ from chatelet.bundle import (
     pullback,
     pullback_fiber,
     pullback_fiber_param,
-    shrink_map,
     standard_g,
     verify_pullback,
 )
@@ -249,7 +248,7 @@ class TestPullback:
 
 class TestShrinkMaps:
     def test_real_image_bound(self):
-        rs = shrink_map("real", m=4)
+        rs = RealShrink(m=4)
         lo, hi = rs.certify()
         assert (lo, hi) == (0, Fraction(1, 4))
         assert rs(None) == 0
@@ -265,7 +264,7 @@ class TestShrinkMaps:
         assert g(Fraction(0)) == g(Fraction(1)) == g(None) == Fraction(1, 2)
 
     def test_nonarch_certificate(self):
-        ns = shrink_map("nonarch", p=3, r=1, g=Fraction(1, 2))
+        ns = NonarchShrink(p=3, r=1, g=standard_g(Fraction(1, 2)))
         assert ns.M == 6
         assert ns.certify()
         # spot check: units satisfy t^6 = 1 mod 9

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatelet import numbers
 from chatelet.local import (
     REAL,
     Place,
@@ -27,6 +28,7 @@ from chatelet.numbers import (
     OutOfCertifiedRangeError,
     factorize,
     partial_factorize,
+    square_class,
     squarefree_part,
 )
 
@@ -204,11 +206,15 @@ def _odd_primes(alpha):
 
 def _check_decision(alpha, r):
     """The one decision against the closed-form table over the support
-    and, where the modulus allows, against the enumeration oracle."""
-    decided = conic_decide(alpha, _odd_primes(alpha), r)
+    and, where the modulus allows, against the enumeration oracle; a
+    solvable conic gives the square class of r."""
+    r_class = conic_decide(alpha, _odd_primes(alpha), r)
+    decided = r_class is not None
     table = {v: hilbert_symbol(alpha, r, v) for v in support_places(alpha, r)}
     assert decided == all(s == 1 for s in table.values()), (alpha, r)
     assert conic_solvable_global(alpha, r)[0] == decided, (alpha, r)
+    if decided:
+        assert r_class == square_class(r), (alpha, r)
     for v, s in table.items():
         if v.is_real:
             continue
@@ -245,7 +251,7 @@ class TestConicDecision:
         # 1000037 = 5 mod 8 squared, 1000039 = 7 mod 8: (2, r)_v = +1
         # everywhere, though (2/1000037) = -1
         r = 1000037**2 * 1000039
-        assert conic_decide(2, (), r) is True
+        assert conic_decide(2, (), r) is not None
         assert all(hilbert_symbol(2, r, v) == 1 for v in support_places(2, r))
 
     def test_past_64_bits_within_trial_range(self):
@@ -280,13 +286,24 @@ class TestConicDecision:
         # the product U q is past 2^64 with no prime below 10^6, so it
         # alone cannot be decided
         U, q = 2**64 + 13, 10000121
-        assert conic_decide(3, (3,), U, q) is False
-        assert conic_decide(3, (3,), q, U) is False
+        assert conic_decide(3, (3,), U, q) is None
+        assert conic_decide(3, (3,), q, U) is None
         with pytest.raises(OutOfCertifiedRangeError):
             conic_decide(3, (3,), U * q)
         # no part rejects: the uncertified one raises
         with pytest.raises(OutOfCertifiedRangeError):
             conic_decide(5, (5,), U, 1000151)
+
+    def test_witness_reads_r_once(self, monkeypatch):
+        # the witness starts from the square class that the decision read,
+        # so r = 6173 * 5840773, prime to 2 * 697, is trial-divided once
+        calls = []
+        real = numbers._trial_division
+        monkeypatch.setattr(numbers, "_trial_division",
+                            lambda n: calls.append(n) or real(n))
+        r = 36055091729
+        assert conic_solvable_global(697, r, want_witness=True)[1]
+        assert calls.count(r) == 1
 
     def test_rational_arguments(self):
         # conic_solvable_global moves (alpha, r) to integers of the same
@@ -363,7 +380,7 @@ class TestConicWitness:
         q = 1099511627791
         assert partial_factorize(q**2) == (Factorization(((q, 2),)), 1)
         assert factorize(q**2).factors == ((q, 2),)
-        assert conic_decide(2, (), q**2) is True
+        assert conic_decide(2, (), q**2) == (1, ())
         assert conic_solvable_global(697, q**2, want_witness=True) == \
             (True, (Fraction(q), Fraction(0)))
 

@@ -178,10 +178,9 @@ class TestSquarefreePart:
         assert squarefree_part(12) == 3
         assert squarefree_part(-12) == -3
         assert squarefree_part(1) == 1
-        # with its primes; known primes are divided out first
+        # with its primes
         assert square_class(Fraction(-12, 5)) == (-15, (3, 5))
         assert square_class(1) == (1, ())
-        assert square_class(2**3 * 3**2 * 7, (7, 3)) == (14, (2, 7))
         with pytest.raises(ValueError):
             square_class(0)
 

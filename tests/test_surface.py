@@ -18,10 +18,11 @@ from chatelet.local import (
     hilbert_symbol,
     is_local_square,
 )
-from chatelet.numbers import horner, split_valuation, square_class
+from chatelet.numbers import split_valuation, square_class
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
+    evaluate_form,
     evaluate_quartic,
     negative_segments,
     residue_discs,
@@ -249,7 +250,8 @@ def _reference_sweep(S, v):
         if (e <= k - 3) if p == 2 else (e < k):
             return CertifiedLocalX(x, v, 1) \
                 if hilbert_symbol(S.alpha, value, v) == 1 else None
-        deriv = horner(df_x, m) if n == 1 else horner(df_w, n)
+        deriv = (evaluate_form(df_x, m, 1) if n == 1
+                 else evaluate_form(df_w, n, 1))
         if deriv != 0 and e > 2 * split_valuation(deriv, p)[0]:
             return CertifiedLocalX(x, v, "degenerate")
         for j in range(p):
@@ -356,7 +358,7 @@ def _roots_inside(sturm, left, right):
         signs = []
         for coeffs in sturm:
             if x is not None:
-                value = horner(coeffs, x)
+                value = evaluate_form(coeffs, x, 1)
             elif at_minus_infinity:
                 value = coeffs[-1] * (-1) ** (len(coeffs) - 1)
             else:
@@ -365,7 +367,7 @@ def _roots_inside(sturm, left, right):
                 signs.append(value > 0)
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    on_right = right is not None and horner(sturm[0], right) == 0
+    on_right = right is not None and evaluate_form(sturm[0], right, 1) == 0
     return changes(left, True) - changes(right, False) - on_right
 
 
