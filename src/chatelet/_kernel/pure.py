@@ -5,13 +5,13 @@ binary quartic at each point and decides the fiber conic with
 :func:`chatelet.local.conic_decide`, the package's one Hasse-Minkowski
 decision.  Everything here is exact integer arithmetic.
 
-The quartic is split once per scan by
-:func:`chatelet.quartic.rational_factors` into k * f_1 * ... * f_s, and
-each fiber is decided from the parts k * f_1(m, n), f_2(m, n), ...
-rather than from their product.  `conic_decide` checks the real place,
-2 and a set of checked primes on the product, and reads the remaining
-primes of each part on its own; that is exact when no prime outside the
-checked set divides two parts.  So the checked primes are the odd
+The scan reads the quartic's one split over Q,
+:attr:`chatelet.quartic.BinaryQuartic.factors`: its integer model is
+k * f_1 * ... * f_s, and each fiber is decided from the parts
+k * f_1(m, n), f_2(m, n), ... rather than from their product.
+`conic_decide` checks the real place, 2 and a set of checked primes on
+the product, and reads the remaining primes of each part on its own;
+that is exact when no prime outside the checked set divides two parts.  So the checked primes are the odd
 primes of alpha, of k and of each resultant Res(f_i, f_j): a prime
 that divides f_i(m, n) and f_j(m, n) at coprime (m, n) divides
 Res(f_i, f_j).  An irreducible quartic is one part, its value by
@@ -68,31 +68,33 @@ from typing import Optional
 from chatelet.local import conic_decide, finite_place, hilbert_symbol
 from chatelet.numbers import OutOfCertifiedRangeError, factorize
 from chatelet.quartic import (
+    BinaryQuartic,
     evaluate_form,
     evaluate_quartic,
     form_resultant,
     negative_segments,
-    rational_factors,
     residue_discs,
 )
 
 
-def conic_scan(coeffs, alpha: int, alpha_odd_primes,
+def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
                H: int) -> Optional[tuple[int, int]]:
     """The first x = (m : n) in P^1(Q) of height <= H whose fiber conic
-    y^2 - alpha*z^2 = value-of-quartic is solvable over Q, or None.
+    y^2 - alpha*z^2 = value-of-quartic is solvable over Q, or None; the
+    values are those of the quartic's integer model.
 
     Enumerates n = 0 (only (1, 0), i.e. x = infinity) then n = 1..H with
     m = -H..H coprime to n, less the m that the real sieve, the disc
     sieve and the symmetry of the module docstring skip.  A zero quartic value counts
     as solvable (the degenerate fiber carries the point (x, 0, 0)).
     """
+    coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
     # two x of height <= H lie more than 1/(H+1)^2 apart, so an interval
     # this narrow keeps at most one of them from the sieve
     segments = (negative_segments(coeffs, Fraction(1, (H + 1) ** 2))
                 if alpha < 0 else [])
-    checked, parts = _fiber_parts(coeffs, alpha_odd_primes)
+    checked, parts = _fiber_parts(quartic, alpha_odd_primes)
     sieves = _disc_sieves(coeffs, alpha, checked, H)
     for n in range(H + 1):
         spans = _unsieved(segments, n, H, top) if n else [(1,)]
@@ -180,11 +182,13 @@ def _survivors(sieve, n: int, row: list[int]) -> list[int]:
     return [m for m in row if not table[n * pow(m, -1, modulus) % modulus]]
 
 
-def _fiber_parts(coeffs, alpha_odd_primes):
+def _fiber_parts(quartic: BinaryQuartic, alpha_odd_primes):
     """(checked primes, parts): the primes that `conic_decide` checks on
     the product, and the function of (m, n) that gives the parts of the
-    quartic's value, as the module docstring sets out."""
-    k, forms = rational_factors(coeffs)
+    value of the quartic's integer model, as the module docstring sets
+    out."""
+    coeffs = quartic.integer_square_scaled
+    k, forms = quartic.factors
     whole = (alpha_odd_primes,
              lambda m, n: [evaluate_quartic(coeffs, m, n)])
     if len(forms) == 1:
@@ -195,7 +199,7 @@ def _fiber_parts(coeffs, alpha_odd_primes):
     if 0 in suspects:
         return whole
     try:
-        extra = {p for b in suspects for p in factorize(b).primes()}
+        extra = {p for b in suspects for p, _ in factorize(b)}
     except OutOfCertifiedRangeError:
         return whole
     checked = alpha_odd_primes + tuple(

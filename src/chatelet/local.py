@@ -206,7 +206,7 @@ def support_places(a: Rational, b: Rational) -> list[Place]:
     """Finite support of (a, b): real, 2, and primes dividing either."""
     primes = {2}
     for q in (a, b):
-        primes.update(factorize(_integral(q)).primes())
+        primes.update(p for p, _ in factorize(_integral(q)))
     return [REAL] + [finite_place(p) for p in sorted(primes)]
 
 

@@ -10,7 +10,6 @@ prime, p-adic valuations and square-class reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Iterator, Optional, Union
 
@@ -37,40 +36,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 class OutOfCertifiedRangeError(ValueError):
     """Primality was requested beyond the deterministically certified range."""
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Ordered prime factorization of a positive integer.
-
-    ``factors`` is a tuple of (prime, exponent) pairs with strictly
-    increasing primes.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise ValueError("primes must be strictly increasing")
-            if e <= 0:
-                raise ValueError("exponents must be positive")
-            if p < _CERTIFIED_PRIME_BOUND and not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            last = p
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -240,8 +205,9 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
         yield from found
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime factorization of |n|, collected from `prime_factors`.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Full prime factorization of |n|, collected from `prime_factors`:
+    (p, e) pairs with strictly increasing primes, each proven prime once.
 
     Fails with :class:`OutOfCertifiedRangeError` if a factor cannot be
     certified prime (beyond 2**64); see :func:`partial_factorize` for the
@@ -249,11 +215,12 @@ def factorize(n: int) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    return Factorization(tuple(prime_factors(abs(n))))
+    return tuple(prime_factors(abs(n)))
 
 
-def partial_factorize(n: int) -> tuple[Factorization, int]:
-    """Bounded-effort factorization: (certified part, unfactored cofactor).
+def partial_factorize(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Bounded-effort factorization: (certified (p, e) pairs, unfactored
+    cofactor), the pairs as `factorize` gives them.
 
     Runs the two stages of `prime_factors`, `_trial_division` and
     `_split_cofactor`, but returns the cofactor that cannot be certified
@@ -272,7 +239,7 @@ def partial_factorize(n: int) -> tuple[Factorization, int]:
             rest = stop.value
             break
     large, cofactor = _split_cofactor(rest)
-    return Factorization(tuple(found + large)), cofactor
+    return tuple(found + large), cofactor
 
 
 def _perfect_power(n: int) -> tuple[int, int]:

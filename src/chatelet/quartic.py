@@ -10,9 +10,10 @@ its value: the form's methods call it on Fractions and the fiber scan of
 is the same Horner rule for binary forms of any degree, and at w = 1
 for polynomials in one variable.
 `rational_factors` splits the integer model into primitive irreducible
-forms over Q; `quartic_irreducible` counts them, and the fiber scan
-decides each fiber from their values, with `form_resultant` bounding the
-primes that two of them share.
+forms over Q, once per form as `BinaryQuartic.factors`; that one split
+is what `quartic_irreducible` counts, what the fiber scan decides each
+fiber from, with `form_resultant` bounding the primes that two of them
+share, and what the surface's Brauer class is read from.
 `real_root_intervals` is the one real-root isolation, for univariate
 polynomials of any degree: Descartes' rule of signs with bisection on
 the squarefree part, in exact integer arithmetic.  `rational_roots`
@@ -92,6 +93,14 @@ class BinaryQuartic:
             s *= p ** (e // 2)
         return tuple(c // (s * s) for c in ints)
 
+    @cached_property
+    def factors(self) -> tuple[int, list[tuple[int, ...]]]:
+        """`rational_factors` of `integer_square_scaled`: the one split
+        of the form over Q, computed once and read by
+        `quartic_irreducible`, the fiber scan and the Brauer class.
+        Shared, so no reader may change it in place."""
+        return rational_factors(self.integer_square_scaled)
+
 
 def quartic_disc(q: BinaryQuartic) -> Fraction:
     """Discriminant of the binary quartic form.
@@ -154,7 +163,7 @@ def _squarefree(coeffs) -> list[int]:
     f = _primitive([int(c * den) for c in coeffs])
     if not f:
         raise ValueError("the zero polynomial has no isolated roots")
-    g, h = f, _primitive([i * c for i, c in enumerate(f)][1:])
+    g, h = f, _primitive(_derivative(f))
     while h:  # Euclid on primitive parts: g ends as gcd(f, f')
         g, h = h, _primitive(_pseudo_remainder(g, h))
     return _exact_quotient(f, g)
@@ -531,10 +540,10 @@ def _determinant(rows: list[list[int]]) -> int:
 
 
 def quartic_irreducible(q: BinaryQuartic) -> bool:
-    """Is the form irreducible in Q[w, x]?  It is when
-    `rational_factors` of its integer model finds one factor; none of
-    this depends on the model's content or sign."""
-    return len(rational_factors(q.integer_square_scaled)[1]) == 1
+    """Is the form irreducible in Q[w, x]?  It is when its split
+    `BinaryQuartic.factors` has one factor; none of this depends on the
+    integer model's content or sign."""
+    return len(q.factors[1]) == 1
 
 
 def _is_square(n: int) -> bool:

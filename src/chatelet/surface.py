@@ -40,6 +40,7 @@ from chatelet.numbers import (
 )
 from chatelet.quartic import (
     BinaryQuartic,
+    evaluate_form,
     evaluate_quartic,
     quartic_disc,
     residue_discs,
@@ -79,8 +80,9 @@ class ChateletParams:
     """Parameters (a, b, c) of the Hasse-principle counterexample.
 
     a, b are primes = 1 mod 8 exceeding 5, a is not a square mod b,
-    and b divides ac + 1.  They also give the surface's quaternion
-    Brauer class (ab, x^2 + c), evaluated through `rep_values`.
+    and b divides ac + 1.  Its surface's quaternion Brauer class
+    (ab, x^2 + c) is read from the split of P~ (see
+    `eval_invariant_all_reps`), not from these parameters.
     """
 
     a: int
@@ -100,16 +102,6 @@ class ChateletParams:
             raise ValueError("a must be a non-square mod b")
         if (self.a * self.c + 1) % self.b != 0:
             raise ValueError("b must divide a*c + 1")
-
-    def rep_values(self, x: ProjectivePoint) -> tuple[int, int]:
-        """The integer values of x^2 + c and a x^2 + ac + 1 at x = (m : n),
-        homogeneous of even degree, so their square classes are
-        well-defined on P^1.  Their product is P~(x), a norm from
-        Q(sqrt(ab)) on the surface, so either one is a second slot of
-        the class."""
-        m, n = x
-        return (m * m + self.c * n * n,
-                self.a * m * m + (self.a * self.c + 1) * n * n)
 
 
 @dataclass(frozen=True)
@@ -230,9 +222,10 @@ def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
     """
     S.require_smooth()
     primes = {2}
-    primes.update(factorize(S.alpha.numerator * S.alpha.denominator).primes())
+    primes.update(
+        p for p, _ in factorize(S.alpha.numerator * S.alpha.denominator))
     disc_certified, cofactor = partial_factorize(S.disc.numerator)
-    primes.update(disc_certified.primes())
+    primes.update(p for p, _ in disc_certified)
     if cofactor != 1 and not _unit_value_places(S, cofactor):
         raise ArithmeticError(
             "cannot certify large discriminant factors as good places")
@@ -392,22 +385,25 @@ def verify_local_everywhere(S: ChateletSurface) -> LocalReport:
 # Brauer class and invariants
 
 
-def eval_invariant_all_reps(params: ChateletParams,
+def eval_invariant_all_reps(S: ChateletSurface,
                             pt: CertifiedLocalX) -> list[Fraction]:
-    """inv_v of the class (ab, x^2 + c) of `params` at a local point over
-    the certified x-fiber, once from every nonvanishing representation of
-    its second slot: x^2 + c, a x^2 + ac + 1 and 1 + c/x^2, which differs
-    from x^2 + c by the square x^2 whenever x != 0, infinity.  The class
-    is well defined, so at a certified point all of them agree; the
-    obstruction checks that they do."""
-    f1, f2 = params.rep_values(pt.x)
-    m, n = pt.x
-    values = [f for f in (f1, f2) if f != 0]
-    if m != 0 and n != 0 and f1 != 0:
-        values.append(Fraction(f1, m * m))  # 1 + c/x^2 up to the square n^2
-    alpha = params.a * params.b
-    return [inv_from_symbol(hilbert_symbol(alpha, val, pt.place))
-            for val in values]
+    """inv_v of the class (alpha, f) at a local point over the certified
+    x-fiber, where P~ splits as k f g into two quadratics over Q
+    (`BinaryQuartic.factors`; ValueError otherwise).  It is read from
+    each nonvanishing value f(m, n) and k g(m, n) at x = (m : n): both
+    have even degree, and their product, P~(x) up to a square, is a norm
+    from Q(sqrt(alpha)) on the surface, so each is a second slot of the
+    class and at a certified point they agree; the obstruction checks
+    that they do.  For a constructed surface f = x^2 + c and
+    k g = a x^2 + ac + 1."""
+    k, forms = S.Ptilde.factors
+    if [len(f) for f in forms] != [3, 3]:
+        raise ValueError("the Brauer class needs P~ split into two "
+                         "quadratics over Q")
+    f, g = forms
+    values = (evaluate_form(f, *pt.x), k * evaluate_form(g, *pt.x))
+    return [inv_from_symbol(hilbert_symbol(S.alpha, v, pt.place))
+            for v in values if v != 0]
 
 
 # the height of the x that `sample_certified_points` draws
@@ -462,9 +458,10 @@ class ObstructionReport:
 
 def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
                        seed: int = 0) -> ObstructionReport:
-    """Evaluate the Brauer-Manin obstruction of a constructed surface,
-    for the class (ab, x^2 + c) read from its params (ValueError on a
-    surface without them).
+    """Evaluate the Brauer-Manin obstruction of a constructed surface
+    (ValueError on a surface without params), for the class
+    (ab, x^2 + c) that `eval_invariant_all_reps` reads from the split of
+    its quartic.
 
     Reads the surface's local table `S.local` (computed on first use),
     which must be solvable everywhere; samples certified points at each
@@ -484,7 +481,7 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
     for res in S.local.results:
         pts = sample_certified_points(S, res.place, samples_per_place, seed)
         invs = {inv for pt in pts
-                for inv in eval_invariant_all_reps(S.params, pt)}
+                for inv in eval_invariant_all_reps(S, pt)}
         if len(invs) != 1:
             raise InvariantNotConstantError(
                 f"invariant not constant at {res.place}: {sorted(invs)}")
@@ -531,8 +528,7 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     S.require_smooth()
     alpha_sf, alpha_primes = square_class(S.alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)
-    hit = conic_scan(S.Ptilde.integer_square_scaled, alpha_sf, odd_primes,
-                     H)
+    hit = conic_scan(S.Ptilde, alpha_sf, odd_primes, H)
     if hit is None:
         return SearchResult(height=H, found=False,
                             note=f"none up to {H}")

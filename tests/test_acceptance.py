@@ -126,7 +126,7 @@ def test_criterion_5_invariant_constancy():
         for pt in pts:
             # every representation of the class must give the invariant
             deviations += sum(inv != expected for inv in
-                              eval_invariant_all_reps(S.params, pt))
+                              eval_invariant_all_reps(S, pt))
     rep = obstruction_report(S, samples_per_place=50, seed=17)
     elapsed = time.time() - t0
     ok = (deviations == 0 and rep.invariant_sum == Fraction(1, 2)

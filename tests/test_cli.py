@@ -368,6 +368,9 @@ class TestGolden:
         # alpha < 0 and the six points fail at oo: the real witness is a
         # point of a sign region of P between its real roots
         ("surface_real_gap_height20", ["surface", "-", "--height", "20"]),
+        # the benchmark's own scan runs (perfbench/run.py)
+        ("counterexample_height150", ["counterexample", "--height", "150"]),
+        ("iskovskikh_height1000", ["iskovskikh", "--height", "1000"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(

@@ -1,5 +1,6 @@
 """Exact integer/rational arithmetic layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatelet import numbers as numbers_mod
 from chatelet.numbers import (
-    Factorization,
     _perfect_power,
     OutOfCertifiedRangeError,
     factorize,
@@ -54,51 +55,75 @@ class TestIsPrime:
             is_prime(2**64 + 13)
 
 
+def _value(pairs):
+    return math.prod(p**e for p, e in pairs)
+
+
+def _proofs(monkeypatch, n):
+    """The numbers that `is_prime` is asked about while factoring n."""
+    asked = []
+    real = numbers_mod.is_prime
+
+    def counting(m):
+        asked.append(m)
+        return real(m)
+
+    monkeypatch.setattr(numbers_mod, "is_prime", counting)
+    factorize(n)
+    return asked
+
+
 class TestFactorize:
     def test_example(self):
         f = factorize(5916)
-        assert f.factors == ((2, 2), (3, 1), (17, 1), (29, 1))
-        assert f.value() == 5916
+        assert f == ((2, 2), (3, 1), (17, 1), (29, 1))
+        assert _value(f) == 5916
 
     def test_roundtrip_random(self):
         rng = random.Random(2)
         for _ in range(100):
             n = rng.randrange(2, 10**9)
             f = factorize(n)
-            assert f.value() == n
-            assert all(is_prime(p) for p in f.primes())
+            assert _value(f) == n
+            primes = [p for p, _ in f]
+            assert all(is_prime(p) for p in primes)
+            assert primes == sorted(set(primes))
+            assert all(e > 0 for _, e in f)
 
     def test_semiprime_of_large_primes(self):
         p, q = 1000003, 1000033
         f = factorize(p * q)
-        assert f.factors == ((p, 1), (q, 1))
+        assert f == ((p, 1), (q, 1))
 
     def test_one(self):
-        assert factorize(1).factors == ()
+        assert factorize(1) == ()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Factorization(((4, 1),))
-        with pytest.raises(ValueError):
-            Factorization(((3, 1), (2, 1)))  # unsorted
+    def test_each_prime_proven_once(self, monkeypatch):
+        # rho splits p q after one compositeness proof; each factor is
+        # proven prime once, and the result is not checked again
+        p, q = 1000003, 1000033
+        asked = _proofs(monkeypatch, p * q)
+        assert sorted(asked) == [p, q, p * q]
+        # trial division proves every prime of 5916 by itself
+        assert _proofs(monkeypatch, 5916) == []
 
 
 class TestPartialFactorize:
     def test_complete_on_smooth(self):
         f, cof = partial_factorize(2**5 * 3**4 * 17)
         assert cof == 1
-        assert f.value() == 2**5 * 3**4 * 17
+        assert _value(f) == 2**5 * 3**4 * 17
 
     def test_cofactor_contract(self):
         n = 7 * (2**89 - 1) * (2**107 - 1)  # two huge Mersenne primes
         f, cof = partial_factorize(n)
-        assert f.value() * cof == n
-        assert (7, 1) in f.factors
+        assert _value(f) * cof == n
+        assert (7, 1) in f
 
     def test_cofactor_past_float_range(self):
         n = 2**1279 - 1  # a Mersenne prime, far above 1e308
         f, cof = partial_factorize(n)
-        assert f.factors == ()
+        assert f == ()
         assert cof == n
 
     def test_perfect_power_exact_root(self):

@@ -75,7 +75,9 @@ def test_pullback_fiber_has_quartic_coeffs(tracer):
 
 @pytest.mark.parametrize("checker, golden", [
     ("check_counterexample", "counterexample_height40"),
+    ("check_counterexample", "counterexample_height150"),
     ("check_iskovskikh", "iskovskikh_height80"),
+    ("check_iskovskikh", "iskovskikh_height1000"),
     ("check_bundle", "bundle_fibers4"),
     ("check_bundle", "bundle_fibers50"),
 ])

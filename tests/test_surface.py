@@ -426,7 +426,7 @@ class TestBrauer:
             pts = sample_certified_points(S, v, 25, seed=7)
             invs = set()
             for pt in pts:
-                reps = eval_invariant_all_reps(S.params, pt)
+                reps = eval_invariant_all_reps(S, pt)
                 assert len(set(reps)) == 1
                 invs.add(reps[0])
             assert len(invs) == 1
@@ -434,11 +434,56 @@ class TestBrauer:
             assert invs == {expected}
 
     def test_representations_never_both_vanish(self, S):
-        # resultant of x^2+c and a x^2+ac+1 is nonzero: f2 - a f1 = n^2
+        # the split's forms f = x^2 + c and k g = a x^2 + ac + 1 have a
+        # nonzero resultant: k g - a f = n^2
+        k, (f, g) = S.Ptilde.factors
         for m, n in ((1, 0), (0, 1), (3, 2), (-7, 5)):
-            f1, f2 = S.params.rep_values((m, n))
+            f1, f2 = evaluate_form(f, m, n), k * evaluate_form(g, m, n)
             assert f2 - S.params.a * f1 == n * n
             assert f1 != 0 or f2 != 0
+
+
+def _admissible_params(bound):
+    """Every admissible (a, b, c) with a, b < bound, c = -a^-1 mod b."""
+    primes = [p for p in range(7, bound) if p % 8 == 1 and sympy.isprime(p)]
+    return [ChateletParams(a, b, -pow(a, -1, b) % b)
+            for a in primes for b in primes
+            if a != b and sympy.legendre_symbol(a, b) == -1]
+
+
+class TestBrauerFromSplit:
+    """The class (ab, x^2 + c) is read from the split of P~, not from
+    the parameters."""
+
+    PARAMS = _admissible_params(200)
+
+    def test_every_admissible_surface(self):
+        assert len(self.PARAMS) == 34
+        for params in self.PARAMS:
+            a, b, c = params.a, params.b, params.c
+            S = build_surface(params)
+            assert S.Ptilde.factors == (1, [(c, 0, 1), (a * c + 1, 0, a)])
+            rep = obstruction_report(S)
+            assert rep.invariant_sum == Fraction(1, 2)
+            assert {str(r.place): r.invariant for r in rep.records
+                    if r.invariant} == {str(b): Fraction(1, 2)}, params
+
+    def test_wrong_split_is_caught(self):
+        # f = x^2 + 13 in place of x^2 + 12: its class disagrees with
+        # that of k g at some sampled point
+        T = build_surface(find_params(100))
+        k, (_, g) = T.Ptilde.factors
+        T.Ptilde.__dict__["factors"] = (k, [(13, 0, 1), g])
+        with pytest.raises(InvariantNotConstantError):
+            obstruction_report(T)
+
+    def test_needs_two_quadratics(self):
+        # x^4 + w^4 is irreducible over Q
+        T = ChateletSurface(alpha=Fraction(697),
+                            Ptilde=BinaryQuartic((1, 0, 0, 0, 1)),
+                            provenance="user")
+        with pytest.raises(ValueError):
+            eval_invariant_all_reps(T, CertifiedLocalX((0, 1), REAL, 1))
 
 
 class TestObstruction:
@@ -606,8 +651,10 @@ def _gcd_of_all_parts(real):
 def _sieve_skips(coeffs, alpha, odd, H):
     """(m, n, p) for each coprime pair of height <= H that the disc sieve
     of `conic_scan` at p skips, read from the whole row m = -H..H."""
-    checked, _ = pure._fiber_parts(coeffs, odd)
-    for sieve in pure._disc_sieves(coeffs, alpha, checked, H):
+    quartic = BinaryQuartic(coeffs)
+    checked, _ = pure._fiber_parts(quartic, odd)
+    for sieve in pure._disc_sieves(quartic.integer_square_scaled, alpha,
+                                   checked, H):
         for n in range(H + 1):
             row = [m for m in (range(-H, H + 1) if n else (1,))
                    if math.gcd(m, n) == 1]
@@ -658,7 +705,7 @@ class TestScanParity:
         seen = {"none": 0, "boundary-zero": 0, "skipped-whole": 0}
         for kind, coeffs, alpha, odd, H in self._random_cases():
             decided.clear()
-            hit = pure.conic_scan(coeffs, alpha, odd, H)
+            hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
             want = _reference_scan(coeffs, alpha, odd, H)
             assert hit == want, (coeffs, alpha, H)
             if want is None:
@@ -734,7 +781,7 @@ class TestScanParity:
         shared = 0
         for coeffs, alpha, odd, H in self._shared_cases():
             decided.clear()
-            hit = pure.conic_scan(coeffs, alpha, odd, H)
+            hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
             assert hit == _reference_scan(coeffs, alpha, odd, H), (
                 coeffs, alpha, H)
             shared += any(_shares_odd_prime(parts, alpha)
@@ -746,7 +793,7 @@ class TestScanParity:
     def test_broken_checks_are_caught(self, monkeypatch, broken):
         # the cases above tell each broken check from the right one
         monkeypatch.setattr(pure, "conic_decide", broken(conic_decide))
-        assert any(pure.conic_scan(coeffs, alpha, odd, H)
+        assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
                    != _reference_scan(coeffs, alpha, odd, H)
                    for coeffs, alpha, odd, H in self._shared_cases())
 
@@ -755,7 +802,8 @@ class TestFiberParts:
     """The set-up of `conic_scan`: checked primes and fiber parts."""
 
     def test_constructed_surface_splits(self):
-        checked, parts = pure._fiber_parts((5916, 0, 985, 0, 41), (17, 41))
+        checked, parts = pure._fiber_parts(
+            BinaryQuartic((5916, 0, 985, 0, 41)), (17, 41))
         # (x^2 + 12)(41 x^2 + 493) has resultant 1
         assert checked == (17, 41)
         assert parts(-7, 3) == [12 * 9 + 49, 493 * 9 + 41 * 49]
@@ -763,7 +811,8 @@ class TestFiberParts:
     def test_shared_primes_are_checked(self):
         # 6 x^4 - 6 = 6 (x - 1)(x + 1)(x^2 + 1): k = 6 and every
         # resultant is +-2, so 3 joins the odd primes of alpha
-        checked, parts = pure._fiber_parts((-6, 0, 0, 0, 6), (5,))
+        checked, parts = pure._fiber_parts(
+            BinaryQuartic((-6, 0, 0, 0, 6)), (5,))
         assert checked == (5, 3)
         assert parts(-7, 1) == [6 * -8, -6, 50]
 
@@ -775,7 +824,7 @@ class TestFiberParts:
         (2 * (2**64 + 15), 0, -(2**64 + 17), 0, 1),
     ])
     def test_one_part(self, coeffs):
-        checked, parts = pure._fiber_parts(coeffs, (3,))
+        checked, parts = pure._fiber_parts(BinaryQuartic(coeffs), (3,))
         assert checked == (3,)
         assert parts(5, 2) == [evaluate_quartic(coeffs, 5, 2)]
 
@@ -791,7 +840,8 @@ class TestDiscWalkBudget:
         real = pure.residue_discs
         monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
             walked.append(p) or real(f, p, depth)))
-        hit = pure.conic_scan((7, 1, 0, 2, 3), 1000003, (1000003,), 1000)
+        hit = pure.conic_scan(BinaryQuartic((7, 1, 0, 2, 3)), 1000003,
+                              (1000003,), 1000)
         assert hit == (-990, 1)
         assert walked == [2]
 
@@ -857,12 +907,12 @@ class TestSearchPast64Bits:
         # Res(3 x^2 + Q1, 11 x^2 + Q2) = (3 Q2 - 11 Q1)^2 is divisible by
         # 31^2 and 141872468107^2, which the scan checks on the product
         a1, a2, alpha = 3, 11, 5
-        coeffs = self._surface(a1, a2, alpha).Ptilde.integer_square_scaled
-        checked, _ = pure._fiber_parts(coeffs, (5,))
+        quartic = self._surface(a1, a2, alpha).Ptilde
+        checked, _ = pure._fiber_parts(quartic, (5,))
         assert checked == (5, 31, 141872468107)
         # the point of that fiber needs a Legendre descent through
         # integers past 2^64, so the search itself still stops there
-        hit = pure.conic_scan(coeffs, alpha, (5,), 30)
+        hit = pure.conic_scan(quartic, alpha, (5,), 30)
         assert hit == (-30, 1)
         for m, n in self._fibers(30):
             solvable = _sympy_solvable(
@@ -875,14 +925,15 @@ class TestSearchPast64Bits:
         # height 30 visits 1 + 30 * 61 = 1831 pairs, so the walk at 2 goes
         # to depth 10, at 5 to 4 and at 31 to 2, and 141872468107 gets no
         # walk and no table; the hit is the one found above
-        coeffs = self._surface(3, 11, 5).Ptilde.integer_square_scaled
+        quartic = self._surface(3, 11, 5).Ptilde
+        coeffs = quartic.integer_square_scaled
         walked = []
         real = pure.residue_discs
         monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
             walked.append((p, depth)) or real(f, p, depth)))
-        assert pure.conic_scan(coeffs, 5, (5,), 30) == (-30, 1)
+        assert pure.conic_scan(quartic, 5, (5,), 30) == (-30, 1)
         assert walked == [(2, 10), (5, 4), (31, 2)]
-        checked, _ = pure._fiber_parts(coeffs, (5,))
+        checked, _ = pure._fiber_parts(quartic, (5,))
         assert [sieve[0] for sieve in
                 pure._disc_sieves(coeffs, 5, checked, 30)] == [2, 5]
 
@@ -900,6 +951,25 @@ class TestIntegerModel:
         T = build_surface(find_params(100))
         assert verify_local_everywhere(T).all_solvable
         obstruction_report(T, samples_per_place=5, seed=1)
+        assert not rational_point_search(T, 20).found
+        assert len(calls) == 1
+
+    def test_split_once_per_quartic(self, monkeypatch):
+        # irreducibility and the scan read one cached split of P~
+        calls = []
+        real = quartic_mod.rational_factors
+
+        def counting(ints):
+            calls.append(ints)
+            return real(ints)
+
+        monkeypatch.setattr(quartic_mod, "rational_factors", counting)
+        monkeypatch.setattr(pure, "rational_factors", counting,
+                            raising=False)
+        T = ChateletSurface(alpha=Fraction(697),
+                            Ptilde=BinaryQuartic((5916, 0, 985, 0, 41)),
+                            provenance="user")
+        assert not quartic_mod.quartic_irreducible(T.Ptilde)
         assert not rational_point_search(T, 20).found
         assert len(calls) == 1
 
