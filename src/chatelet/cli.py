@@ -7,13 +7,13 @@ Exit codes: 0 verification certified, 2 usage error, 3 stage failure,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from chatelet import __version__
-from chatelet import bundle as bundle_mod
 from chatelet import surface as surface_mod
 from chatelet.local import (
     REAL,
@@ -29,6 +29,29 @@ from chatelet.surface import (
     surface_from_json,
     surface_to_json,
 )
+
+
+def _lazy_import(name: str):
+    """The module `name`, bound in sys.modules and in its package now and
+    executed at its first attribute read (`importlib.util.LazyLoader`),
+    unless it is imported already."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only `bundle` reads it, so the other subcommands start without compiling
+# it.  It is in sys.modules from here on all the same, so
+# perfbench/tracer.py, which wraps functions in the chatelet modules loaded
+# by `import chatelet.cli`, still reaches its functions.
+bundle_mod = _lazy_import("chatelet.bundle")
 
 SCHEMA = "chatelet-report/1"
 

@@ -5,6 +5,11 @@ rationals are :class:`fractions.Fraction`.  The routines here supply the
 elementary number theory the rest of the package leans on — certified
 primality, factorization, Legendre symbols, square roots modulo a
 prime, p-adic valuations and square-class reduction.
+
+Primality is Miller-Rabin with a fixed witness set proven deterministic
+below 2**64.  Factoring finds the primes below 2000 by one gcd with
+their product, then splits the cofactor by Miller-Rabin and Pollard rho;
+the 2,3,5 wheel runs on toward 10**6 only for a cofactor past 2**64.
 """
 
 from __future__ import annotations
@@ -23,15 +28,47 @@ _CERTIFIED_PRIME_BOUND = 2**64
 # (Sorenson & Webster, psi_12).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Trial division runs to 2000 while the cofactor is below 2**64 and to
-# 10**6 while it is not (see `_trial_division`).
+# Trial division covers the primes below 2000 by one gcd, and goes on
+# toward 10**6 by the wheel only while the cofactor is at least 2**64
+# (see `_trial_division`).
 _SMALL_TRIAL_BOUND = 2000
 _TRIAL_DIVISION_BOUND = 10**6
 
 # Steps of the 2,3,5 wheel from 7: the integers prime to 30.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
+
+def _wheel_from(bound: int) -> tuple[int, int]:
+    """(d, i): the wheel's first candidate d >= bound and the index i of
+    the step that leaves it."""
+    d, i = 7, 0
+    while d < bound:
+        d += _WHEEL[i]
+        i = (i + 1) % 8
+    return d, i
+
+
+# Where the wheel resumes past the gcd stage (2003, the least prime past
+# 2000): a cofactor below its square with no prime below 2000 is prime.
+_WHEEL_START, _WHEEL_START_STEP = _wheel_from(_SMALL_TRIAL_BOUND)
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+# The primes 7 <= p < 2000 and their product, a 2,794-bit integer: one gcd
+# with it is the product of the distinct ones dividing n.
+_TRIAL_PRIMES = tuple(_primes_below(_SMALL_TRIAL_BOUND)[3:])
+_TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 
 class OutOfCertifiedRangeError(ValueError):
@@ -135,26 +172,43 @@ def _trial_division(n: int) -> Generator[tuple[int, int], None, int]:
     """Yield (p, e) for the primes of n >= 1 that trial division finds, in
     increasing order, and return the cofactor left over.
 
-    The one 2,3,5-wheel loop of the package.  It stops at 2000 once the
-    cofactor is below 2**64, where Miller-Rabin and rho take over, and
-    goes on toward 10**6 only while the cofactor is at least 2**64.  So
-    the cofactor returned is 1, below 2**64 with no prime factor below
-    2000, or at least 2**64 with no prime factor below 10**6 -- exactly
-    the inputs that full trial division to 10**6 leaves uncertifiable.
+    After 2, 3 and 5, one gcd with the product of the primes 7 <= p < 2000
+    gives the product g of those dividing n; the prime table is walked
+    only until g is used up, and once p^2 > g what is left of g is one
+    prime.  A cofactor below 2003^2 with no prime below 2000 is then
+    prime.  Past 2000 the 2,3,5 wheel runs toward 10**6, but only while
+    the cofactor is at least 2**64, where Miller-Rabin and rho cannot
+    take over.  So the cofactor returned is 1, below 2**64 with no prime
+    factor below 2000, or at least 2**64 with no prime factor below
+    10**6 -- exactly the inputs that full trial division to 10**6 leaves
+    uncertifiable.
     """
     for p in (2, 3, 5):
         if n % p == 0:
             e, n = split_valuation(n, p)
             yield p, e
-    bound = (_SMALL_TRIAL_BOUND if n < _CERTIFIED_PRIME_BOUND
-             else _TRIAL_DIVISION_BOUND)
-    d, i = 7, 0
-    while d < bound and d * d <= n:
+    g = math.gcd(n, _TRIAL_PRIMORIAL)
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            e, n = split_valuation(n, p)
+            yield p, e
+            g //= p
+    if g > 1:
+        # no prime of g below p, and p^2 > g: g is one prime
+        e, n = split_valuation(n, g)
+        yield g, e
+    # The wheel runs only while n >= 2**64 > d^2, so d^2 <= n needs no
+    # test.
+    d, i = _WHEEL_START, _WHEEL_START_STEP
+    bound = _TRIAL_DIVISION_BOUND if n >= _CERTIFIED_PRIME_BOUND else d
+    while d < bound:
         if n % d == 0:
             e, n = split_valuation(n, d)
             yield d, e
             if n < _CERTIFIED_PRIME_BOUND:
-                bound = _SMALL_TRIAL_BOUND
+                bound = d
         d += _WHEEL[i]
         i = (i + 1) % 8
     if 1 < n < d * d:

@@ -317,26 +317,14 @@ class TestUsage:
         assert "must be at least" in err
 
 
-def test_subcommands_never_import_sympy():
-    """sympy is a test-side oracle only: no subcommand imports it, at the
-    top of a module or lazily.  Checked in a fresh interpreter, since
-    the test modules themselves import sympy."""
+def _run_fresh(body: str) -> str:
+    """Standard output of `body`, run in a fresh interpreter after
+    `from chatelet.cli import main`, with a surface on standard input."""
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         from chatelet.cli import main
-        runs = [
-            ["hilbert", "697", "41"],
-            ["counterexample", "--height", "20"],
-            ["iskovskikh", "--height", "20"],
-            ["bundle", "--fibers", "2"],
-            ["surface", "-", "--height", "20"],
-        ]
         sys.stdin = io.StringIO({GOLDEN_STDIN["surface_real_gap_height20"]!r})
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(argv) for argv in runs]
-        print(codes, sorted(m for m in sys.modules
-                            if m.partition(".")[0] == "sympy"))
-    """)
+    """) + textwrap.dedent(body)
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -344,7 +332,50 @@ def test_subcommands_never_import_sympy():
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == f"{[EXIT_OK] * 5} []"
+    return run.stdout.strip()
+
+
+def test_subcommands_never_import_sympy():
+    """sympy is a test-side oracle only: no subcommand imports it, at the
+    top of a module or lazily.  Checked in a fresh interpreter, since
+    the test modules themselves import sympy."""
+    out = _run_fresh("""
+        runs = [
+            ["hilbert", "697", "41"],
+            ["counterexample", "--height", "20"],
+            ["iskovskikh", "--height", "20"],
+            ["bundle", "--fibers", "2"],
+            ["surface", "-", "--height", "20"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules
+                            if m.partition(".")[0] == "sympy"))
+    """)
+    assert out == f"{[EXIT_OK] * 5} []"
+
+
+def test_only_bundle_runs_bundle():
+    """`chatelet.bundle` is listed in sys.modules from the start but
+    executed by the one subcommand that uses it, so the others start
+    without compiling it."""
+    out = _run_fresh("""
+        import types
+        def loaded():
+            return type(sys.modules["chatelet.bundle"]) is types.ModuleType
+        runs = [
+            ["hilbert", "697", "41"],
+            ["counterexample", "--height", "20"],
+            ["iskovskikh", "--height", "20"],
+            ["surface", "-", "--height", "20"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+            before = loaded()
+            codes.append(main(["bundle", "--fibers", "2"]))
+        print(codes, before, loaded())
+    """)
+    assert out == f"{[EXIT_OK] * 5} False True"
 
 
 class TestGolden:

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from chatelet import numbers as numbers_mod
 from chatelet.numbers import (
     _perfect_power,
+    _trial_division,
     OutOfCertifiedRangeError,
     factorize,
     is_prime,
     legendre,
     partial_factorize,
+    prime_factors,
     sqrt_mod,
     square_class,
     squarefree_part,
@@ -53,6 +55,18 @@ class TestIsPrime:
         assert not is_prime((2**61 - 1) * (2**31 - 1))
         with pytest.raises(OutOfCertifiedRangeError):
             is_prime(2**64 + 13)
+
+    def test_agrees_with_sympy_below_2e5(self):
+        assert [n for n in range(2 * 10**5)
+                if is_prime(n) != sympy.isprime(n)] == []
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # psi_k, the least strong pseudoprime to the first k prime bases
+        # (Jaeschke 1993), for k = 1..7 and 9: each passes that many bases
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051):
+            assert not is_prime(n), n
+            assert sympy.isprime(n) is False
 
 
 def _value(pairs):
@@ -106,6 +120,110 @@ class TestFactorize:
         assert sorted(asked) == [p, q, p * q]
         # trial division proves every prime of 5916 by itself
         assert _proofs(monkeypatch, 5916) == []
+
+
+def _trial(n):
+    """(yields, cofactor) of `_trial_division` on n."""
+    found = []
+    trial = _trial_division(n)
+    while True:
+        try:
+            found.append(next(trial))
+        except StopIteration as stop:
+            return found, stop.value
+
+
+def _factorint(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+class TestAgainstFactorint:
+    """`prime_factors`, `factorize` and `partial_factorize` against
+    sympy, around the gcd stage's bounds: the primes below 2000 come from
+    one gcd with their product, and a cofactor below 2003^2 is prime."""
+
+    EDGES = (1999, 2003, 1999**2, 2003**2, 1999 * 2003, 2003 * 2011,
+             3 * 2003**2, 7 * 11, 7 * 10007, 2**3 * 7**5 * 1997 * 1999,
+             1997 * 999983, 11 * 1999 * 999979, 2**61 - 1)
+
+    @staticmethod
+    def _check(n):
+        want = _factorint(n)
+        assert tuple(prime_factors(n)) == want, n
+        assert factorize(n) == want, n
+        assert factorize(-n) == want, n
+        assert partial_factorize(n) == (want, 1), n
+        found, rest = _trial(n)
+        primes = [p for p, _ in found]
+        assert primes == sorted(set(primes)), n
+        assert _value(found) * rest == n, n
+
+    @pytest.mark.parametrize("bound, count",
+                             [(10**7, 400), (2**40, 150), (2**63, 40)])
+    def test_seeded(self, bound, count):
+        rng = random.Random(bound % 1000)
+        for _ in range(count):
+            self._check(rng.randrange(1, bound))
+
+    def test_edges(self):
+        for n in self.EDGES:
+            self._check(n)
+        # a prime 2000 < q < 10**6 times a prime below 2000
+        rng = random.Random(12)
+        for _ in range(50):
+            p = sympy.randprime(7, 2000)
+            q = sympy.randprime(2000, 10**6)
+            self._check(p * q)
+            self._check(p**2 * q**3)
+
+    def test_wheel_resumes_past_gcd_stage(self):
+        # from its start the wheel visits the integers prime to 30 from
+        # 2000 on, so the first of them, 2003, bounds a prime cofactor
+        d = numbers_mod._WHEEL_START
+        i = numbers_mod._WHEEL_START_STEP
+        seen = []
+        for _ in range(16):
+            seen.append(d)
+            d += numbers_mod._WHEEL[i]
+            i = (i + 1) % 8
+        assert seen == [k for k in range(2000, seen[-1] + 1)
+                        if math.gcd(k, 30) == 1]
+        assert seen[0] == sympy.nextprime(1999) == 2003
+
+    def test_gcd_stage_proves_its_primes(self, monkeypatch):
+        # every prime below 2000, and a cofactor below 2003^2, is proven
+        # prime by trial division alone
+        assert _proofs(monkeypatch, 1999 * 2003) == []
+        assert _proofs(monkeypatch, 3 * 1997**2 * 1999) == []
+        assert _proofs(monkeypatch, 1999 * 999983) == []
+
+    def test_deep_tier(self):
+        # a cofactor past 2^64 is trial-divided toward 10**6 by the wheel,
+        # and stops once the cofactor falls below 2^64
+        p = 104729  # the 10000th prime
+        assert _trial(p * (2**61 - 1)) == ([(p, 1)], 2**61 - 1)
+        self._check(p * (2**61 - 1))
+        self._check(2003 * (2**61 - 1))
+        self._check(3 * 1999 * 2003**2 * 999983 * 1000003)
+        # a factor past 2000 is found while the cofactor stays past 2^64
+        big = 2**89 - 1
+        want = ((7, 2), (2003, 1), (999983, 1))
+        assert partial_factorize(49 * 2003 * 999983 * big) == (want, big)
+        assert _trial(49 * 2003 * 999983 * big) == (list(want), big)
+        with pytest.raises(OutOfCertifiedRangeError):
+            factorize(49 * 2003 * 999983 * big)
+
+    def test_yields_increase(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            n = math.prod(sympy.randprime(2, 3000) ** rng.randint(1, 3)
+                          for _ in range(rng.randint(1, 6)))
+            found, rest = _trial(n)
+            primes = [p for p, _ in found]
+            assert primes == sorted(set(primes))
+            assert _value(found) * rest == n
+            # what is left holds only primes past every one yielded
+            assert all(p < q for q in sympy.factorint(rest) for p in primes)
 
 
 class TestPartialFactorize:

@@ -14,12 +14,19 @@ local-table check also runs on the golden `surface` reports.
 The tracer counts the scan's decisions where the scan looks
 ``conic_decide`` up, in `chatelet._kernel.pure`; the scan must reach it
 there, and its sieve must keep it from seeing every fiber.
+
+The tracer wraps the targets only in the ``chatelet`` modules that
+``import chatelet.cli`` has loaded, so every target's module must load
+with the CLI; a traced `bundle` run checks that its spans are recorded.
 """
 
 import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,3 +124,25 @@ def test_scan_decides_through_traced_name(monkeypatch):
     fibers = 1 + sum(math.gcd(m, n) == 1
                      for n in range(1, H + 1) for m in range(-H, H + 1))
     assert 0 < len(calls) < fibers
+
+
+def test_traced_bundle_records_bundle_spans(tmp_path):
+    # a module that `cli` imported only inside a subcommand would keep
+    # its own functions unwrapped, with no span and no missing target
+    src = str(PERFBENCH.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, CHATELET_PURE_KERNEL="1",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    prefix = str(tmp_path / "bundle")
+    run = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"),
+                          prefix, "--", "bundle", "--fibers", "2"],
+                         env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    trace = json.loads(Path(prefix + ".layers.json").read_text())
+    assert trace["missing_targets"] == []
+    for name in ("bundle.bad_fibers", "bundle.verify_pullback",
+                 "bundle.pullback_fiber"):
+        assert trace["layers"][name]["calls"] > 0, name
+    # t = 0, 1, -1; t and -t lie over one fiber of the base bundle
+    assert trace["counters"]["bundle.fibers.verified"] == 3
+    assert trace["counters"]["bundle.fibers.distinct"] == 2
