@@ -11,10 +11,10 @@ one variable, D(s) = disc(s Pinf + P0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from chatelet.local import Place
 from chatelet.numbers import squarefree_part
@@ -45,22 +45,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiberParam:
+class FiberParam(namedtuple("FiberParam", "u v")):
     """A point (u : v) of P^1(Q) in canonical integer form: coprime,
     first nonzero coordinate positive."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u == 0 and self.v == 0:
+    def __new__(cls, u: int, v: int):
+        if u == 0 and v == 0:
             raise ValueError("(0, 0) is not a point of P^1")
-        if math.gcd(self.u, self.v) != 1:
+        if math.gcd(u, v) != 1:
             raise ValueError("coordinates must be coprime")
-        first = self.u if self.u != 0 else self.v
+        first = u if u != 0 else v
         if first < 0:
             raise ValueError("first nonzero coordinate must be positive")
+        return super().__new__(cls, u, v)
 
     @classmethod
     def canonical(cls, u: Union[int, Fraction],
@@ -87,13 +86,11 @@ class FiberParam:
         return "oo" if self.is_infinity else str(self.affine())
 
 
-@dataclass(frozen=True)
-class SurfaceBundle:
+class SurfaceBundle(namedtuple("SurfaceBundle", "source Pinf")):
     """The bundle over P^1 with fiber quartic u^2 Pinf + v^2 P0 at
-    (u : v); the fiber at (0 : 1) is the generating surface."""
-
-    source: ChateletSurface
-    Pinf: BinaryQuartic
+    (u : v), for a `ChateletSurface` source and a `BinaryQuartic` Pinf;
+    the fiber at (0 : 1) is the generating surface.  No __slots__: `bad`
+    is cached in the instance __dict__."""
 
     @property
     def alpha(self) -> Fraction:
@@ -109,8 +106,7 @@ class SurfaceBundle:
         return bad_fibers(self)
 
 
-@dataclass(frozen=True)
-class BadFiberSet:
+class BadFiberSet(NamedTuple):
     """Rational points of P^1 with a non-smooth bundle fiber: the (u : v)
     whose s = (u/v)^2 is a root of the sextic D(s) = disc(s Pinf + P0)."""
 
@@ -122,8 +118,7 @@ class BadFiberSet:
                 if not f.is_infinity and f.u != 0}
 
 
-@dataclass(frozen=True)
-class PulledBackBundle:
+class PulledBackBundle(NamedTuple):
     """Base change along t -> d t^2: the fiber over t = (t0 : t1) is the
     base fiber at (d t1^2 : t0^2), putting the pointless fiber at
     t = infinity and a square-class-d coordinate under every affine t."""
@@ -258,15 +253,15 @@ def pullback_fiber(W: PulledBackBundle,
 # shrink maps (composition gadgets for the fibration argument)
 
 
-@dataclass(frozen=True)
-class RealShrink:
+class RealShrink(namedtuple("RealShrink", "m")):
     """t -> 1 / (t^2 + m): maps all of P^1(R) into [0, 1/m]."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m <= 0:
+    def __new__(cls, m: int):
+        if m <= 0:
             raise ValueError("m must be a positive integer")
+        return super().__new__(cls, m)
 
     def __call__(self, t: Optional[Fraction]) -> Fraction:
         if t is None:  # infinity
@@ -280,8 +275,7 @@ class RealShrink:
         return Fraction(0), Fraction(1, self.m)
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(NamedTuple):
     """g = num / den in one variable, both degree <= 3."""
 
     num: tuple[Fraction, ...]
@@ -313,22 +307,20 @@ def standard_g(target: Fraction) -> RationalMap:
     return RationalMap(num=num, den=den)
 
 
-@dataclass(frozen=True)
-class NonarchShrink:
-    """t -> g(t^M) with M = p^r (p - 1): every p-adic unit t has
-    t^M in 1 + p^(r+1) Z_p, so units land near g(1) = target, while
-    t in p Z_p (resp. 1/t in p Z_p) lands near g(0) (resp. g(infinity))."""
+class NonarchShrink(namedtuple("NonarchShrink", "p r g")):
+    """t -> g(t^M) with M = p^r (p - 1), for a `RationalMap` g: every
+    p-adic unit t has t^M in 1 + p^(r+1) Z_p, so units land near
+    g(1) = target, while t in p Z_p (resp. 1/t in p Z_p) lands near g(0)
+    (resp. g(infinity))."""
 
-    p: int
-    r: int
-    g: RationalMap
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p == 2 or self.r < 1:
+    def __new__(cls, p: int, r: int, g: RationalMap):
+        if p == 2 or r < 1:
             raise ValueError("need an odd prime p and r >= 1")
-        g = self.g
         if not (g(Fraction(0)) == g(Fraction(1)) == g(None)):
             raise ValueError("g must send 0, 1, infinity to one point")
+        return super().__new__(cls, p, r, g)
 
     @property
     def M(self) -> int:
@@ -357,8 +349,7 @@ class NonarchShrink:
 # verification
 
 
-@dataclass(frozen=True)
-class FiberRecord:
+class FiberRecord(NamedTuple):
     t: tuple[int, int]
     fiber_param: FiberParam
     smooth: bool
@@ -371,8 +362,7 @@ class FiberRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BundleReport:
+class BundleReport(NamedTuple):
     d: int
     special: ObstructionReport
     special_search: SearchResult
@@ -422,6 +412,8 @@ def verify_pullback(W: PulledBackBundle,
     special_search = rational_point_search(W.base.source, search_H)
     # the fiber depends on t only through (t0^2 : t1^2), so t and -t
     # share one verification and differ only in the record's t
+    # (`_replace` skips a subclass's __new__, so it is kept to records
+    # that validate nothing, like FiberRecord)
     by_fiber: dict[FiberParam, FiberRecord] = {}
     records = []
     for t in sample_ts:
@@ -430,7 +422,7 @@ def verify_pullback(W: PulledBackBundle,
         fp = pullback_fiber_param(W, t)
         if fp not in by_fiber:
             by_fiber[fp] = _verify_fiber(W, t, fp, F, d_class, search_H)
-        records.append(replace(by_fiber[fp], t=t))
+        records.append(by_fiber[fp]._replace(t=t))
     return BundleReport(
         d=W.d,
         special=special,

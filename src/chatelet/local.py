@@ -23,9 +23,8 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from chatelet.numbers import (
     OutOfCertifiedRangeError,
@@ -50,8 +49,7 @@ INV_ZERO = Fraction(0)
 INV_HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+class Place(NamedTuple):
     """The real place (p is None) or the p-adic place of a prime p.
 
     Ordering puts the real place first, then primes ascending, so that

@@ -32,7 +32,7 @@ sieve read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -59,19 +59,18 @@ def evaluate_quartic(coeffs, m, n):
             + c1 * n**3) * m + c0 * n**4
 
 
-@dataclass(frozen=True)
-class BinaryQuartic:
-    """Form sum coeffs[i] * x^i * w^(4-i), not identically 0."""
+class BinaryQuartic(namedtuple("BinaryQuartic", "coeffs")):
+    """Form sum coeffs[i] * x^i * w^(4-i), not identically 0; coeffs is
+    a tuple of five Fractions.  No __slots__: the cached properties live
+    in the instance __dict__."""
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
-        if len(self.coeffs) != 5:
+    def __new__(cls, coeffs):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != 5:
             raise ValueError("need exactly 5 coefficients")
-        if all(c == 0 for c in self.coeffs):
+        if all(c == 0 for c in coeffs):
             raise ValueError("form is identically zero")
+        return super().__new__(cls, coeffs)
 
     def value(self, w: Rational, x: Rational) -> Fraction:
         return evaluate_quartic(self.coeffs, x, w)

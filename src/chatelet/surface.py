@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from chatelet._kernel.pure import conic_scan
 from chatelet.local import (
@@ -75,8 +75,7 @@ class InvariantNotConstantError(RuntimeError):
     falsify the obstruction computation and is a hard failure."""
 
 
-@dataclass(frozen=True)
-class ChateletParams:
+class ChateletParams(namedtuple("ChateletParams", "a b c")):
     """Parameters (a, b, c) of the Hasse-principle counterexample.
 
     a, b are primes = 1 mod 8 exceeding 5, a is not a square mod b,
@@ -85,44 +84,43 @@ class ChateletParams:
     `eval_invariant_all_reps`), not from these parameters.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (is_prime(self.a) and is_prime(self.b)):
+    def __new__(cls, a: int, b: int, c: int):
+        if not (is_prime(a) and is_prime(b)):
             raise ValueError("a and b must be prime")
-        if self.a <= 5 or self.b <= 5:
+        if a <= 5 or b <= 5:
             raise ValueError("a and b must exceed 5")
-        if self.a % 8 != 1 or self.b % 8 != 1:
+        if a % 8 != 1 or b % 8 != 1:
             raise ValueError("a and b must be = 1 mod 8")
-        if self.a == self.b:
+        if a == b:
             raise ValueError("a and b must be distinct")
-        if legendre(self.a % self.b, self.b) != -1:
+        if legendre(a % b, b) != -1:
             raise ValueError("a must be a non-square mod b")
-        if (self.a * self.c + 1) % self.b != 0:
+        if (a * c + 1) % b != 0:
             raise ValueError("b must divide a*c + 1")
+        return super().__new__(cls, a, b, c)
 
 
-@dataclass(frozen=True)
-class ChateletSurface:
-    """y^2 - alpha z^2 = P(x), stored as alpha and the binary quartic
-    P~(w, x) = w^4 P(x / w), whose coefficients are those of P.
+class ChateletSurface(namedtuple("ChateletSurface",
+                                 "alpha Ptilde provenance params")):
+    """y^2 - alpha z^2 = P(x), stored as the Fraction alpha and the
+    binary quartic P~(w, x) = w^4 P(x / w), whose coefficients are those
+    of P.  provenance is "constructed", "iskovskikh", "fiber" or "user";
+    params are the `ChateletParams` of a constructed surface, else None.
 
     The facts derived from the surface are computed once and cached on
-    it: `disc`, the discriminant of P~, and `local`, its local table
+    it (in the instance __dict__, so no __slots__): `disc`, the
+    discriminant of P~, and `local`, its local table
     (`verify_local_everywhere`), which the obstruction reads.
     """
 
-    alpha: Fraction
-    Ptilde: BinaryQuartic
-    provenance: str  # "constructed" | "iskovskikh" | "fiber" | "user"
-    params: Optional[ChateletParams] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha == 0:
+    def __new__(cls, alpha: Rational, Ptilde: BinaryQuartic,
+                provenance: str, params: Optional[ChateletParams] = None):
+        alpha = Fraction(alpha)
+        if alpha == 0:
             raise ValueError("alpha must be nonzero")
+        return super().__new__(cls, alpha, Ptilde, provenance, params)
 
     @cached_property
     def disc(self) -> Fraction:
@@ -146,8 +144,7 @@ class ChateletSurface:
         return f"{self.provenance}(alpha={self.alpha};P={coeffs})"
 
 
-@dataclass(frozen=True)
-class CertifiedLocalX:
+class CertifiedLocalX(NamedTuple):
     """An x in P^1(Q) whose fiber conic provably has a Q_v-point.
 
     certificate is +1 (Hilbert symbol of (alpha, P~(x)) at the place) or
@@ -343,15 +340,13 @@ def local_solvable_surface(
     return found is not None, found
 
 
-@dataclass(frozen=True)
-class LocalPlaceResult:
+class LocalPlaceResult(NamedTuple):
     place: Place
     solvable: bool
     witness: Optional[CertifiedLocalX]
 
 
-@dataclass(frozen=True)
-class LocalReport:
+class LocalReport(NamedTuple):
     """Everywhere-local solvability: exact decisions at the bad places,
     the norm-argument tag for all remaining places."""
 
@@ -439,16 +434,14 @@ def sample_certified_points(S: ChateletSurface, v: Place, n: int,
     return list(found.values())[:n]
 
 
-@dataclass(frozen=True)
-class PlaceInvariantRecord:
+class PlaceInvariantRecord(NamedTuple):
     place: Place
     invariant: Fraction
     samples: int
     justification: str  # "sampled" | "norm-argument"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     surface_id: str
     records: tuple[PlaceInvariantRecord, ...]
     good_places_tag: str
@@ -506,8 +499,7 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
 # global search
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     height: int
     found: bool
     x: Optional[ProjectivePoint] = None
@@ -556,13 +548,27 @@ def surface_to_json(S: ChateletSurface) -> dict:
 
 
 def surface_from_json(obj: Union[str, dict]) -> ChateletSurface:
+    """The surface of {"alpha": q, "P": [c0, ..., c4]}, with an optional
+    "provenance".  Each number is an integer or a decimal or fraction
+    string; a JSON float or boolean is a ValueError, since a float is
+    not the rational it was written as and a boolean is no number."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    coeffs = obj["P"]
+    if not isinstance(coeffs, (list, tuple)):
+        raise ValueError("P must be a list of 5 coefficients")
     return ChateletSurface(
-        alpha=Fraction(obj["alpha"]),
-        Ptilde=BinaryQuartic(obj["P"]),
+        alpha=_json_rational(obj["alpha"]),
+        Ptilde=BinaryQuartic([_json_rational(c) for c in coeffs]),
         provenance=obj.get("provenance", "user"),
     )
+
+
+def _json_rational(value) -> Fraction:
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{json.dumps(value)} is not an integer or a "
+                         "rational string")
+    return Fraction(value)
 
 
 def _frac_str(q: Rational) -> str:

@@ -1,7 +1,6 @@
 """The surface bundle, bad fibers, pullback and fiber verification."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -310,7 +309,7 @@ class TestVerifyPullback:
         by_t = {r.t: r for r in report.fibers}
         for (t0, t1), rec in by_t.items():
             if t0 > 0:
-                assert replace(by_t[(-t0, t1)], t=(t0, t1)) == rec
+                assert by_t[(-t0, t1)]._replace(t=(t0, t1)) == rec
 
     def test_each_distinct_fiber_verified_once(self, B, F, monkeypatch):
         # t and -t pull back to one fiber: t = 0, +-1, +-2 are 3 fibers

@@ -267,6 +267,40 @@ class TestSurface:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("text", [
+        '{"alpha": true, "P": [1, 0, 0, 0, 1.5]}',
+        '{"alpha": 0.1, "P": ["1", "0", "0", "0", "1"]}',
+        '{"alpha": "2", "P": [6, 0, 0, 0, 1.0]}',
+        '{"alpha": "2", "P": [6, false, 0, 0, 1]}',
+        '{"alpha": NaN, "P": [6, 0, 0, 0, 1]}',
+        '{"alpha": "2", "P": "60001"}',
+    ])
+    def test_float_bool_and_string_quartic_rejected(self, capsys,
+                                                    monkeypatch, text):
+        # a JSON float is not the rational it was written as: 0.1 would
+        # become 3602879701896397/36028797018963968, and true would be 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main(["surface", "-", "--height", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("surface: invalid input: ")
+
+    @pytest.mark.parametrize("text, alpha, P", [
+        ('{"alpha": 2, "P": [6, 0, 0, 0, 1]}', "2", ["6", "0", "0", "0", "1"]),
+        ('{"alpha": "0.5", "P": ["6", "0", "0", "0", "1/2"]}',
+         "1/2", ["6", "0", "0", "0", "1/2"]),
+        ('{"alpha": "-3/6", "P": [-1, "2.25", 0, 0, 12345678901234567890]}',
+         "-1/2", ["-1", "9/4", "0", "0", "12345678901234567890"]),
+    ])
+    def test_ints_and_rational_strings_accepted(self, capsys, monkeypatch,
+                                                text, alpha, P):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, rep = run_json(capsys, "surface", "-", "--height", "3")
+        assert code == EXIT_OK
+        assert rep["stages"]["surface"]["alpha"] == alpha
+        assert rep["stages"]["surface"]["P"] == P
+
     @pytest.mark.parametrize("name", ["nonexistent.json", "."])
     def test_unreadable_input(self, capsys, tmp_path, name):
         # a missing file (FileNotFoundError) and a directory
@@ -351,6 +385,26 @@ def test_subcommands_never_import_sympy():
             codes = [main(argv) for argv in runs]
         print(codes, sorted(m for m in sys.modules
                             if m.partition(".")[0] == "sympy"))
+    """)
+    assert out == f"{[EXIT_OK] * 5} []"
+
+
+def test_subcommands_never_import_dataclasses():
+    """The records are namedtuples, so no subcommand pays for compiling
+    `dataclasses` and the `inspect`, `ast` and `dis` it pulls in, nor for
+    the methods a dataclass generates through `exec` at import."""
+    out = _run_fresh("""
+        runs = [
+            ["hilbert", "697", "41"],
+            ["counterexample", "--height", "20"],
+            ["iskovskikh", "--height", "20"],
+            ["bundle", "--fibers", "2"],
+            ["surface", "-", "--height", "20"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(codes, [m for m in ("dataclasses", "inspect", "ast", "dis")
+                      if m in sys.modules])
     """)
     assert out == f"{[EXIT_OK] * 5} []"
 
