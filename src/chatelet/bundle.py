@@ -21,7 +21,6 @@ from chatelet.numbers import squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
-    evaluate_form,
     quartic_irreducible,
     rational_roots,
 )
@@ -37,11 +36,10 @@ from chatelet.surface import (
 
 __all__ = [
     "FiberParam", "SurfaceBundle", "BadFiberSet", "PulledBackBundle",
-    "FiberRecord", "BundleReport", "RealShrink", "NonarchShrink",
+    "FiberRecord", "BundleReport",
     "make_bundle", "fiber_at", "bad_fibers", "good_d_candidates",
     "pullback", "pullback_fiber", "pullback_fiber_param",
-    "standard_g", "RationalMap", "default_sample_ts",
-    "verify_pullback", "bundle_to_json",
+    "default_sample_ts", "verify_pullback", "bundle_to_json",
 ]
 
 
@@ -247,102 +245,6 @@ def pullback_fiber_param(W: PulledBackBundle,
 def pullback_fiber(W: PulledBackBundle,
                    t: tuple[int, int]) -> ChateletSurface:
     return fiber_at(W.base, pullback_fiber_param(W, t))
-
-
-# ---------------------------------------------------------------------------
-# shrink maps (composition gadgets for the fibration argument)
-
-
-class RealShrink(namedtuple("RealShrink", "m")):
-    """t -> 1 / (t^2 + m): maps all of P^1(R) into [0, 1/m]."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int):
-        if m <= 0:
-            raise ValueError("m must be a positive integer")
-        return super().__new__(cls, m)
-
-    def __call__(self, t: Optional[Fraction]) -> Fraction:
-        if t is None:  # infinity
-            return Fraction(0)
-        t = Fraction(t)
-        return 1 / (t * t + self.m)
-
-    def certify(self) -> tuple[Fraction, Fraction]:
-        """Exact image bound [0, 1/m]: t^2 + m >= m for real t, and the
-        map is positive; infinity goes to 0."""
-        return Fraction(0), Fraction(1, self.m)
-
-
-class RationalMap(NamedTuple):
-    """g = num / den in one variable, both degree <= 3."""
-
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-
-    def __call__(self, y: Optional[Fraction]) -> Optional[Fraction]:
-        if y is None:
-            dn = max(i for i, c in enumerate(self.num) if c != 0)
-            dd = max(i for i, c in enumerate(self.den) if c != 0)
-            if dn > dd:
-                return None
-            if dn < dd:
-                return Fraction(0)
-            return self.num[dn] / self.den[dd]
-        n = evaluate_form(self.num, Fraction(y), 1)
-        d = evaluate_form(self.den, Fraction(y), 1)
-        if d == 0:
-            return None
-        return n / d
-
-
-def standard_g(target: Fraction) -> RationalMap:
-    """A degree-3 map with g(0) = g(1) = g(infinity) = target:
-    g(y) = target + y(y - 1) / (y^3 + 1)."""
-    target = Fraction(target)
-    # (target*(y^3+1) + y^2 - y) / (y^3 + 1)
-    num = (target, Fraction(-1), Fraction(1), target)
-    den = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    return RationalMap(num=num, den=den)
-
-
-class NonarchShrink(namedtuple("NonarchShrink", "p r g")):
-    """t -> g(t^M) with M = p^r (p - 1), for a `RationalMap` g: every
-    p-adic unit t has t^M in 1 + p^(r+1) Z_p, so units land near
-    g(1) = target, while t in p Z_p (resp. 1/t in p Z_p) lands near g(0)
-    (resp. g(infinity))."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, r: int, g: RationalMap):
-        if p == 2 or r < 1:
-            raise ValueError("need an odd prime p and r >= 1")
-        if not (g(Fraction(0)) == g(Fraction(1)) == g(None)):
-            raise ValueError("g must send 0, 1, infinity to one point")
-        return super().__new__(cls, p, r, g)
-
-    @property
-    def M(self) -> int:
-        return self.p**self.r * (self.p - 1)
-
-    def __call__(self, t: Optional[Fraction]) -> Optional[Fraction]:
-        if t is None:
-            return self.g(None)
-        return self.g(Fraction(t) ** self.M)
-
-    def certify(self) -> bool:
-        """Exhaustively check u^M = 1 mod p^(r+1) for every unit residue
-        u mod p^(r+2); with the valuation trichotomy this pins the image
-        of t -> t^M, hence of the composite."""
-        mod = self.p ** (self.r + 2)
-        target_mod = self.p ** (self.r + 1)
-        for u in range(1, mod):
-            if u % self.p == 0:
-                continue
-            if pow(u, self.M, mod) % target_mod != 1:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

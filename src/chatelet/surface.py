@@ -549,18 +549,22 @@ def surface_to_json(S: ChateletSurface) -> dict:
 
 def surface_from_json(obj: Union[str, dict]) -> ChateletSurface:
     """The surface of {"alpha": q, "P": [c0, ..., c4]}, with an optional
-    "provenance".  Each number is an integer or a decimal or fraction
-    string; a JSON float or boolean is a ValueError, since a float is
-    not the rational it was written as and a boolean is no number."""
+    string "provenance".  Each number is an integer or a decimal or
+    fraction string; a JSON float or boolean is a ValueError, since a
+    float is not the rational it was written as and a boolean is no
+    number."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     coeffs = obj["P"]
     if not isinstance(coeffs, (list, tuple)):
         raise ValueError("P must be a list of 5 coefficients")
+    provenance = obj.get("provenance", "user")
+    if not isinstance(provenance, str):
+        raise ValueError("provenance must be a string")
     return ChateletSurface(
         alpha=_json_rational(obj["alpha"]),
         Ptilde=BinaryQuartic([_json_rational(c) for c in coeffs]),
-        provenance=obj.get("provenance", "user"),
+        provenance=provenance,
     )
 
 

@@ -11,8 +11,6 @@ from chatelet import surface as surface_mod
 from chatelet.bundle import (
     BadFiberSet,
     FiberParam,
-    NonarchShrink,
-    RealShrink,
     bad_fibers,
     bundle_to_json,
     default_sample_ts,
@@ -22,7 +20,6 @@ from chatelet.bundle import (
     pullback,
     pullback_fiber,
     pullback_fiber_param,
-    standard_g,
     verify_pullback,
 )
 from chatelet.numbers import squarefree_part
@@ -243,45 +240,6 @@ class TestPullback:
         for t in [(1, 1), (-2, 1), (5, 3), (7, 2)]:
             fp = pullback_fiber_param(W, t)
             assert squarefree_part(fp.affine()) == 3
-
-
-class TestShrinkMaps:
-    def test_real_image_bound(self):
-        rs = RealShrink(m=4)
-        lo, hi = rs.certify()
-        assert (lo, hi) == (0, Fraction(1, 4))
-        assert rs(None) == 0
-        for t in (Fraction(0), Fraction(1, 3), Fraction(-100)):
-            assert lo <= rs(t) <= hi
-
-    def test_real_validation(self):
-        with pytest.raises(ValueError):
-            RealShrink(m=0)
-
-    def test_standard_g(self):
-        g = standard_g(Fraction(1, 2))
-        assert g(Fraction(0)) == g(Fraction(1)) == g(None) == Fraction(1, 2)
-
-    def test_nonarch_certificate(self):
-        ns = NonarchShrink(p=3, r=1, g=standard_g(Fraction(1, 2)))
-        assert ns.M == 6
-        assert ns.certify()
-        # spot check: units satisfy t^6 = 1 mod 9
-        for u in range(1, 9):
-            if u % 3:
-                assert pow(u, 6, 9) == 1
-
-    def test_nonarch_five(self):
-        ns = NonarchShrink(p=5, r=1, g=standard_g(Fraction(2)))
-        assert ns.M == 20
-        assert ns.certify()
-
-    def test_nonarch_rejects_bad_g(self):
-        from chatelet.bundle import RationalMap
-        g = RationalMap(num=(Fraction(0), Fraction(1)),
-                        den=(Fraction(1), Fraction(0)))  # identity
-        with pytest.raises(ValueError):
-            NonarchShrink(p=3, r=1, g=g)
 
 
 @pytest.fixture(scope="module")

@@ -194,6 +194,20 @@ class TestBundle:
         assert code == EXIT_STAGE
         assert rep["error"]["stage"] == "pullback"
 
+    def test_d_that_fails_locally_is_not_certified(self, capsys):
+        # d = 3 passes the square-class check, but t = +-2 and t = +-3
+        # give fibers with no 5-adic point: t -> 3 t^2 alone cannot serve
+        # this d, and the run must say so rather than certify the family
+        code, rep = run_json(capsys, "bundle", "--d", "3", "--fibers", "8")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        failed = [(f["t"][0], f["fiber"]) for f in rep["stages"]["fibers"]
+                  if not f["locally_solvable"]]
+        assert failed == [("2", ["3", "4"]), ("-2", ["3", "4"]),
+                          ("3", ["1", "3"]), ("-3", ["1", "3"])]
+        assert rep["stages"]["summary"]["locally_solvable"] == 5
+        assert rep["stages"]["summary"]["sampled"] == 9
+
     @pytest.mark.parametrize("argv, stage", [
         # d itself is a prime past 2^64: its square class is uncertified
         (["--d", str(2**64 + 13)], "pullback"),
@@ -260,6 +274,8 @@ class TestSurface:
         '{"alpha": null, "P": ["6","0","0","0","1"]}',
         '{"alpha": "2", "P": 5}',
         '{"alpha": "1/0", "P": ["6","0","0","0","1"]}',
+        '{"alpha":"2","P":[6,0,0,0,1],"provenance":{"a":[1]}}',
+        '{"alpha": "2", "P": [6, 0, 0, 0, 1], "provenance": 7}',
     ])
     def test_malformed_input(self, capsys, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -9,13 +9,9 @@ import pytest
 from chatelet.bundle import (
     FiberParam,
     FiberRecord,
-    NonarchShrink,
-    RationalMap,
-    RealShrink,
     default_sample_ts,
     make_bundle,
     pullback,
-    standard_g,
     verify_pullback,
 )
 from chatelet.local import REAL, Place, finite_place
@@ -39,9 +35,7 @@ def _records():
         ChateletSurface(Fraction(2), QUARTIC, "user"),
         ChateletSurface(Fraction(697), QUARTIC, "constructed", params),
         LocalPlaceResult(place=REAL, solvable=True, witness=None),
-        SearchResult(height=3, found=False),
-        FiberParam(1, 2), RealShrink(3), standard_g(Fraction(1, 2)),
-        NonarchShrink(3, 1, standard_g(Fraction(1, 2))),
+        SearchResult(height=3, found=False), FiberParam(1, 2),
     ]
 
 
@@ -90,7 +84,6 @@ class TestRepr:
         assert repr(SearchResult(5, False)) == (
             "SearchResult(height=5, found=False, x=None, witness=None, "
             "note='')")
-        assert repr(RealShrink(2)) == "RealShrink(m=2)"
         assert repr(BinaryQuartic((0, 0, 0, 0, "1/2"))) == (
             "BinaryQuartic(coeffs=(Fraction(0, 1), Fraction(0, 1), "
             "Fraction(0, 1), Fraction(0, 1), Fraction(1, 2)))")
@@ -136,14 +129,6 @@ class TestValidation:
         (lambda: BinaryQuartic((1, 2, 3)), "need exactly 5 coefficients"),
         (lambda: BinaryQuartic((0, "0", 0, 0, Fraction(0))),
          "form is identically zero"),
-        (lambda: RealShrink(0), "m must be a positive integer"),
-        (lambda: NonarchShrink(2, 1, standard_g(Fraction(1))),
-         "need an odd prime p and r >= 1"),
-        (lambda: NonarchShrink(3, 0, standard_g(Fraction(1))),
-         "need an odd prime p and r >= 1"),
-        (lambda: NonarchShrink(3, 1, RationalMap(
-            num=(Fraction(0), Fraction(1)), den=(Fraction(1),))),
-         "g must send 0, 1, infinity to one point"),
         (lambda: ChateletSurface(alpha=0, Ptilde=QUARTIC,
                                  provenance="user"),
          "alpha must be nonzero"),
