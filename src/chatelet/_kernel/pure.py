@@ -8,17 +8,11 @@ decision.  Everything here is exact integer arithmetic.
 The scan reads the quartic's one split over Q,
 :attr:`chatelet.quartic.BinaryQuartic.factors`: its integer model is
 k * f_1 * ... * f_s, and each fiber is decided from the parts
-k * f_1(m, n), f_2(m, n), ... rather than from their product.
-`conic_decide` checks the real place, 2 and a set of checked primes on
-the product, and reads the remaining primes of each part on its own;
-that is exact when no prime outside the checked set divides two parts.  So the checked primes are the odd
-primes of alpha, of k and of each resultant Res(f_i, f_j): a prime
-that divides f_i(m, n) and f_j(m, n) at coprime (m, n) divides
-Res(f_i, f_j).  An irreducible quartic is one part, its value by
-:func:`chatelet.quartic.evaluate_quartic`, with the odd primes of alpha
-checked.  So is a split quartic whose k or resultants cannot be
-factored with certified primes, or have a zero resultant (a repeated
-factor).
+k * f_1(m, n), f_2(m, n), ... rather than from their product, with the
+odd primes of alpha.  `conic_decide` finds the primes that two parts
+share by a gcd and checks them on the product, so every split is
+decided the same way.  An irreducible quartic is one part, its value by
+:func:`chatelet.quartic.evaluate_quartic`.
 
 Three rules skip fibers before any evaluation, and none changes the
 first hit:
@@ -30,10 +24,10 @@ first hit:
   place.  Its integer bounds come from exact floor and ceiling of
   Fractions; a zero value can only sit at a root, which lies in an
   isolating interval and never inside a segment.
-* *Disc sieve.*  At 2 and at each checked prime p the scan walks the
-  residue discs of :func:`chatelet.quartic.residue_discs` once, to the
-  largest depth whose p-power is at most the number of pairs (m, n) it
-  visits, about 2H^2, and keeps the discs of constant square class on
+* *Disc sieve.*  At 2 and at each odd prime p of alpha the scan walks
+  the residue discs of :func:`chatelet.quartic.residue_discs` once, to
+  the largest depth whose p-power is at most the number of pairs (m, n)
+  it visits, about 2H^2, and keeps the discs of constant square class on
   which the symbol (alpha, P~)_p is -1.  On such a disc,
   x = x0 mod p^k with e = v_p(P~(x0)) < k at odd p and e <= k - 3 at
   2, every value is P~(x0)(1 + p^(k-e) t) with t in Z_p, and
@@ -66,12 +60,10 @@ from itertools import islice
 from typing import Optional
 
 from chatelet.local import conic_decide, finite_place, hilbert_symbol
-from chatelet.numbers import OutOfCertifiedRangeError, factorize
 from chatelet.quartic import (
     BinaryQuartic,
     evaluate_form,
     evaluate_quartic,
-    form_resultant,
     negative_segments,
     residue_discs,
 )
@@ -85,8 +77,10 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
 
     Enumerates n = 0 (only (1, 0), i.e. x = infinity) then n = 1..H with
     m = -H..H coprime to n, less the m that the real sieve, the disc
-    sieve and the symmetry of the module docstring skip.  A zero quartic value counts
-    as solvable (the degenerate fiber carries the point (x, 0, 0)).
+    sieve and the symmetry of the module docstring skip.  A zero quartic
+    value counts as solvable (the degenerate fiber carries the point
+    (x, 0, 0)).  Each fiber is decided from its parts with the odd
+    primes of alpha, ``alpha_odd_primes``.
     """
     coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
@@ -94,8 +88,8 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     # this narrow keeps at most one of them from the sieve
     segments = (negative_segments(coeffs, Fraction(1, (H + 1) ** 2))
                 if alpha < 0 else [])
-    checked, parts = _fiber_parts(quartic, alpha_odd_primes)
-    sieves = _disc_sieves(coeffs, alpha, checked, H)
+    parts = _fiber_parts(quartic)
+    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H)
     for n in range(H + 1):
         spans = _unsieved(segments, n, H, top) if n else [(1,)]
         row = [m for span in spans for m in span if math.gcd(m, n) == 1]
@@ -103,17 +97,17 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
             row = _survivors(sieve, n, row)
         for m in row:
             values = parts(m, n)
-            if 0 in values or conic_decide(alpha, checked, *values):
+            if 0 in values or conic_decide(alpha, alpha_odd_primes, *values):
                 return m, n
     return None
 
 
-def _disc_sieves(coeffs, alpha: int, checked, H: int) -> list:
-    """The `_disc_sieve`s of 2 and of the checked primes for a scan of
-    height H, which visits 1 + H(2H + 1) pairs (m, n), 2H + 1 to a row,
-    where they find a disc."""
+def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int) -> list:
+    """The `_disc_sieve`s of 2 and of the odd primes of alpha for a scan
+    of height H, which visits 1 + H(2H + 1) pairs (m, n), 2H + 1 to a
+    row, where they find a disc."""
     pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
-    return [sieve for p in (2, *checked)
+    return [sieve for p in (2, *alpha_odd_primes)
             if (sieve := _disc_sieve(coeffs, alpha, p, pairs, row))]
 
 
@@ -182,43 +176,27 @@ def _survivors(sieve, n: int, row: list[int]) -> list[int]:
     return [m for m in row if not table[n * pow(m, -1, modulus) % modulus]]
 
 
-def _fiber_parts(quartic: BinaryQuartic, alpha_odd_primes):
-    """(checked primes, parts): the primes that `conic_decide` checks on
-    the product, and the function of (m, n) that gives the parts of the
-    value of the quartic's integer model, as the module docstring sets
-    out."""
-    coeffs = quartic.integer_square_scaled
+def _fiber_parts(quartic: BinaryQuartic):
+    """The function of (m, n) that gives the parts k * f_1(m, n),
+    f_2(m, n), ... of the value of the quartic's integer model."""
     k, forms = quartic.factors
-    whole = (alpha_odd_primes,
-             lambda m, n: [evaluate_quartic(coeffs, m, n)])
-    if len(forms) == 1:
-        return whole
-    # every prime that two parts can share divides one of these
-    suspects = [k] + [form_resultant(f, g) for i, f in enumerate(forms)
-                      for g in forms[i + 1:]]
-    if 0 in suspects:
-        return whole
-    try:
-        extra = {p for b in suspects for p, _ in factorize(b)}
-    except OutOfCertifiedRangeError:
-        return whole
-    checked = alpha_odd_primes + tuple(
-        sorted(extra - {2} - set(alpha_odd_primes)))
     evaluators = [_evaluator(tuple(k * c for c in forms[0]))]
     evaluators += [_evaluator(f) for f in forms[1:]]
-    return checked, lambda m, n: [e(m, n) for e in evaluators]
+    return lambda m, n: [e(m, n) for e in evaluators]
 
 
 def _evaluator(f):
-    """The function (m, n) -> f(m, n) of a factor f of degree 1, 2 or 3:
-    `evaluate_form`, unrolled for the degrees that the surfaces' split
-    quartics have, since the scan calls it at every fiber."""
+    """The function (m, n) -> f(m, n) of a factor f of degree 1 to 4:
+    `evaluate_form`, unrolled for all but degree 3, since the scan calls
+    it at every fiber."""
     if len(f) == 2:
         c0, c1 = f
         return lambda m, n: c1 * m + c0 * n
     if len(f) == 3:
         c0, c1, c2 = f
         return lambda m, n: (c2 * m + c1 * n) * m + c0 * n * n
+    if len(f) == 5:
+        return lambda m, n: evaluate_quartic(f, m, n)
     return lambda m, n: evaluate_form(f, m, n)
 
 

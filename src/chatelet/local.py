@@ -7,9 +7,10 @@ rational arguments are first moved to an integer of the same square class.
 `conic_decide` is the package's one Hasse-Minkowski decision for
 y^2 - alpha z^2 = r, with r given as a product of parts: it evaluates
 that formula on r at 2, at the primes of alpha and at the primes that
-two parts may share, then reads the remaining primes of each part, with
-their full exponents, from the package's one factoring routine
-`chatelet.numbers.prime_factors` and stops at the first that rejects.
+two parts share, which it finds by a gcd, then reads the remaining
+primes of each part, with their full exponents, from the package's one
+factoring routine `chatelet.numbers.prime_factors` and stops at the
+first that rejects.
 It returns None for an unsolvable conic and the square class of r for
 a solvable one, collected on the way, so r's primes are read once.
 This module does no factoring of its own.  The fiber scan of
@@ -267,42 +268,56 @@ def conic_solvable_global(
                               Fraction(r), *r_class)
 
 
-def conic_decide(alpha: int, checked_primes: tuple[int, ...],
+def conic_decide(alpha: int, alpha_primes: tuple[int, ...],
                  *parts: int) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q,
     where r is the product of the nonzero integers ``parts``: None when
     a place rejects, and otherwise the square class (R, primes of R) of
     r, as `chatelet.numbers.square_class` gives it.
 
-    ``alpha`` must be a squarefree integer, and ``checked_primes`` must
-    hold its odd primes, each once, and every odd prime that divides two
-    of the parts; with one part r, the odd primes of alpha suffice.  The
-    conic is solvable iff (alpha, r)_v = +1 at every place v.  Places
-    are checked cheapest first so that unsolvable inputs exit early: the
-    real place, 2 and the checked primes on r, then the remaining primes
-    of each part.  Each such prime q is odd, prime to alpha and divides
+    ``alpha`` must be a squarefree integer and ``alpha_primes`` its odd
+    primes, each once.  The conic is solvable iff (alpha, r)_v = +1 at
+    every place v.  Places are checked cheapest first so that
+    unsolvable inputs exit early: the real place, 2 and alpha's primes
+    on r; then on r the shared primes, the odd primes prime to alpha
+    that divide two parts; then the remaining primes of each part.
+    A part's gcd with the product of the parts before it, with 2 and the
+    primes already checked divided out, holds the shared primes that
+    part adds; it is factored (and raises at once if it cannot be).
+    Every other prime q of a part is odd, prime to alpha and divides
     that part alone, so the symbol there is (alpha/q)^{v_q(part)}.  The
     primes of a part come in the order `chatelet.numbers.prime_factors`
     yields them, which stops factoring at the first prime that rejects.
     A part whose primes cannot all be certified is passed over until
     the other parts are read, and raises only if none of them rejects.
     The square class is collected on the way: each remaining prime of
-    odd exponent is kept once it passes, and 2 and the checked primes
-    of odd valuation on r join them at the end.
+    odd exponent is kept once it passes, and 2, alpha's primes and the
+    shared primes of odd valuation on r join them at the end.
     """
     r = math.prod(parts)
     if alpha < 0 and r < 0:
         return None
     if _hilbert_int(alpha, r, 2) != 1:
         return None
-    for p in checked_primes:
+    for p in alpha_primes:
         if _hilbert_int(alpha, r, p) != 1:
             return None
+    checked, before = alpha_primes, parts[0]
+    for part in parts[1:]:
+        g = math.gcd(part, before)
+        before *= part
+        if g > 1:
+            for p in (2, *checked):
+                g = split_valuation(g, p)[1]
+            for q, _ in prime_factors(g):
+                if _hilbert_int(alpha, r, q) != 1:
+                    return None
+                checked += (q,)
     odd = []
     uncertified = None
     for part in parts:
         m = split_valuation(abs(part), 2)[1]
-        for p in checked_primes:
+        for p in checked:
             m = split_valuation(m, p)[1]
         try:
             for q, e in prime_factors(m):
@@ -314,7 +329,7 @@ def conic_decide(alpha: int, checked_primes: tuple[int, ...],
             uncertified = err
     if uncertified is not None:
         raise uncertified
-    odd += [p for p in (2, *checked_primes) if split_valuation(r, p)[0] % 2]
+    odd += [p for p in (2, *checked) if split_valuation(r, p)[0] % 2]
     odd.sort()
     R = math.prod(odd)
     return (R if r > 0 else -R), tuple(odd)

@@ -35,11 +35,13 @@ from chatelet.numbers import (
     is_prime,
     legendre,
     partial_factorize,
+    split_valuation,
     square_class,
     valuation,
 )
 from chatelet.quartic import (
     BinaryQuartic,
+    disc_from_coeffs,
     evaluate_form,
     evaluate_quartic,
     quartic_disc,
@@ -111,8 +113,9 @@ class ChateletSurface(namedtuple("ChateletSurface",
 
     The facts derived from the surface are computed once and cached on
     it (in the instance __dict__, so no __slots__): `disc`, the
-    discriminant of P~, and `local`, its local table
-    (`verify_local_everywhere`), which the obstruction reads.
+    discriminant of P~, `model_disc`, that of its integer model, and
+    `local`, its local table (`verify_local_everywhere`), which the
+    obstruction reads.
     """
 
     def __new__(cls, alpha: Rational, Ptilde: BinaryQuartic,
@@ -126,6 +129,13 @@ class ChateletSurface(namedtuple("ChateletSurface",
     def disc(self) -> Fraction:
         """disc(P~); the surface is smooth iff it is nonzero."""
         return quartic_disc(self.Ptilde)
+
+    @cached_property
+    def model_disc(self) -> int:
+        """disc of `BinaryQuartic.integer_square_scaled`, the model that
+        every local decision reads: its primes, not those of `disc`,
+        bound the places where a decision is needed."""
+        return disc_from_coeffs(self.Ptilde.integer_square_scaled)
 
     @cached_property
     def local(self) -> "LocalReport":
@@ -209,20 +219,24 @@ def iskovskikh() -> ChateletSurface:
 def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
     """(places, cofactor): the places where local solvability is not
     forced by the unramified-norm argument -- the real place, 2, the
-    primes of alpha and the primes of disc(P~) -- and the part of the
+    primes of alpha and the primes of the discriminant of the integer
+    model (`ChateletSurface.model_disc`) -- and the part of that
     discriminant left unsplit.
 
     The discriminant goes through `partial_factorize`, so the list is
     complete unless a part past 2**64 is left; the cofactor collects that
-    part, whose primes all exceed 10^6 and are provably good places (see
-    _unit_value_places: one of _SIX_POINTS certifies each of them).
+    part less the places already listed.  Its primes all exceed 10^6 and
+    are provably good places (see _unit_value_places: one of _SIX_POINTS
+    certifies each of them).
     """
     S.require_smooth()
     primes = {2}
     primes.update(
         p for p, _ in factorize(S.alpha.numerator * S.alpha.denominator))
-    disc_certified, cofactor = partial_factorize(S.disc.numerator)
+    disc_certified, cofactor = partial_factorize(S.model_disc)
     primes.update(p for p, _ in disc_certified)
+    for p in primes:
+        cofactor = split_valuation(cofactor, p)[1]
     if cofactor != 1 and not _unit_value_places(S, cofactor):
         raise ArithmeticError(
             "cannot certify large discriminant factors as good places")
@@ -276,11 +290,11 @@ def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
     degenerate fiber with an obvious point.  The discs tile P^1(Z_p), so
     when none certifies, V(Q_p) is empty.  The walk ends for smooth
     surfaces; one still open at a depth beyond the valuations of 4 alpha
-    and disc(P~) is an error.
+    and of the discriminant of that model is an error.
     """
     p = v.p
     f = S.Ptilde.integer_square_scaled
-    base = valuation(4 * S.alpha, p) + valuation(S.disc, p)
+    base = valuation(4 * S.alpha, p) + valuation(S.model_disc, p)
     max_depth = abs(base) + 3 + 64
     for x, k, kind in residue_discs(f, p, max_depth):
         if kind == "class":

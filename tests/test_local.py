@@ -279,6 +279,27 @@ class TestConicDecision:
             assert conic_decide(alpha, checked, *parts) == conic_decide(
                 alpha, odd, math.prod(parts)), (alpha, parts)
 
+    def test_parts_find_their_shared_primes(self):
+        # with alpha's odd primes alone, the gcd of each part with the
+        # parts before it finds the primes they share
+        rng = random.Random(37)
+        shared = 0
+        for _ in range(400):
+            alpha = squarefree_part(rng.choice(
+                [n for n in range(-60, 61) if n]))
+            odd = _odd_primes(alpha)
+            common = rng.choice([1, 3, 7, 9, 21, 49, 11 * 13])
+            parts = [common * rng.choice([-1, 1]) * rng.randint(1, 10**5)
+                     for _ in range(rng.randint(1, 4))]
+            want = conic_decide(alpha, odd, math.prod(parts))
+            assert conic_decide(alpha, odd, *parts) == want, (alpha, parts)
+            shared += len(parts) > 1 and common > 1 and want is not None
+        assert shared >= 20, shared
+        # a shared factor past 2^64 with no certified prime raises
+        U = 2**64 + 13
+        with pytest.raises(OutOfCertifiedRangeError):
+            conic_decide(5, (5,), U, U)
+
     def test_uncertified_part_is_read_last(self):
         # U = 2^64 + 13 has no certified factorization.  The part
         # q = 10000121 rejects, with (3/q) = -1, whichever comes first;

@@ -3,11 +3,13 @@
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from chatelet import local as local_mod
 from chatelet import quartic as quartic_mod
 from chatelet import surface as surface_mod
 from chatelet._kernel import pure
@@ -112,6 +114,37 @@ class TestBadPlaces:
         places, cofactor = bad_places(iskovskikh())
         assert [str(v) for v in places] == ["oo", "2", "3"]
         assert cofactor == 1
+
+    def test_places_of_the_integer_model(self):
+        # 3 w^4 + x^4 / 3 has discriminant 256, but its integer model
+        # 27 w^4 + 3 x^4, which every decision reads, has the prime 3,
+        # where the surface has no point; both scalings are one surface
+        tables = []
+        for P in ((3, 0, 0, 0, Fraction(1, 3)), (27, 0, 0, 0, 3)):
+            S = ChateletSurface(alpha=Fraction(5), Ptilde=BinaryQuartic(P),
+                                provenance="user")
+            report = verify_local_everywhere(S)
+            tables.append((report.results, report.all_solvable,
+                           report.uncertified_disc_cofactor))
+        assert tables[0] == tables[1]
+        results, all_solvable, cofactor = tables[0]
+        assert [(str(r.place), r.solvable) for r in results] == [
+            ("oo", True), ("2", True), ("3", False), ("5", True)]
+        assert not all_solvable and cofactor == 1
+
+    def test_cofactor_shares_a_prime_only_with_alpha(self):
+        # P = x^4 + q U with q = 1000003 = alpha and U = 2^64 + 13 prime:
+        # disc = 256 (q U)^3 keeps the cofactor (q U)^3 past trial
+        # division; q is a listed place, and U^3 is prime to alpha and
+        # to the content, so the unit-value argument covers it
+        q, U = 1000003, 2**64 + 13
+        S = ChateletSurface(alpha=Fraction(q),
+                            Ptilde=BinaryQuartic((q * U, 0, 0, 0, 1)),
+                            provenance="user")
+        places, cofactor = bad_places(S)
+        assert [str(v) for v in places] == ["oo", "2", str(q)]
+        assert cofactor == U**3
+        assert verify_local_everywhere(S).all_solvable
 
 
 class TestLocalSolvability:
@@ -542,6 +575,18 @@ class TestSearch:
         res = rational_point_search(S, 5)
         assert res.found
 
+    def test_degenerate_fiber_is_the_hit(self):
+        # -x^4 - 8x = -x (x + 2)(x^2 - 2x + 4) is negative at x = oo and
+        # at every x < -2, which alpha = -1 rejects at the real place, so
+        # the scan's first hit is the root x = -2, a degenerate fiber
+        S = ChateletSurface(alpha=Fraction(-1),
+                            Ptilde=BinaryQuartic((0, -8, 0, 0, -1)),
+                            provenance="user")
+        res = rational_point_search(S, 5)
+        assert res.found and res.x == (-2, 1)
+        assert res.note == "degenerate fiber"
+        assert res.witness == (0, 0)
+
 
 def _reference_scan(coeffs, alpha, alpha_odd_primes, H):
     """The scan with neither sieve nor symmetry: every x of height <= H
@@ -601,7 +646,8 @@ def _scan_case(rng, kind, H):
 def _shared_case(rng):
     """A smooth k * f_1 * ... * f_s with small rational factors: their
     resultants are seldom units, so at some fibers two parts share an
-    odd prime, which only the checked primes may decide."""
+    odd prime, which `conic_decide` must find and check on the
+    product."""
     shapes = ((1, 1, 2), (1, 1, 1, 1), (2, 2), (1, 3))
     while True:
         f = (rng.choice((1, -1, 2, -3, 6, -6, 10)),)
@@ -625,36 +671,12 @@ def _shares_odd_prime(parts, alpha):
                for i, a in enumerate(parts) for b in parts[i + 1:])
 
 
-def _odd_of(alpha, checked):
-    """The odd primes of alpha, which `conic_scan` puts first in its
-    checked primes."""
-    return tuple(p for p in checked if alpha % p == 0)
-
-
-def _without_resultant_primes(real):
-    """A broken decision that checks the odd primes of alpha only."""
-    return lambda alpha, checked, *parts: real(
-        alpha, _odd_of(alpha, checked), *parts)
-
-
-def _gcd_of_all_parts(real):
-    """A broken decision that falls back to the product only when a
-    prime outside 2 alpha divides all the parts at once."""
-    def decide(alpha, checked, *parts):
-        odd = _odd_of(alpha, checked)
-        if _prime_to_2alpha(math.gcd(*parts), alpha) > 1:
-            return real(alpha, odd, math.prod(parts))
-        return real(alpha, odd, *parts)
-    return decide
-
-
 def _sieve_skips(coeffs, alpha, odd, H):
     """(m, n, p) for each coprime pair of height <= H that the disc sieve
     of `conic_scan` at p skips, read from the whole row m = -H..H."""
     quartic = BinaryQuartic(coeffs)
-    checked, _ = pure._fiber_parts(quartic, odd)
     for sieve in pure._disc_sieves(quartic.integer_square_scaled, alpha,
-                                   checked, H):
+                                   odd, H):
         for n in range(H + 1):
             row = [m for m in (range(-H, H + 1) if n else (1,))
                    if math.gcd(m, n) == 1]
@@ -772,8 +794,8 @@ class TestScanParity:
 
     def test_shared_primes_first_hit_matches_reference(self, monkeypatch):
         # a split quartic is decided from its parts; where two parts
-        # share an odd prime, the checked primes (those of k and of the
-        # resultants) keep the decision that of the product
+        # share an odd prime, `conic_decide` finds it by a gcd and keeps
+        # the decision that of the product
         decided = []
         real_decide = pure.conic_decide
         monkeypatch.setattr(pure, "conic_decide",
@@ -788,45 +810,54 @@ class TestScanParity:
                           for _, _, *parts in decided)
         assert shared >= 50, shared
 
-    @pytest.mark.parametrize("broken", [_without_resultant_primes,
-                                        _gcd_of_all_parts])
-    def test_broken_checks_are_caught(self, monkeypatch, broken):
-        # the cases above tell each broken check from the right one
-        monkeypatch.setattr(pure, "conic_decide", broken(conic_decide))
+    def test_broken_gcd_is_caught(self, monkeypatch):
+        # with every gcd in `conic_decide` 1, a prime that two parts
+        # share is read on each part alone, and the cases above tell
+        # that from the product
+        math_without_gcd = dict(vars(math), gcd=lambda a, b: 1)
+        monkeypatch.setattr(local_mod, "math",
+                            types.SimpleNamespace(**math_without_gcd))
         assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
                    != _reference_scan(coeffs, alpha, odd, H)
                    for coeffs, alpha, odd, H in self._shared_cases())
 
 
 class TestFiberParts:
-    """The set-up of `conic_scan`: checked primes and fiber parts."""
+    """The parts of each fiber's value that `conic_scan` decides."""
 
     def test_constructed_surface_splits(self):
-        checked, parts = pure._fiber_parts(
-            BinaryQuartic((5916, 0, 985, 0, 41)), (17, 41))
-        # (x^2 + 12)(41 x^2 + 493) has resultant 1
-        assert checked == (17, 41)
+        parts = pure._fiber_parts(BinaryQuartic((5916, 0, 985, 0, 41)))
+        # (x^2 + 12)(41 x^2 + 493)
         assert parts(-7, 3) == [12 * 9 + 49, 493 * 9 + 41 * 49]
 
     def test_shared_primes_are_checked(self):
         # 6 x^4 - 6 = 6 (x - 1)(x + 1)(x^2 + 1): k = 6 and every
-        # resultant is +-2, so 3 joins the odd primes of alpha
-        checked, parts = pure._fiber_parts(
-            BinaryQuartic((-6, 0, 0, 0, 6)), (5,))
-        assert checked == (5, 3)
-        assert parts(-7, 1) == [6 * -8, -6, 50]
+        # resultant is +-2; at x = -7 the parts share 3, which the
+        # decision finds and checks on the product
+        parts = pure._fiber_parts(BinaryQuartic((-6, 0, 0, 0, 6)))(-7, 1)
+        assert parts == [6 * -8, -6, 50]
+        for alpha in (-1, 2, 3, 5, -15):
+            odd = tuple(p for p in square_class(alpha)[1] if p != 2)
+            assert conic_decide(alpha, odd, *parts) == conic_decide(
+                alpha, odd, math.prod(parts))
 
     @pytest.mark.parametrize("coeffs", [
         (1, 0, -10, 0, 1),   # irreducible
-        (4, 0, -4, 0, 1),    # (x^2 - 2)^2: a zero resultant
+    ])
+    def test_one_part(self, coeffs):
+        parts = pure._fiber_parts(BinaryQuartic(coeffs))
+        assert parts(5, 2) == [evaluate_quartic(coeffs, 5, 2)]
+
+    @pytest.mark.parametrize("coeffs", [
+        (4, 0, -4, 0, 1),   # (x^2 - 2)^2: a zero resultant
         # (x^2 - A)(x^2 - 2), A - 2 = 2^64 + 13: the resultant
         # (A - 2)^2 has no certified prime
         (2 * (2**64 + 15), 0, -(2**64 + 17), 0, 1),
-    ])
-    def test_one_part(self, coeffs):
-        checked, parts = pure._fiber_parts(BinaryQuartic(coeffs), (3,))
-        assert checked == (3,)
-        assert parts(5, 2) == [evaluate_quartic(coeffs, 5, 2)]
+    ], ids=["repeated-factor", "uncertified-resultant"])
+    def test_split_whatever_the_resultant(self, coeffs):
+        parts = pure._fiber_parts(BinaryQuartic(coeffs))(5, 2)
+        assert len(parts) == 2
+        assert math.prod(parts) == evaluate_quartic(coeffs, 5, 2)
 
 
 class TestDiscWalkBudget:
@@ -905,26 +936,29 @@ class TestSearchPast64Bits:
 
     def test_solvable_fiber_needs_resultant_primes(self):
         # Res(3 x^2 + Q1, 11 x^2 + Q2) = (3 Q2 - 11 Q1)^2 is divisible by
-        # 31^2 and 141872468107^2, which the scan checks on the product
+        # 31^2 and 141872468107^2; at 74 fibers of height <= 30 both
+        # values are divisible by 31, and the decision finds it there
         a1, a2, alpha = 3, 11, 5
         quartic = self._surface(a1, a2, alpha).Ptilde
-        checked, _ = pure._fiber_parts(quartic, (5,))
-        assert checked == (5, 31, 141872468107)
         # the point of that fiber needs a Legendre descent through
         # integers past 2^64, so the search itself still stops there
         hit = pure.conic_scan(quartic, alpha, (5,), 30)
         assert hit == (-30, 1)
+        shared = 0
         for m, n in self._fibers(30):
-            solvable = _sympy_solvable(
-                alpha, (a1 * m * m + Q1 * n * n, a2 * m * m + Q2 * n * n))
-            assert solvable == ((m, n) == hit)
-            if solvable:
-                break
+            parts = (a1 * m * m + Q1 * n * n, a2 * m * m + Q2 * n * n)
+            if (m, n) in ((1, 0), hit):
+                assert _sympy_solvable(alpha, parts) == ((m, n) == hit)
+            if math.gcd(*parts) % 31 == 0:
+                shared += 1
+                assert (conic_decide(alpha, (5,), *parts) is not None) \
+                    == _sympy_solvable(alpha, parts), (m, n)
+        assert shared == 74
 
     def test_large_checked_primes_get_no_table(self, monkeypatch):
         # height 30 visits 1 + 30 * 61 = 1831 pairs, so the walk at 2 goes
-        # to depth 10, at 5 to 4 and at 31 to 2, and 141872468107 gets no
-        # walk and no table; the hit is the one found above
+        # to depth 10 and at 5 to 4; the primes that the parts share get
+        # no walk and no table; the hit is the one found above
         quartic = self._surface(3, 11, 5).Ptilde
         coeffs = quartic.integer_square_scaled
         walked = []
@@ -932,10 +966,9 @@ class TestSearchPast64Bits:
         monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
             walked.append((p, depth)) or real(f, p, depth)))
         assert pure.conic_scan(quartic, 5, (5,), 30) == (-30, 1)
-        assert walked == [(2, 10), (5, 4), (31, 2)]
-        checked, _ = pure._fiber_parts(quartic, (5,))
+        assert walked == [(2, 10), (5, 4)]
         assert [sieve[0] for sieve in
-                pure._disc_sieves(coeffs, 5, checked, 30)] == [2, 5]
+                pure._disc_sieves(coeffs, 5, (5,), 30)] == [2, 5]
 
 
 class TestIntegerModel:
