@@ -14,8 +14,8 @@ share by a gcd and checks them on the product, so every split is
 decided the same way.  An irreducible quartic is one part, its value by
 :func:`chatelet.quartic.evaluate_quartic`.
 
-Three rules skip fibers before any evaluation, and none changes the
-first hit:
+These rules skip fibers, or places of a fiber, before any evaluation,
+and none changes the first hit:
 
 * *Real sieve.*  For alpha < 0 the conic y^2 - alpha z^2 = r has no real
   point when r < 0.  At x = m/n, n >= 1, the value n^4 P(m/n) has the
@@ -44,6 +44,28 @@ first hit:
   row of the scan has pairs, 2H + 1, so that a scan that stops early
   pays little for it: a p above that, or a walk that needs more, gives
   no table.
+
+  The scan also walks each inert prime q, (alpha/q) = -1, below 2000
+  with q^2 <= 2H + 1, to the largest depth with q^k <= 2H + 1.  There
+  the symbol is (-1)^v_q(r), and a Newton disc holds values of both
+  parities, so this walk goes on inside Newton discs
+  (``residue_discs(..., newton=False)``); what is still split at its
+  depth is open and never skipped.
+* *Settled places.*  When the walk at 2 or at a prime of alpha ends in
+  class discs only, the discs tile P^1(Z_p), so every fiber that its
+  tables let through lies in a disc of symbol +1: the symbol at p is +1
+  for it.  Such a p is handed to `conic_decide` as ``settled``, which
+  then skips the symbol there (the table is kept for this even when it
+  has no disc of symbol -1).  An inert prime is never settled:
+  `conic_decide` reads it from the parts by gcds.
+* *Rows from residue classes.*  The table that rejects the largest
+  share of its affine residues, among those whose modulus M is at most
+  the row's width (2H + 1, or H + 1 under the symmetry below), builds
+  each row: the m that it allows for this n are the m = n x mod M for
+  the allowed x (and at infinity, n = p^j n', the m = n' v^-1 mod
+  p^(K-j) for the allowed units v), taken inside each span of the real
+  sieve, in increasing order.  Only those m are tested for
+  gcd(m, n) = 1; the other tables then read each m as above.
 * *Symmetry.*  When c1 = c3 = 0 the form is even in x, so m and -m give
   the same value.  The full loop takes m = -H..H in increasing order,
   so its first hit at each n is the most negative solvable m, which is
@@ -56,10 +78,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 from chatelet.local import conic_decide, finite_place, hilbert_symbol
+from chatelet.numbers import TRIAL_PRIMES, legendre, split_valuation
 from chatelet.quartic import (
     BinaryQuartic,
     evaluate_form,
@@ -80,7 +103,8 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     sieve and the symmetry of the module docstring skip.  A zero quartic
     value counts as solvable (the degenerate fiber carries the point
     (x, 0, 0)).  Each fiber is decided from its parts with the odd
-    primes of alpha, ``alpha_odd_primes``.
+    primes of alpha, ``alpha_odd_primes``, and the primes that the disc
+    tables settle.
     """
     coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
@@ -90,60 +114,156 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
                 if alpha < 0 else [])
     parts = _fiber_parts(quartic)
     sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H)
+    settled = tuple(sieve[0] for sieve in sieves if sieve[3])
+    # the table that rejects the largest share of its affine residues,
+    # among those no longer than a row, builds the rows
+    width = H + 1 + top
+    lead = max((sieve for sieve in sieves
+                if sieve[1] is not None and sieve[1][0] <= width),
+               key=lambda sieve: sum(sieve[1][1]) / sieve[1][0],
+               default=None)
+    plan = _residue_plan(lead, width) if lead else lambda n: None
+    others = [sieve for sieve in sieves if sieve is not lead]
     for n in range(H + 1):
-        spans = _unsieved(segments, n, H, top) if n else [(1,)]
-        row = [m for span in spans for m in span if math.gcd(m, n) == 1]
-        for sieve in sieves:
+        spans = _unsieved(segments, n, H, top) if n else [range(1, 2)]
+        residues = plan(n)
+        row = _row(spans, n, *(residues or (1, 1, None)))
+        for sieve in (others if residues else sieves):
             row = _survivors(sieve, n, row)
         for m in row:
             values = parts(m, n)
-            if 0 in values or conic_decide(alpha, alpha_odd_primes, *values):
+            if 0 in values or conic_decide(alpha, alpha_odd_primes, *values,
+                                           settled=settled):
                 return m, n
     return None
 
 
+def _row(spans, n: int, modulus: int, multiplier: int, residues) -> list:
+    """The m coprime to n in the spans, in increasing order, with
+    m = multiplier * a mod modulus for some a in residues (every m when
+    residues is None)."""
+    row = []
+    for span in spans:
+        if residues is not None and span:
+            lo, hi = span.start, span.stop
+            span = sorted(chain.from_iterable(
+                range(lo + (multiplier * a - lo) % modulus, hi, modulus)
+                for a in residues))
+        row += [m for m in span if math.gcd(m, n) == 1]
+    return row
+
+
+def _residue_plan(sieve, width: int):
+    """The function of n that gives the m of row n that the sieve lets
+    through as (modulus, multiplier, residues), m = multiplier * a mod
+    modulus for a in residues; None for a row whose table is longer than
+    `width`, which `_survivors` then reads.
+
+    At x = m n^-1 mod M, p not dividing n, the allowed m are n x for the
+    x with table entry 0.  At w = n m^-1 mod p^K, n = p^j n' with n' a
+    unit, w is p^j (n' m^-1 mod p^(K-j)): the allowed m are n' v^-1 mod
+    p^(K-j) for the units v with entry 0 at p^j v, and when j >= K (or
+    n = 0) every unit m or none.
+    """
+    p, affine, at_infinity = sieve[:3]
+    found = {}
+
+    def residues(j):
+        if j not in found:
+            if j == 0:
+                modulus, table = affine
+                found[j] = [x for x in range(modulus) if not table[x]]
+            else:
+                modulus, table = at_infinity
+                mu = modulus // p**j
+                found[j] = [pow(v, -1, mu) for v in range(mu)
+                            if v % p and not table[p**j * v]]
+        return found[j]
+
+    def plan(n):
+        if n % p:
+            return affine[0], n, residues(0)
+        if at_infinity is None:
+            return 1, 1, None
+        modulus, table = at_infinity
+        if modulus > width:
+            return None
+        if n % modulus == 0:
+            # w = 0 for every unit m
+            return 1, 1, () if table[0] else None
+        j = split_valuation(n, p)[0]
+        return modulus // p**j, n // p**j, residues(j)
+
+    return plan
+
+
 def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int) -> list:
-    """The `_disc_sieve`s of 2 and of the odd primes of alpha for a scan
-    of height H, which visits 1 + H(2H + 1) pairs (m, n), 2H + 1 to a
-    row, where they find a disc."""
+    """The `_disc_sieve`s of a scan of height H, which visits
+    1 + H(2H + 1) pairs (m, n), 2H + 1 to a row, where they find a disc:
+    at 2 and the odd primes of alpha to the largest depth K with p^K at
+    most the number of pairs, and at each inert prime q, (alpha/q) = -1,
+    below 2000 with q^2 at most a row, to the largest K with q^K at most
+    a row, through Newton discs."""
     pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
-    return [sieve for p in (2, *alpha_odd_primes)
-            if (sieve := _disc_sieve(coeffs, alpha, p, pairs, row))]
+    sieves = [_disc_sieve(coeffs, alpha, p, _depth(p, pairs), row)
+              for p in (2, *alpha_odd_primes)]
+    sieves += [_disc_sieve(coeffs, alpha, q, _depth(q, row), row,
+                           inert=True)
+               for q in TRIAL_PRIMES[1:] if q * q <= row
+               and legendre(alpha, q) == -1]
+    return [sieve for sieve in sieves if sieve]
 
 
-def _disc_sieve(coeffs, alpha: int, p: int, pairs: int, row: int):
-    """(p, affine, at_infinity): the residue discs of `residue_discs` on
-    which the symbol (alpha, P~)_p is -1, or None when there is none.
-    The affine discs make a table read at x = m/n in Z_p and those at
-    infinity one read at w = n/m in pZ_p; each is the `_table` of its
-    discs, or None.
+def _depth(p: int, bound: int) -> int:
+    """The largest K >= 1 with p^K <= bound, or 1."""
+    depth = 1
+    while p ** (depth + 1) <= bound:
+        depth += 1
+    return depth
 
-    The walk goes to the largest depth K with p^K <= pairs.  It must
-    cost no more than a row of the scan, so it gets no more than `row`
-    discs: a p above that gets no walk, and a walk that needs more is
-    dropped.  A scan that stops early then pays little for its tables.
+
+def _disc_sieve(coeffs, alpha: int, p: int, depth: int, row: int,
+                inert: bool = False):
+    """(p, affine, at_infinity, settled): the residue discs of
+    `residue_discs` to `depth` on which the symbol (alpha, P~)_p is -1,
+    and whether they settle p; None when there is no such disc and p is
+    not settled.  The affine discs make a table read at x = m/n in Z_p
+    and those at infinity one read at w = n/m in pZ_p; each is the
+    `_table` of its discs, or None.
+
+    When every disc of the walk has constant class, every fiber the
+    tables let through lies in a disc of symbol +1, so the symbol at p
+    is +1 for it: p is settled.  An inert prime (``inert``) is never
+    settled, since `conic_decide` reads it from the parts' valuations,
+    and its walk goes on inside Newton discs.
+
+    The walk must cost no more than a row of the scan, so it gets no
+    more than `row` discs: a p above that gets no walk, and a walk that
+    needs more is dropped.  A scan that stops early then pays little for
+    its tables.
     """
     if p > row:
         return None
-    depth = 1
-    while p ** (depth + 1) <= pairs:
-        depth += 1
-    discs = list(islice(residue_discs(coeffs, p, depth), row + 1))
+    discs = list(islice(residue_discs(coeffs, p, depth, newton=not inert),
+                        row + 1))
     if len(discs) > row:
         return None
     place = finite_place(p)
     affine, at_infinity = [], []
+    settled = not inert
     for (m, n), k, kind in discs:
-        if kind == "class" and hilbert_symbol(
+        if kind != "class":
+            settled = False
+        elif hilbert_symbol(
                 alpha, evaluate_quartic(coeffs, m, n), place) == -1:
             # the disc is the residues of m, or at infinity of n, mod p^k
             if n == 1:
                 affine.append((m, p**k))
             else:
                 at_infinity.append((n, p**k))
-    if not affine and not at_infinity:
+    if not affine and not at_infinity and not settled:
         return None
-    return p, _table(affine), _table(at_infinity)
+    return p, _table(affine), _table(at_infinity), settled
 
 
 def _table(discs):
@@ -163,14 +283,14 @@ def _survivors(sieve, n: int, row: list[int]) -> list[int]:
     disc of the sieve: its tables are read at x = m n^-1 mod p^K when p
     does not divide n, and otherwise at w = n m^-1 mod p^K, m being a
     unit at p."""
-    p, affine, at_infinity = sieve
+    p, affine, at_infinity = sieve[:3]
     if n % p:
-        if affine is None:
+        if affine is None or not row:
             return row
         modulus, table = affine
         u = pow(n, -1, modulus)
         return [m for m in row if not table[m * u % modulus]]
-    if at_infinity is None:
+    if at_infinity is None or not row:
         return row
     modulus, table = at_infinity
     return [m for m in row if not table[n * pow(m, -1, modulus) % modulus]]
@@ -213,9 +333,12 @@ def _unsieved(segments, n: int, H: int, top: int) -> list[range]:
     for left, right in segments:
         stop = -H if left is None else \
             left.numerator * n // left.denominator + 1
-        spans.append(range(start, min(stop, top + 1)))
+        if start < stop:
+            spans.append(range(start, min(stop, top + 1)))
         if right is None:
             return spans
         start = max(start, -(-right.numerator * n // right.denominator))
+        if start > top:
+            return spans
     spans.append(range(start, top + 1))
     return spans

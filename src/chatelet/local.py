@@ -6,13 +6,16 @@ congruence formula at 2), written once for integers in `_hilbert_int`;
 rational arguments are first moved to an integer of the same square class.
 `conic_decide` is the package's one Hasse-Minkowski decision for
 y^2 - alpha z^2 = r, with r given as a product of parts: it evaluates
-that formula on r at 2, at the primes of alpha and at the primes that
-two parts share, which it finds by a gcd, then reads the remaining
-primes of each part, with their full exponents, from the package's one
-factoring routine `chatelet.numbers.prime_factors` and stops at the
-first that rejects.
+that formula on r at 2 and at the primes of alpha (less those its
+caller has settled) and at the primes that two parts share, which it
+finds by a gcd.  Each part's other primes can only reject where alpha
+is inert and their exponent odd: those below 2000 are read by gcds
+with the product of the inert ones, and what is left past them costs
+one Legendre symbol, or the package's one factoring routine
+`chatelet.numbers.prime_factors` for a cofactor past 2003^2, which
+stops at the first prime that rejects.
 It returns None for an unsolvable conic and the square class of r for
-a solvable one, collected on the way, so r's primes are read once.
+a solvable one, so the cofactors' primes are read once.
 This module does no factoring of its own.  The fiber scan of
 `chatelet._kernel.pure` and `conic_solvable_global` both call it.  A
 rational point of a solvable conic is found exactly by Legendre's
@@ -23,11 +26,15 @@ closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from chatelet.numbers import (
+    PRIME_COFACTOR_BOUND,
+    TRIAL_PRIMES,
+    TRIAL_PRIMORIAL,
     OutOfCertifiedRangeError,
     Rational,
     factorize,
@@ -37,6 +44,7 @@ from chatelet.numbers import (
     split_valuation,
     sqrt_mod,
     square_class,
+    strip_primes,
 )
 
 __all__ = [
@@ -268,39 +276,48 @@ def conic_solvable_global(
                               Fraction(r), *r_class)
 
 
-def conic_decide(alpha: int, alpha_primes: tuple[int, ...],
-                 *parts: int) -> Optional[tuple[int, tuple[int, ...]]]:
+def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int,
+                 settled: tuple[int, ...] = ()
+                 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q,
     where r is the product of the nonzero integers ``parts``: None when
     a place rejects, and otherwise the square class (R, primes of R) of
     r, as `chatelet.numbers.square_class` gives it.
 
     ``alpha`` must be a squarefree integer and ``alpha_primes`` its odd
-    primes, each once.  The conic is solvable iff (alpha, r)_v = +1 at
-    every place v.  Places are checked cheapest first so that
-    unsolvable inputs exit early: the real place, 2 and alpha's primes
-    on r; then on r the shared primes, the odd primes prime to alpha
-    that divide two parts; then the remaining primes of each part.
-    A part's gcd with the product of the parts before it, with 2 and the
-    primes already checked divided out, holds the shared primes that
-    part adds; it is factored (and raises at once if it cannot be).
+    primes, each once.  ``settled`` lists primes among 2 and alpha's
+    whose symbol the caller has proven +1, as the disc tables of
+    `chatelet._kernel.pure` do; it is not evaluated again.  The conic is
+    solvable iff (alpha, r)_v = +1 at every place v.  Places are checked
+    cheapest first so that unsolvable inputs exit early: the real place,
+    2 and alpha's primes on r; then on r the shared primes, the odd
+    primes prime to alpha that divide two parts; then the remaining
+    primes of each part.  A part's gcd with the product of the parts
+    before it, with 2 and the primes already checked divided out, holds
+    the shared primes that part adds; it is factored (and raises at
+    once if it cannot be).
+
     Every other prime q of a part is odd, prime to alpha and divides
-    that part alone, so the symbol there is (alpha/q)^{v_q(part)}.  The
-    primes of a part come in the order `chatelet.numbers.prime_factors`
-    yields them, which stops factoring at the first prime that rejects.
-    A part whose primes cannot all be certified is passed over until
-    the other parts are read, and raises only if none of them rejects.
-    The square class is collected on the way: each remaining prime of
-    odd exponent is kept once it passes, and 2, alpha's primes and the
-    shared primes of odd valuation on r join them at the end.
+    that part alone, so the symbol there is (alpha/q)^{v_q(part)}, and
+    only an inert q, (alpha/q) = -1, of odd exponent rejects.  With 2
+    and the checked primes divided out, a part is read by gcds: one with
+    the product of the inert primes below 2000 (`_inert_product`) and
+    its repeats give the inert primes of each exponent, and
+    `chatelet.numbers.strip_primes` removes every prime below 2000.  A
+    cofactor below 2003^2 is then 1 or prime, one Legendre symbol; a
+    larger one goes through `chatelet.numbers.prime_factors`, which
+    stops at the first prime that rejects.  A part whose primes cannot
+    all be certified is passed over until the other parts are read, and
+    raises only if none of them rejects.  The square class of a
+    solvable conic is the cofactors' primes of odd exponent, those of
+    the parts' primes below 2000, and 2, alpha's primes and the shared
+    primes of odd valuation on r.
     """
     r = math.prod(parts)
     if alpha < 0 and r < 0:
         return None
-    if _hilbert_int(alpha, r, 2) != 1:
-        return None
-    for p in alpha_primes:
-        if _hilbert_int(alpha, r, p) != 1:
+    for p in (2, *alpha_primes):
+        if p not in settled and _hilbert_int(alpha, r, p) != 1:
             return None
     checked, before = alpha_primes, parts[0]
     for part in parts[1:]:
@@ -313,14 +330,29 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...],
                 if _hilbert_int(alpha, r, q) != 1:
                     return None
                 checked += (q,)
-    odd = []
+    inert, known = _inert_product(alpha), math.prod(checked)
+    odd, smooth = [], []
     uncertified = None
     for part in parts:
-        m = split_valuation(abs(part), 2)[1]
-        for p in checked:
-            m = split_valuation(m, p)[1]
+        m = strip_primes(abs(part), known)[1]
+        g, k, rest = math.gcd(m, inert), 1, m
+        while g > 1:
+            # g: the inert primes of exponent >= k in the part
+            rest //= g
+            h = math.gcd(rest, g)
+            if k % 2 and h != g:
+                return None
+            g, k = h, k + 1
+        c = strip_primes(m, TRIAL_PRIMORIAL)[1]
+        smooth.append(m // c)
+        if c < PRIME_COFACTOR_BOUND:
+            if c > 1:
+                if legendre(alpha, c) == -1:
+                    return None
+                odd.append(c)
+            continue
         try:
-            for q, e in prime_factors(m):
+            for q, e in prime_factors(c):
                 if e % 2:
                     if legendre(alpha, q) == -1:
                         return None
@@ -329,10 +361,19 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...],
             uncertified = err
     if uncertified is not None:
         raise uncertified
-    odd += [p for p in (2, *checked) if split_valuation(r, p)[0] % 2]
+    known_primes = (2, *checked)
+    odd += [q for s in smooth if s > 1 for q, e in prime_factors(s)
+            if e % 2 and q not in known_primes]
+    odd += [p for p in known_primes if split_valuation(r, p)[0] % 2]
     odd.sort()
     R = math.prod(odd)
     return (R if r > 0 else -R), tuple(odd)
+
+
+@functools.cache
+def _inert_product(alpha: int) -> int:
+    """The product of the odd primes q < 2000 with (alpha/q) = -1."""
+    return math.prod(q for q in TRIAL_PRIMES[1:] if legendre(alpha, q) == -1)
 
 
 def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],

@@ -7,9 +7,10 @@ primality, factorization, Legendre symbols, square roots modulo a
 prime, p-adic valuations and square-class reduction.
 
 Primality is Miller-Rabin with a fixed witness set proven deterministic
-below 2**64.  Factoring finds the primes below 2000 by one gcd with
-their product, then splits the cofactor by Miller-Rabin and Pollard rho;
-the 2,3,5 wheel runs on toward 10**6 only for a cofactor past 2**64.
+below 2**64.  Factoring strips the primes below 2000 by gcds with their
+product (`strip_primes`), then splits the cofactor by Miller-Rabin and
+Pollard rho; the 2,3,5 wheel runs on toward 10**6 only for a cofactor
+past 2**64.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _CERTIFIED_PRIME_BOUND = 2**64
 # (Sorenson & Webster, psi_12).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Trial division covers the primes below 2000 by one gcd, and goes on
+# Trial division covers the primes below 2000 by gcds, and goes on
 # toward 10**6 by the wheel only while the cofactor is at least 2**64
 # (see `_trial_division`).
 _SMALL_TRIAL_BOUND = 2000
@@ -51,6 +52,7 @@ def _wheel_from(bound: int) -> tuple[int, int]:
 # Where the wheel resumes past the gcd stage (2003, the least prime past
 # 2000): a cofactor below its square with no prime below 2000 is prime.
 _WHEEL_START, _WHEEL_START_STEP = _wheel_from(_SMALL_TRIAL_BOUND)
+PRIME_COFACTOR_BOUND = _WHEEL_START**2
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -65,10 +67,24 @@ def _primes_below(n: int) -> list[int]:
     return [p for p in range(n) if sieve[p]]
 
 
-# The primes 7 <= p < 2000 and their product, a 2,794-bit integer: one gcd
+# The primes below 2000 and their product, a 2,799-bit integer: one gcd
 # with it is the product of the distinct ones dividing n.
-_TRIAL_PRIMES = tuple(_primes_below(_SMALL_TRIAL_BOUND)[3:])
-_TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
+TRIAL_PRIMES = tuple(_primes_below(_SMALL_TRIAL_BOUND))
+TRIAL_PRIMORIAL = math.prod(TRIAL_PRIMES)
+
+
+def strip_primes(n: int, product: int) -> tuple[int, int]:
+    """(g, c) for n >= 1 and a squarefree product: g = gcd(n, product),
+    the product of its primes that divide n, and c, n with each of them
+    divided out to its full power.  Each further gcd of c with the last
+    one holds the primes of higher exponent, so the loop runs once per
+    exponent, not once per prime."""
+    g = math.gcd(n, product)
+    c, h = n, g
+    while h > 1:
+        c //= h
+        h = math.gcd(c, h)
+    return g, c
 
 
 class OutOfCertifiedRangeError(ValueError):
@@ -172,33 +188,28 @@ def _trial_division(n: int) -> Generator[tuple[int, int], None, int]:
     """Yield (p, e) for the primes of n >= 1 that trial division finds, in
     increasing order, and return the cofactor left over.
 
-    After 2, 3 and 5, one gcd with the product of the primes 7 <= p < 2000
-    gives the product g of those dividing n; the prime table is walked
-    only until g is used up, and once p^2 > g what is left of g is one
-    prime.  A cofactor below 2003^2 with no prime below 2000 is then
-    prime.  Past 2000 the 2,3,5 wheel runs toward 10**6, but only while
-    the cofactor is at least 2**64, where Miller-Rabin and rho cannot
-    take over.  So the cofactor returned is 1, below 2**64 with no prime
-    factor below 2000, or at least 2**64 with no prime factor below
-    10**6 -- exactly the inputs that full trial division to 10**6 leaves
-    uncertifiable.
+    `strip_primes` with the product of the primes below 2000 gives the
+    product g of those dividing n and the cofactor without them; the
+    prime table is walked only until g is used up, and once p^2 > g what
+    is left of g is one prime.  A cofactor below 2003^2 with no prime
+    below 2000 is then prime.  Past 2000 the 2,3,5 wheel runs toward
+    10**6, but only while the cofactor is at least 2**64, where
+    Miller-Rabin and rho cannot take over.  So the cofactor returned is
+    1, below 2**64 with no prime factor below 2000, or at least 2**64
+    with no prime factor below 10**6 -- exactly the inputs that full
+    trial division to 10**6 leaves uncertifiable.
     """
-    for p in (2, 3, 5):
-        if n % p == 0:
-            e, n = split_valuation(n, p)
-            yield p, e
-    g = math.gcd(n, _TRIAL_PRIMORIAL)
-    for p in _TRIAL_PRIMES:
+    g, rest = strip_primes(n, TRIAL_PRIMORIAL)
+    for p in TRIAL_PRIMES:
         if p * p > g:
             break
         if g % p == 0:
-            e, n = split_valuation(n, p)
-            yield p, e
+            yield p, split_valuation(n, p)[0]
             g //= p
     if g > 1:
         # no prime of g below p, and p^2 > g: g is one prime
-        e, n = split_valuation(n, g)
-        yield g, e
+        yield g, split_valuation(n, g)[0]
+    n = rest
     # The wheel runs only while n >= 2**64 > d^2, so d^2 <= n needs no
     # test.
     d, i = _WHEEL_START, _WHEEL_START_STEP

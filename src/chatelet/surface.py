@@ -30,6 +30,7 @@ from chatelet.local import (
     inv_from_symbol,
 )
 from chatelet.numbers import (
+    OutOfCertifiedRangeError,
     Rational,
     factorize,
     is_prime,
@@ -227,7 +228,9 @@ def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
     complete unless a part past 2**64 is left; the cofactor collects that
     part less the places already listed.  Its primes all exceed 10^6 and
     are provably good places (see _unit_value_places: one of _SIX_POINTS
-    certifies each of them).
+    certifies each of them), unless it shares a prime with the content
+    of the integer model: that prime is a bad place which cannot be
+    certified, and :class:`OutOfCertifiedRangeError` is raised.
     """
     S.require_smooth()
     primes = {2}
@@ -238,7 +241,7 @@ def bad_places(S: ChateletSurface) -> tuple[list[Place], int]:
     for p in primes:
         cofactor = split_valuation(cofactor, p)[1]
     if cofactor != 1 and not _unit_value_places(S, cofactor):
-        raise ArithmeticError(
+        raise OutOfCertifiedRangeError(
             "cannot certify large discriminant factors as good places")
     places = [REAL] + [finite_place(p) for p in sorted(primes)]
     return places, cofactor

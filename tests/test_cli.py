@@ -263,6 +263,22 @@ class TestSurface:
         assert rep["stages"]["local"]["all_solvable"]
         assert "search" not in rep["stages"]
 
+    def test_uncertified_content_prime_is_inconclusive(self, capsys,
+                                                      monkeypatch):
+        # the content N = 1000003 (2^64 + 13) of the integer model shares
+        # its primes with the discriminant's cofactor past trial division,
+        # so a bad place cannot be certified
+        N = 1000003 * (2**64 + 13)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f'{{"alpha": "3", "P": [{N}, 0, 0, 0, {N}]}}'))
+        code, rep = run_json(capsys, "surface", "-", "--height", "0")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        assert rep["error"] == {
+            "stage": "local",
+            "message": "cannot certify large discriminant factors as "
+                       "good places"}
+
     def test_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -472,6 +488,9 @@ class TestGolden:
         # the benchmark's own scan runs (perfbench/run.py)
         ("counterexample_height150", ["counterexample", "--height", "150"]),
         ("iskovskikh_height1000", ["iskovskikh", "--height", "1000"]),
+        # wider rows and deeper inert tables than the benchmark's runs
+        ("iskovskikh_height4000", ["iskovskikh", "--height", "4000"]),
+        ("counterexample_height500", ["counterexample", "--height", "500"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(

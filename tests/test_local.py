@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatelet import local as local_mod
 from chatelet import numbers
 from chatelet.local import (
     REAL,
@@ -337,6 +339,140 @@ class TestConicDecision:
             ok, _ = conic_solvable_global(alpha, r)
             assert ok == all(hilbert_symbol(alpha, r, v) == 1
                              for v in support_places(alpha, r)), (alpha, r)
+
+
+def _sympy_places(alpha, parts):
+    """The finite primes where (alpha, prod(parts)) can be -1: 2 and the
+    primes that sympy finds in alpha and in each part."""
+    primes = {2, *sympy.factorint(alpha)}
+    for part in parts:
+        primes.update(sympy.factorint(part))
+    primes.discard(-1)
+    return primes
+
+
+def _symbol(alpha, r, p):
+    """(alpha, r)_p by the closed form, for any prime p (`finite_place`
+    would refuse a prime past the certified range)."""
+    return hilbert_symbol(alpha, r, Place((1, p), p))
+
+
+class TestConicDecideOracle:
+    """`conic_decide` on seeded part tuples against sympy's factorint
+    and the closed-form symbol at each place it finds.  The parts carry
+    inert primes q^1..q^4 below and just past 2000, primes shared by two
+    parts, cofactors on both sides of 2003^2 and, in some tuples, a
+    prime past 2^64 that nothing certifies."""
+
+    ALPHAS = (-1, 2, -3, 5, 6, -7, 17, 697, -2003, 2 * 2011)
+    # below 2000 and just past it, with 2003^2 = 4012009 in between
+    PRIMES = (3, 5, 7, 11, 13, 1987, 1993, 1997, 1999, 2003, 2011, 2017,
+              2027, 100003, 999983, 4011991, 4012013, 1000000007)
+    U = 2**64 + 13
+
+    def _parts(self, rng, alpha):
+        inert = [q for q in self.PRIMES
+                 if sympy.legendre_symbol(alpha % q, q) == -1]
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            part, past = rng.choice((1, -1, 2, -4, 8)), 1
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice(inert if inert and rng.random() < 0.5
+                               else self.PRIMES)
+                power = q ** rng.randint(1, 4 if q in inert else 2)
+                if q > 10**6:
+                    # what trial division leaves must stay below 2^64
+                    if past * power >= 2**64:
+                        continue
+                    past *= power
+                part *= power
+            parts.append(part)
+        if len(parts) > 1 and rng.random() < 0.4:
+            # an odd prime that two parts share
+            q = rng.choice(self.PRIMES[:9])
+            i, j = rng.sample(range(len(parts)), 2)
+            parts[i] *= q
+            parts[j] *= q ** rng.randint(1, 3)
+        return parts
+
+    def _cases(self, count=1500):
+        rng = random.Random(2026)
+        for _ in range(count):
+            alpha = rng.choice(self.ALPHAS)
+            yield alpha, self._parts(rng, alpha)
+
+    def _want(self, alpha, parts):
+        """Is the symbol +1 at every place but U?"""
+        r = math.prod(parts)
+        read = [part // self.U if part % self.U == 0 else part
+                for part in parts]
+        return hilbert_symbol(alpha, r, REAL) == 1 and all(
+            _symbol(alpha, r, p) == 1 for p in _sympy_places(alpha, read))
+
+    def test_decisions(self):
+        seen = {"solvable": 0, "rejected": 0, "inert past 2000": 0,
+                "large cofactor": 0, "shared": 0}
+        for alpha, parts in self._cases():
+            odd = tuple(p for p in square_class(alpha)[1] if p != 2)
+            got = conic_decide(alpha, odd, *parts)
+            want = self._want(alpha, parts)
+            assert (got is not None) == want, (alpha, parts)
+            if want:
+                assert got == square_class(math.prod(parts)), (alpha, parts)
+            seen["solvable" if want else "rejected"] += 1
+            seen["inert past 2000"] += any(
+                part % q == 0 and sympy.legendre_symbol(alpha % q, q) == -1
+                for part in parts for q in (2003, 2011, 2017, 2027))
+            seen["large cofactor"] += any(
+                abs(part) % q == 0 for part in parts
+                for q in (4012013, 1000000007))
+            seen["shared"] += any(
+                math.gcd(a, b) % 2 for i, a in enumerate(parts)
+                for b in parts[i + 1:] if math.gcd(a, b) > 1)
+        assert min(seen.values()) >= 50, seen
+
+    def _uncertified_cases(self, count=400):
+        """The cases with a part U s, s small, inserted among the parts."""
+        rng = random.Random(2027)
+        for alpha, parts in self._cases(count):
+            parts.insert(rng.randint(0, len(parts)),
+                         self.U * rng.choice((1, -1, 2, 3, -5, 1999)))
+            yield alpha, parts
+
+    @staticmethod
+    def _outcome(alpha, parts):
+        odd = tuple(p for p in square_class(alpha)[1] if p != 2)
+        try:
+            return conic_decide(alpha, odd, *parts)
+        except OutOfCertifiedRangeError:
+            return "uncertified"
+
+    def test_uncertified_cofactor_raises_only_when_nothing_rejects(self):
+        # U is read last: the decision is None when another place
+        # rejects, and raises otherwise, whatever the symbol at U
+        outcomes = [self._outcome(alpha, parts) for alpha, parts in
+                    self._uncertified_cases()]
+        for (alpha, parts), got in zip(self._uncertified_cases(), outcomes):
+            want = "uncertified" if self._want(alpha, parts) else None
+            assert got == want, (alpha, parts)
+        assert min(outcomes.count(None),
+                   outcomes.count("uncertified")) >= 20
+
+    def test_inert_product_without_3_is_caught(self, monkeypatch):
+        # By reciprocity a conic fails at an even number of places, so
+        # missing one place alone never turns a decision.  Where the
+        # other failing place is U, past the certified range, 3 is the
+        # one rejection read: without it in the inert product, the
+        # decision raises instead
+        cases = [(alpha, [3**e * k, self.U * s]) for alpha in self.ALPHAS
+                 if alpha % 3 == 2 for e in (1, 3) for k in (1, -1, 2, 5, 7)
+                 for s in (1, -1, 2)]
+        outcomes = [self._outcome(alpha, parts) for alpha, parts in cases]
+        real = local_mod._inert_product
+        monkeypatch.setattr(local_mod, "_inert_product", lambda alpha: (
+            real(alpha) // 3 if real(alpha) % 3 == 0 else real(alpha)))
+        assert any(self._outcome(alpha, parts) != want
+                   for (alpha, parts), want in zip(cases, outcomes))
 
 
 def _assert_witness(alpha, r):

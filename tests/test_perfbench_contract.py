@@ -83,8 +83,10 @@ def test_pullback_fiber_has_quartic_coeffs(tracer):
 @pytest.mark.parametrize("checker, golden", [
     ("check_counterexample", "counterexample_height40"),
     ("check_counterexample", "counterexample_height150"),
+    ("check_counterexample", "counterexample_height500"),
     ("check_iskovskikh", "iskovskikh_height80"),
     ("check_iskovskikh", "iskovskikh_height1000"),
+    ("check_iskovskikh", "iskovskikh_height4000"),
     ("check_bundle", "bundle_fibers4"),
     ("check_bundle", "bundle_fibers50"),
 ])
@@ -117,7 +119,7 @@ def test_scan_decides_through_traced_name(monkeypatch):
     calls = []
     real = pure.conic_decide
     monkeypatch.setattr(pure, "conic_decide",
-                        lambda *a: calls.append(a) or real(*a))
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     H = 100
     assert not rational_point_search(iskovskikh(), H).found
     # x = infinity, then every coprime (m, n) with |m| <= H, 1 <= n <= H

@@ -695,8 +695,17 @@ def _unproven_skip(coeffs, alpha, odd, m, n, p):
 def _newton_as_class(real):
     """A broken disc walk that takes Newton discs for discs of constant
     class."""
-    return lambda *args: ((centre, k, "class" if kind == "newton" else kind)
-                          for centre, k, kind in real(*args))
+    return lambda *args, **kw: (
+        (centre, k, "class" if kind == "newton" else kind)
+        for centre, k, kind in real(*args, **kw))
+
+
+def _inert_newton_as_class(real):
+    """A broken disc walk that stops at Newton discs in the inert walk
+    too, and takes them for discs of constant class."""
+    return lambda f, p, depth, newton=True: real(f, p, depth) if newton \
+        else ((centre, k, "class" if kind == "newton" else kind)
+              for centre, k, kind in real(f, p, depth))
 
 
 class TestScanParity:
@@ -723,7 +732,8 @@ class TestScanParity:
         decided = []
         real_decide = pure.conic_decide
         monkeypatch.setattr(pure, "conic_decide",
-                            lambda *a: decided.append(a) or real_decide(*a))
+                            lambda *a, **k: decided.append(a)
+                            or real_decide(*a, **k))
         seen = {"none": 0, "boundary-zero": 0, "skipped-whole": 0}
         for kind, coeffs, alpha, odd, H in self._random_cases():
             decided.clear()
@@ -750,12 +760,14 @@ class TestScanParity:
         # every fiber a disc table skips has symbol -1 at its prime, so
         # the unsieved decision rejects it; the first hits are checked
         # against the plain loop above and below
-        seen = {"no 2-table": 0, "2 | alpha": 0, "at infinity": 0}
+        seen = {"no 2-table": 0, "2 | alpha": 0, "at infinity": 0,
+                "inert": 0}
         for coeffs, alpha, odd, H in self._all_cases():
             skips = list(_sieve_skips(coeffs, alpha, odd, H))
             for m, n, p in skips:
                 assert not _unproven_skip(coeffs, alpha, odd, m, n, p), (
                     coeffs, alpha, (m, n), p)
+            seen["inert"] += any(p != 2 and alpha % p for _, _, p in skips)
             if alpha % 8 == 1 and H:
                 assert all(p != 2 for _, _, p in skips)
                 seen["no 2-table"] += 1
@@ -772,13 +784,50 @@ class TestScanParity:
         (quartic_mod, "_unit_square_depth",
          lambda real: lambda p: 2 if p == 2 else 1),
         (pure, "residue_discs", _newton_as_class),
-    ], ids=["odd-p-by-one", "two-by-one", "newton-decided"])
+        (pure, "residue_discs", _inert_newton_as_class),
+    ], ids=["odd-p-by-one", "two-by-one", "newton-decided",
+            "inert-newton-kept"])
     def test_broken_discs_are_caught(self, monkeypatch, module, name,
                                      broken):
         monkeypatch.setattr(module, name, broken(getattr(module, name)))
         assert any(_unproven_skip(coeffs, alpha, odd, m, n, p)
                    for coeffs, alpha, odd, H in self._all_cases()
                    for m, n, p in _sieve_skips(coeffs, alpha, odd, H))
+
+    def test_settling_a_walk_with_other_discs_is_caught(self, monkeypatch):
+        # a prime is settled only when its walk ends in class discs; with
+        # every table taken as settled, a fiber whose symbol is -1 at 2
+        # or at a prime of alpha, in a root, Newton or open disc there,
+        # is no longer rejected
+        real = pure._disc_sieves
+        monkeypatch.setattr(pure, "_disc_sieves", lambda *a: [
+            sieve[:3] + (True,) for sieve in real(*a)])
+        assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
+                   != _reference_scan(coeffs, alpha, odd, H)
+                   for coeffs, alpha, odd, H in self._all_cases())
+
+    def test_residue_rows_match_the_tables(self):
+        # a row built from the residues that a table allows holds the m
+        # that reading the table at each m of the plain row keeps
+        rows = {"affine": 0, "at infinity": 0, "n = 0": 0}
+        for coeffs, alpha, odd, H in self._all_cases():
+            width = 2 * H + 1
+            for sieve in pure._disc_sieves(coeffs, alpha, odd, H):
+                if sieve[1] is None or sieve[1][0] > width:
+                    continue
+                plan = pure._residue_plan(sieve, width)
+                for n in range(H + 1):
+                    spans = ([range(-H, 1), range(1, H + 1)] if n
+                             else [range(1, 2)])
+                    plain = pure._row(spans, n, 1, 1, None)
+                    residues = plan(n)
+                    if residues is not None:
+                        assert pure._row(spans, n, *residues) == \
+                            pure._survivors(sieve, n, plain), (
+                                coeffs, alpha, sieve[0], n)
+                        rows["n = 0" if n == 0 else "at infinity"
+                             if n % sieve[0] == 0 else "affine"] += 1
+        assert min(rows.values()) >= 100, rows
 
     SHARED_ALPHAS = (-1, -2, -3, -5, -6, -7, -15, 1, 2, 3, 5, 7, 15, 21)
 
@@ -799,7 +848,8 @@ class TestScanParity:
         decided = []
         real_decide = pure.conic_decide
         monkeypatch.setattr(pure, "conic_decide",
-                            lambda *a: decided.append(a) or real_decide(*a))
+                            lambda *a, **k: decided.append(a)
+                            or real_decide(*a, **k))
         shared = 0
         for coeffs, alpha, odd, H in self._shared_cases():
             decided.clear()
@@ -866,24 +916,27 @@ class TestDiscWalkBudget:
 
     def test_prime_past_a_row_gets_no_walk(self, monkeypatch):
         # the walk at 1000003 would cost 500 rows of this scan, whose hit
-        # is in its first row
+        # is in its first row; 2 and the inert primes q with q^2 at most
+        # a row, 2001, are walked
         walked = []
         real = pure.residue_discs
-        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
-            walked.append(p) or real(f, p, depth)))
+        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth, **k: (
+            walked.append(p) or real(f, p, depth, **k)))
         hit = pure.conic_scan(BinaryQuartic((7, 1, 0, 2, 3)), 1000003,
                               (1000003,), 1000)
         assert hit == (-990, 1)
-        assert walked == [2]
+        assert walked == [2, 5, 17, 19, 41]
 
     def test_walk_past_a_row_is_dropped(self):
         # 41 divides every value, so every disc at 41 splits once: 1722
-        # discs, more than a row at height 30 and fewer than at 1000
+        # discs, more than a row at height 30 and fewer than at 1000; 2
+        # is settled (41 = 1 mod 8) and the others are inert tables
         coeffs = tuple(41 * c for c in (1, 1, 0, 0, 1))
         assert len(list(residue_discs(coeffs, 41, 2))) == 1722
-        assert pure._disc_sieves(coeffs, 41, (41,), 30) == []
         assert [sieve[0] for sieve in
-                pure._disc_sieves(coeffs, 41, (41,), 1000)] == [41]
+                pure._disc_sieves(coeffs, 41, (41,), 30)] == [2, 3]
+        assert [sieve[0] for sieve in pure._disc_sieves(
+            coeffs, 41, (41,), 1000)] == [2, 41, 3, 11, 17, 19, 29]
 
 
 # primes near 2^40
@@ -957,18 +1010,19 @@ class TestSearchPast64Bits:
 
     def test_large_checked_primes_get_no_table(self, monkeypatch):
         # height 30 visits 1 + 30 * 61 = 1831 pairs, so the walk at 2 goes
-        # to depth 10 and at 5 to 4; the primes that the parts share get
-        # no walk and no table; the hit is the one found above
+        # to depth 10 and at 5 to 4, and at the inert 3 and 7 to the
+        # largest depth within a row, 61; the primes that the parts share
+        # get no walk and no table; the hit is the one found above
         quartic = self._surface(3, 11, 5).Ptilde
         coeffs = quartic.integer_square_scaled
         walked = []
         real = pure.residue_discs
-        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth: (
-            walked.append((p, depth)) or real(f, p, depth)))
+        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth, **k: (
+            walked.append((p, depth)) or real(f, p, depth, **k)))
         assert pure.conic_scan(quartic, 5, (5,), 30) == (-30, 1)
-        assert walked == [(2, 10), (5, 4)]
+        assert walked == [(2, 10), (5, 4), (3, 3), (7, 2)]
         assert [sieve[0] for sieve in
-                pure._disc_sieves(coeffs, 5, (5,), 30)] == [2, 5]
+                pure._disc_sieves(coeffs, 5, (5,), 30)] == [2, 5, 3, 7]
 
 
 class TestIntegerModel:
