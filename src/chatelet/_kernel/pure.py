@@ -58,6 +58,33 @@ and none changes the first hit:
   then skips the symbol there (the table is kept for this even when it
   has no disc of symbol -1).  An inert prime is never settled:
   `conic_decide` reads it from the parts by gcds.
+* *Reciprocity.*  Let P~ = k f_1 f_2 with two irreducible quadratic
+  factors, P = k f_1, and let T be oo, 2, the primes of alpha and the
+  odd primes of Res(P, f_2) (`chatelet.quartic.form_resultant`).  A
+  prime that divides P(m, n) and f_2(m, n) at coprime m, n divides the
+  resultant, so every place v outside T is an odd prime, prime to
+  alpha, that divides at most one of them, and there
+  (alpha, r)_v = (alpha, P)_v for the value r = P f_2.  A fiber with a
+  point has (alpha, r)_v = +1 everywhere, so (alpha, P)_v = +1 outside
+  T and, by Hilbert reciprocity for (alpha, P), the product of
+  (alpha, P)_v over T is +1.  The scan reads one bit of (alpha, P)_v
+  at each place of T on the fibers its sieves let through.  At oo it is
+  the sign of P on the pieces of `sign_points` where P~ > 0 (for
+  alpha < 0; +1 for alpha > 0): P divides P~ over Q, so it has one
+  sign on each piece.  It is +1 at 2 when alpha = 1 mod 8 and at the
+  split primes of the resultant.  At 2, alpha's primes and the inert
+  primes of the resultant it comes from the same walks as the tables,
+  disc by disc: P has the class of its centre on a disc where
+  v_p(P(centre)) < k (<= k - 3 at 2), as on every class disc, since
+  v_p(P) <= v_p(P~); otherwise, where f_2 has it, (alpha, P)_p equals
+  (alpha, f_2(centre))_p on the fibers of symbol +1.  A prime of T
+  without a walk, a disc without a bit or two bits at one place leave
+  the scan as it was.  When the bits are known and their product is
+  -1, no fiber of any height has a point, and none is a zero of P~,
+  which has no rational root: the scan returns None before its other
+  inert walks and before any row.  This is the Brauer-Manin obstruction
+  of the class (alpha, f_1) on Iskovskikh's surface and on the
+  constructed ones, read off the scan's own tables.
 * *Rows from residue classes.*  The table that rejects the largest
   share of its affine residues, among those whose modulus M is at most
   the row's width (2H + 1, or H + 1 under the symmetry below), builds
@@ -82,13 +109,22 @@ from itertools import chain, islice
 from typing import Optional
 
 from chatelet.local import conic_decide, finite_place, hilbert_symbol
-from chatelet.numbers import TRIAL_PRIMES, legendre, split_valuation
+from chatelet.numbers import (
+    TRIAL_PRIMES,
+    OutOfCertifiedRangeError,
+    legendre,
+    prime_factors,
+    split_valuation,
+)
 from chatelet.quartic import (
     BinaryQuartic,
     evaluate_form,
     evaluate_quartic,
+    _unit_square_depth,
+    form_resultant,
     negative_segments,
     residue_discs,
+    sign_points,
 )
 
 
@@ -104,16 +140,23 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     value counts as solvable (the degenerate fiber carries the point
     (x, 0, 0)).  Each fiber is decided from its parts with the odd
     primes of alpha, ``alpha_odd_primes``, and the primes that the disc
-    tables settle.
+    tables settle.  When the reciprocity rule proves that no fiber is
+    solvable, the scan returns None before it builds any row.
     """
     coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
     # two x of height <= H lie more than 1/(H+1)^2 apart, so an interval
     # this narrow keeps at most one of them from the sieve
-    segments = (negative_segments(coeffs, Fraction(1, (H + 1) ** 2))
+    pieces = (sign_points(coeffs, Fraction(1, (H + 1) ** 2))
+              if alpha < 0 else [])
+    walked, obstructed = _reciprocity(quartic, alpha, alpha_odd_primes, H,
+                                      pieces)
+    if obstructed:
+        return None
+    segments = (negative_segments(coeffs, pieces=pieces)
                 if alpha < 0 else [])
     parts = _fiber_parts(quartic)
-    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H)
+    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H, walked)
     settled = tuple(sieve[0] for sieve in sieves if sieve[3])
     # the table that rejects the largest share of its affine residues,
     # among those no longer than a row, builds the rows
@@ -197,21 +240,96 @@ def _residue_plan(sieve, width: int):
     return plan
 
 
-def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int) -> list:
-    """The `_disc_sieve`s of a scan of height H, which visits
+def _reciprocity(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
+                 H: int, pieces) -> tuple[dict, bool]:
+    """(walked, obstructed): the `_walk`s made at the finite places of T,
+    by prime, and whether the reciprocity rule of the module docstring
+    proves that no fiber is solvable.
+
+    The rule needs P~ = k f_1 f_2 with two quadratic factors.  Its bits
+    at 2 and alpha's primes come from the scan's own walks, the one at
+    oo from `pieces`, those at the split primes of the resultant are
+    +1, and those at its inert primes come from their walks.  The
+    resultant is computed and factored only when every other bit is
+    known; the rule is off when it is 0 or cannot be factored.
+    """
+    k, forms = quartic.factors
+    if len(forms[0]) != 3 or len(forms) != 2:
+        return {}, False
+    coeffs = quartic.integer_square_scaled
+    split = (tuple(k * c for c in forms[0]), forms[1])
+    walked = {p: _walk(coeffs, alpha, alpha_odd_primes, p, H, split)
+              for p in (2, *alpha_odd_primes)}
+    bits = [_real_bit(coeffs, split[0], pieces) if alpha < 0 else 1]
+    bits += [_place_bit(alpha, p, walk) for p, walk in walked.items()]
+    if 0 in bits:
+        return walked, False
+    resultant = form_resultant(*split)
+    if resultant == 0:
+        return walked, False
+    try:
+        for q, _ in prime_factors(abs(resultant)):
+            if q != 2 and q not in walked and legendre(alpha, q) == -1:
+                walked[q] = _walk(coeffs, alpha, alpha_odd_primes, q, H,
+                                  split)
+                bits.append(_place_bit(alpha, q, walked[q]))
+    except OutOfCertifiedRangeError:
+        return walked, False
+    return walked, 0 not in bits and math.prod(bits) == -1
+
+
+def _place_bit(alpha: int, p: int, walk) -> int:
+    """The bit of the reciprocity rule at the finite place p: +1 at 2
+    when alpha = 1 mod 8, a square in Q_2, so that every symbol there is
+    +1; otherwise the bit of p's walk, and 0 without one."""
+    if p == 2 and alpha % 8 == 1:
+        return 1
+    return walk[4] if walk else 0
+
+
+def _real_bit(coeffs, first, pieces) -> int:
+    """(alpha, k f_1)_oo for alpha < 0 at every x where P~ > 0: -1 when
+    k f_1 is negative on each piece of `sign_points` where P~ is
+    positive, +1 when it is positive on each (or there is no such
+    piece), and 0 when it takes both signs.  k f_1 divides P~ over Q, so
+    it has no root on a piece and one sign on each."""
+    signs = {evaluate_form(first, x, 1) > 0 for _, x, _ in pieces
+             if evaluate_quartic(coeffs, x, 1) > 0}
+    return 0 if len(signs) > 1 else -1 if False in signs else 1
+
+
+def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int,
+                 walked=None) -> list:
+    """The `_walk`s of a scan of height H that have a table or settle
+    their prime: at 2, at the odd primes of alpha and at each inert
+    prime q, (alpha/q) = -1, below 2000 with q^2 at most a row, in that
+    order.  A walk already made is taken from ``walked``, by prime."""
+    walked = walked or {}
+    inert = (q for q in TRIAL_PRIMES[1:]
+             if q * q <= 2 * H + 1 and legendre(alpha, q) == -1)
+    sieves = [walked[p] if p in walked
+              else _walk(coeffs, alpha, alpha_odd_primes, p, H)
+              for p in (2, *alpha_odd_primes, *inert)]
+    return [sieve for sieve in sieves
+            if sieve and (sieve[1] or sieve[2] or sieve[3])]
+
+
+def _walk(coeffs, alpha: int, alpha_odd_primes, p: int, H: int,
+          split=None):
+    """The `_disc_sieve` at p of a scan of height H, which visits
     1 + H(2H + 1) pairs (m, n), 2H + 1 to a row, where they find a disc:
     at 2 and the odd primes of alpha to the largest depth K with p^K at
-    most the number of pairs, and at each inert prime q, (alpha/q) = -1,
-    below 2000 with q^2 at most a row, to the largest K with q^K at most
-    a row, through Newton discs."""
+    most the number of pairs, and at an inert prime q below 2000 with
+    q^2 at most a row to the largest K with q^K at most a row, through
+    Newton discs; None at any other prime."""
     pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
-    sieves = [_disc_sieve(coeffs, alpha, p, _depth(p, pairs), row)
-              for p in (2, *alpha_odd_primes)]
-    sieves += [_disc_sieve(coeffs, alpha, q, _depth(q, row), row,
-                           inert=True)
-               for q in TRIAL_PRIMES[1:] if q * q <= row
-               and legendre(alpha, q) == -1]
-    return [sieve for sieve in sieves if sieve]
+    if p == 2 or p in alpha_odd_primes:
+        return _disc_sieve(coeffs, alpha, p, _depth(p, pairs), row,
+                           split=split)
+    if p <= TRIAL_PRIMES[-1] and p * p <= row and legendre(alpha, p) == -1:
+        return _disc_sieve(coeffs, alpha, p, _depth(p, row), row,
+                           inert=True, split=split)
+    return None
 
 
 def _depth(p: int, bound: int) -> int:
@@ -223,19 +341,24 @@ def _depth(p: int, bound: int) -> int:
 
 
 def _disc_sieve(coeffs, alpha: int, p: int, depth: int, row: int,
-                inert: bool = False):
-    """(p, affine, at_infinity, settled): the residue discs of
+                inert: bool = False, split=None):
+    """(p, affine, at_infinity, settled, bit): the residue discs of
     `residue_discs` to `depth` on which the symbol (alpha, P~)_p is -1,
-    and whether they settle p; None when there is no such disc and p is
-    not settled.  The affine discs make a table read at x = m/n in Z_p
-    and those at infinity one read at w = n/m in pZ_p; each is the
-    `_table` of its discs, or None.
+    whether they settle p, and the bit of the reciprocity rule at p;
+    None when p gets no walk.  The affine discs make a table read at
+    x = m/n in Z_p and those at infinity one read at w = n/m in pZ_p;
+    each is the `_table` of its discs, or None.
 
     When every disc of the walk has constant class, every fiber the
     tables let through lies in a disc of symbol +1, so the symbol at p
     is +1 for it: p is settled.  An inert prime (``inert``) is never
     settled, since `conic_decide` reads it from the parts' valuations,
     and its walk goes on inside Newton discs.
+
+    With the factors ``split`` = (k f_1, f_2) of the reciprocity rule,
+    the bit is the `_split_bit` that every disc outside the tables
+    shares (+1 when there is no such disc), and 0 when one of them has
+    none or two of them differ, or without ``split``.
 
     The walk must cost no more than a row of the scan, so it gets no
     more than `row` discs: a p above that gets no walk, and a walk that
@@ -249,21 +372,45 @@ def _disc_sieve(coeffs, alpha: int, p: int, depth: int, row: int,
     if len(discs) > row:
         return None
     place = finite_place(p)
-    affine, at_infinity = [], []
+    affine, at_infinity, bits = [], [], set()
     settled = not inert
     for (m, n), k, kind in discs:
-        if kind != "class":
-            settled = False
-        elif hilbert_symbol(
+        if kind == "class" and hilbert_symbol(
                 alpha, evaluate_quartic(coeffs, m, n), place) == -1:
             # the disc is the residues of m, or at infinity of n, mod p^k
             if n == 1:
                 affine.append((m, p**k))
             else:
                 at_infinity.append((n, p**k))
-    if not affine and not at_infinity and not settled:
-        return None
-    return p, _table(affine), _table(at_infinity), settled
+            continue
+        settled = settled and kind == "class"
+        if split:
+            bits.add(_split_bit(alpha, split, (m, n), k, place))
+    bit = 0
+    if split and 0 not in bits and len(bits) < 2:
+        bit = bits.pop() if bits else 1
+    return p, _table(affine), _table(at_infinity), settled, bit
+
+
+def _split_bit(alpha: int, split, centre, k: int, place) -> int:
+    """The symbol (alpha, k f_1)_p at every fiber of the disc (centre, k)
+    whose symbol (alpha, P~)_p is +1, or 0 when the rule below does not
+    give it.
+
+    When v_p(k f_1(centre)) < k (<= k - 3 at 2), k f_1 has the square
+    class of its centre on the disc, by the rule of `residue_discs`'
+    class discs; this holds on every class disc of P~.  Otherwise, when
+    f_2 has it, (alpha, k f_1)_p = (alpha, P~)_p (alpha, f_2)_p is
+    (alpha, f_2(centre))_p at those fibers.  So a Newton disc or an open
+    one gets a bit when it is about a root of one factor, away from the
+    roots of the other.
+    """
+    p, low = place.p, _unit_square_depth(place.p)
+    for f in split:
+        value = evaluate_form(f, *centre)
+        if value and split_valuation(value, p)[0] <= k - low:
+            return hilbert_symbol(alpha, value, place)
+    return 0
 
 
 def _table(discs):

@@ -12,7 +12,9 @@ for polynomials in one variable.
 `rational_factors` splits the integer model into primitive irreducible
 forms over Q, once per form as `BinaryQuartic.factors`; that one split
 is what `quartic_irreducible` counts, what the fiber scan decides each
-fiber from and what the surface's Brauer class is read from.
+fiber from and what the surface's Brauer class is read from;
+`form_resultant` bounds the primes that two factors share, for the
+scan's reciprocity rule.
 `real_root_intervals` is the one real-root isolation, for univariate
 polynomials of any degree: Descartes' rule of signs with bisection on
 the squarefree part, in exact integer arithmetic.  `rational_roots`
@@ -44,9 +46,9 @@ from chatelet.numbers import (
 )
 
 __all__ = ["BinaryQuartic", "evaluate_form", "evaluate_quartic",
-           "negative_segments", "quartic_disc", "quartic_irreducible",
-           "rational_factors", "rational_roots", "real_root_intervals",
-           "residue_discs", "sign_points"]
+           "form_resultant", "negative_segments", "quartic_disc",
+           "quartic_irreducible", "rational_factors", "rational_roots",
+           "real_root_intervals", "residue_discs", "sign_points"]
 
 
 def evaluate_quartic(coeffs, m, n):
@@ -351,14 +353,17 @@ def sign_points(coeffs, eps=None) -> list[tuple[Optional[Fraction],
     return points
 
 
-def negative_segments(coeffs, eps) -> list[tuple[Optional[Fraction],
-                                                 Optional[Fraction]]]:
+def negative_segments(coeffs, eps=None, pieces=None) -> list[
+        tuple[Optional[Fraction], Optional[Fraction]]]:
     """The open segments (left, right) of `sign_points(coeffs, eps)` on
     which P(x) = form(1, x) is negative, in increasing order; None stands
     for -oo or +oo.  P has one sign on a segment, read from one exact
-    evaluation at its point; a shared end is not a segment.
+    evaluation at its point; a shared end is not a segment.  A caller
+    that already holds those pieces passes them as ``pieces``.
     """
-    return [(left, right) for left, x, right in sign_points(coeffs, eps)
+    if pieces is None:
+        pieces = sign_points(coeffs, eps)
+    return [(left, right) for left, x, right in pieces
             if (left is None or right is None or left < right)
             and evaluate_quartic(coeffs, x, 1) < 0]
 
@@ -506,6 +511,37 @@ def _times(f, g) -> list[int]:
         for j, b in enumerate(g):
             out[i + j] += a * b
     return out
+
+
+def form_resultant(f, g) -> int:
+    """The resultant of two integer binary forms of degrees >= 1, given
+    as in `rational_factors`: the determinant of their Sylvester matrix
+    in the coefficients of x^d, ..., w^d.  A prime that divides f(w, x)
+    and g(w, x) at coprime integers w, x divides it."""
+    d, e = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (e - 1 - i) for i in range(e)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (d - 1 - i) for i in range(d)]
+    return _determinant(rows)
+
+
+def _determinant(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by Bareiss's
+    fraction-free elimination: every division is exact."""
+    rows = [list(row) for row in rows]
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return sign * rows[-1][-1]
 
 
 def quartic_irreducible(q: BinaryQuartic) -> bool:

@@ -531,8 +531,9 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     Exhaustive over the x-range; a found fiber x comes with an exact
     point (y, z) of its conic, and found=False means NO fiber of height
     <= H is solvable over Q.  The scan (`conic_scan`) skips fibers by
-    three exact rules, proved in `chatelet._kernel.pure`, and returns
-    the same first fiber as the loop over every x.
+    exact rules, proved in `chatelet._kernel.pure`, and returns the same
+    first fiber as the loop over every x; on a split quartic, Hilbert
+    reciprocity on one factor can rule out every fiber at once.
     """
     S.require_smooth()
     alpha_sf, alpha_primes = square_class(S.alpha)

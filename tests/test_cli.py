@@ -491,6 +491,9 @@ class TestGolden:
         # wider rows and deeper inert tables than the benchmark's runs
         ("iskovskikh_height4000", ["iskovskikh", "--height", "4000"]),
         ("counterexample_height500", ["counterexample", "--height", "500"]),
+        # every fiber up to 2000 ruled out by the reciprocity rule
+        ("counterexample_height2000",
+         ["counterexample", "--height", "2000"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(

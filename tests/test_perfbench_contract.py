@@ -13,7 +13,8 @@ local-table check also runs on the golden `surface` reports.
 
 The tracer counts the scan's decisions where the scan looks
 ``conic_decide`` up, in `chatelet._kernel.pure`; the scan must reach it
-there, and its sieve must keep it from seeing every fiber.
+there, and its sieve must keep it from seeing every fiber.  On
+Iskovskikh's surface the reciprocity rule leaves it no fiber at all.
 
 The tracer wraps the targets only in the ``chatelet`` modules that
 ``import chatelet.cli`` has loaded, so every target's module must load
@@ -34,7 +35,9 @@ import pytest
 
 from chatelet._kernel import pure
 from chatelet.bundle import make_bundle, pullback, pullback_fiber
+from chatelet.quartic import BinaryQuartic
 from chatelet.surface import (
+    ChateletSurface,
     build_surface,
     find_params,
     iskovskikh,
@@ -84,6 +87,7 @@ def test_pullback_fiber_has_quartic_coeffs(tracer):
     ("check_counterexample", "counterexample_height40"),
     ("check_counterexample", "counterexample_height150"),
     ("check_counterexample", "counterexample_height500"),
+    ("check_counterexample", "counterexample_height2000"),
     ("check_iskovskikh", "iskovskikh_height80"),
     ("check_iskovskikh", "iskovskikh_height1000"),
     ("check_iskovskikh", "iskovskikh_height4000"),
@@ -115,17 +119,38 @@ def test_golden_local_table_passes_benchmark_check(check, golden):
     assert failures == []
 
 
-def test_scan_decides_through_traced_name(monkeypatch):
+def _traced_decisions(monkeypatch, S, H):
+    """The search's result and the `conic_decide` calls that the tracer
+    would count."""
     calls = []
     real = pure.conic_decide
     monkeypatch.setattr(pure, "conic_decide",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
+    return rational_point_search(S, H), calls
+
+
+def test_scan_decides_through_traced_name(monkeypatch):
+    # P~ = -(x^2 - 6)(x^2 - x - 1) and alpha = 3: the symbol
+    # (3, -(x^2 - 6))_2 takes both values on the discs at 2, so the
+    # reciprocity rule does not hold and the scan decides fibers
+    S = ChateletSurface(alpha=Fraction(3),
+                        Ptilde=BinaryQuartic((-6, -6, 7, 1, -1)),
+                        provenance="user")
     H = 100
-    assert not rational_point_search(iskovskikh(), H).found
+    result, calls = _traced_decisions(monkeypatch, S, H)
+    assert result.x == (-91, 2)
     # x = infinity, then every coprime (m, n) with |m| <= H, 1 <= n <= H
     fibers = 1 + sum(math.gcd(m, n) == 1
                      for n in range(1, H + 1) for m in range(-H, H + 1))
     assert 0 < len(calls) < fibers
+
+
+def test_reciprocity_leaves_iskovskikh_no_decision(monkeypatch):
+    # the symbols of (-1, 3 - x^2) are +1 at oo and -1 at 2 on every
+    # fiber that the sieves let through, so no fiber is decided
+    result, calls = _traced_decisions(monkeypatch, iskovskikh(), 100)
+    assert not result.found
+    assert calls == []
 
 
 def test_traced_bundle_records_bundle_spans(tmp_path):

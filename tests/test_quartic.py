@@ -13,6 +13,7 @@ from chatelet.quartic import (
     BinaryQuartic,
     evaluate_form,
     evaluate_quartic,
+    form_resultant,
     quartic_disc,
     quartic_irreducible,
     rational_factors,
@@ -403,6 +404,94 @@ class TestRationalFactors:
             seen["quadratic-pair"] += ([len(f) for f in fs] == [3, 3]
                                        and fs[0][2] * fs[1][2] > 1)
         assert min(seen.values()) >= 20, seen
+
+
+def _sympy_resultant(f, g):
+    """Res(f, g) of two binary forms (coefficients low x-degree first),
+    from sympy's `resultant` in x.  The substitution w -> w + c x has
+    determinant 1, so it leaves the resultant unchanged; c is chosen so
+    that both forms keep their full degree in x, where the resultant of
+    the forms is that of their values at w = 1.  sympy is given the form
+    of larger degree first, and the swap's sign (-1)^(d e) applied: with
+    the smaller first it returned -680 for Res(x - 9, 2x^3 - 9x^2 - 6x
+    + 5), whose Sylvester determinant is 680."""
+    d, e = len(f) - 1, len(g) - 1
+    for c in range(d + e + 1):
+        F = sympy.Poly(sum(a * _x**k * (1 + c * _x)**(d - k)
+                           for k, a in enumerate(f)), _x)
+        G = sympy.Poly(sum(b * _x**k * (1 + c * _x)**(e - k)
+                           for k, b in enumerate(g)), _x)
+        if F.degree() == d and G.degree() == e:
+            if d < e:
+                return (-1) ** (d * e) * int(sympy.resultant(G, F))
+            return int(sympy.resultant(F, G))
+    raise AssertionError("no substitution keeps both degrees")
+
+
+class TestResultant:
+    """`form_resultant` and its Bareiss determinant, against sympy; the
+    places of the scan's reciprocity rule rest on them."""
+
+    PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2))
+
+    def _form(self, rng, d):
+        f = [rng.randint(-9, 9) for _ in range(d)]
+        return tuple(f + [rng.choice((-5, -3, -1, 1, 2, 4))])
+
+    def test_against_sympy(self):
+        rng = random.Random(24)
+        seen = {"content": 0, "negative": 0, "zero": 0, "w | f": 0}
+        for i in range(200):
+            d, e = self.PAIRS[i % 4]
+            f, g = self._form(rng, d), self._form(rng, e)
+            if i % 5 == 0:
+                f = tuple(6 * c for c in f)
+            if i % 5 == 2:
+                # w times a form of degree d - 1: the x^d coefficient is
+                # 0, so the elimination must swap rows
+                f = self._form(rng, d - 1) + (0,)
+            if i % 7 == 0:
+                # a shared factor h: f = h f', g = h g'
+                h = self._form(rng, 1)
+                f = tuple(_mul(list(h), list(self._form(rng, d - 1)))) \
+                    if d > 1 else h
+                g = tuple(_mul(list(h), list(self._form(rng, e - 1))))
+            res = form_resultant(f, g)
+            assert res == _sympy_resultant(f, g), (f, g)
+            seen["content"] += math.gcd(*f) > 1 and res != 0
+            seen["negative"] += f[-1] < 0 or g[-1] < 0
+            seen["zero"] += res == 0
+            seen["w | f"] += f[-1] == 0 and res != 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_examples(self):
+        w = (1, 0)
+        # Res(w, g) = +-g(0, 1), the leading x-coefficient of g
+        for g in ((3, 5), (1, 2, -7), (4, 0, 0, 5), (-2, 1, 1)):
+            assert form_resultant(w, g) == _sympy_resultant(w, g) != 0
+        assert form_resultant((12, 0, 1), (493, 0, 41)) == 1
+        # x^2 - w^2 and x - w share x - w
+        assert form_resultant((-1, 0, 1), (-1, 1)) == 0
+
+    def test_determinant_against_sympy(self):
+        rng = random.Random(25)
+        swaps = singular = 0
+        for i in range(300):
+            n = 1 + i % 6
+            rows = [[rng.randint(-20, 20) for _ in range(n)]
+                    for _ in range(n)]
+            if i % 3 == 0 and n > 1:
+                rows[0][0] = 0  # the first pivot needs a row swap
+                swaps += 1
+            if i % 4 == 0 and n > 1:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+                singular += 1
+            want = int(sympy.Matrix(rows).det())
+            assert quartic._determinant(rows) == want, rows
+        assert swaps >= 20 and singular >= 20
+        # one swap, and a zero column
+        assert quartic._determinant([[0, 1], [1, 0]]) == -1
+        assert quartic._determinant([[0, 2, 1], [0, 3, 4], [0, 5, 6]]) == 0
 
 
 def _mul(f, g):

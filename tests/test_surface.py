@@ -28,6 +28,7 @@ from chatelet.quartic import (
     evaluate_quartic,
     negative_segments,
     residue_discs,
+    sign_points,
 )
 from chatelet.surface import (
     CertifiedLocalX,
@@ -870,6 +871,156 @@ class TestScanParity:
         assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
                    != _reference_scan(coeffs, alpha, odd, H)
                    for coeffs, alpha, odd, H in self._shared_cases())
+
+
+def _reciprocity_case(rng, kind):
+    """A smooth k f_1 f_2 with two irreducible quadratic factors, alpha
+    and a height from 16 to 30.  "iskovskikh": -k (x^2 - a)(x^2 - b)
+    with alpha < 0, mostly -1, the family of Iskovskikh's surface, on
+    which the rule often holds.  "real-sign": -k (x^2 + a)(x^2 + s x + u)
+    with x^2 + s x + u indefinite and alpha < 0, so that k f_1 < 0
+    wherever P~ > 0: the bit at oo is -1.  "random": small random
+    factors, whose resultant often has an odd prime outside 2 alpha."""
+    while True:
+        H = rng.randint(16, 30)
+        k = rng.choice((1, 2, 3))
+        if kind == "iskovskikh":
+            a, b = rng.sample(range(1, 30), 2)
+            coeffs = _times((-k,), _times((-a, 0, 1), (-b, 0, 1)))
+            alpha = rng.choice((-1, -1, -1, -2, -3))
+        elif kind == "real-sign":
+            a, s = rng.randint(1, 5), rng.randint(5, 8)
+            u = rng.randint(a + 1, (s * s - 1) // 4)
+            coeffs = _times((-k,), _times((a, 0, 1), (u, s, 1)))
+            alpha = rng.choice((-1, -1, -3, -7))
+        else:
+            f = (rng.randint(-15, 15), rng.randint(-2, 2), rng.randint(1, 3))
+            g = (rng.randint(-30, 30), rng.randint(-2, 2),
+                 rng.choice((1, -1, 2, -2, 3, -3)))
+            coeffs = _times((rng.choice((1, -1, 2, -3, 6)),), _times(f, g))
+            alpha = rng.choice((-1, -2, -3, -6, -7, 2, 3, 5, 6, 7, 10))
+        if disc_from_coeffs(coeffs) == 0:
+            continue
+        forms = BinaryQuartic(coeffs).factors[1]
+        if len(forms) == 2 and len(forms[0]) == 3:
+            alpha, primes = square_class(alpha)
+            return coeffs, alpha, tuple(p for p in primes if p != 2), H
+
+
+def _rule_holds(coeffs, alpha, odd, H):
+    """Does the reciprocity rule of `conic_scan` hold?"""
+    pieces = (sign_points(coeffs, Fraction(1, (H + 1) ** 2))
+              if alpha < 0 else [])
+    return pure._reciprocity(BinaryQuartic(coeffs), alpha, odd, H,
+                             pieces)[1]
+
+
+def _places_of_t(coeffs, alpha):
+    """The finite places of T, found by sympy: 2 and the primes of alpha
+    and of Res(k f_1, f_2)."""
+    k, (f, g) = BinaryQuartic(coeffs).factors
+    res = sympy.resultant(sympy.Poly(list(reversed([k * c for c in f])), _X),
+                          sympy.Poly(list(reversed(g)), _X))
+    return ({2} | set(sympy.factorint(alpha)) | set(sympy.factorint(res))) \
+        - {-1}
+
+
+class TestReciprocity:
+    """The reciprocity rule of `conic_scan`: when P~ = k f_1 f_2 and the
+    symbols (alpha, k f_1)_v are constant on the fibers the sieves let
+    through, at each place v of T, with product -1, no fiber is
+    solvable, and the scan returns None without deciding one."""
+
+    PARAMS = _admissible_params(200)
+
+    def test_admissible_surfaces_need_no_decision(self, monkeypatch):
+        decided = []
+        real_decide = pure.conic_decide
+        monkeypatch.setattr(pure, "conic_decide",
+                            lambda *a, **k: decided.append(a)
+                            or real_decide(*a, **k))
+        assert len(self.PARAMS) == 34
+        for params in self.PARAMS:
+            S = build_surface(params)
+            alpha, odd = params.a * params.b, (params.a, params.b)
+            coeffs = S.Ptilde.integer_square_scaled
+            # at height 200 a row, 401 pairs, is discs enough for the
+            # walk at each prime of alpha
+            assert pure.conic_scan(S.Ptilde, alpha, odd, 200) is None
+            assert decided == [], params
+            assert pure.conic_scan(S.Ptilde, alpha, odd, 12) is None
+            assert _reference_scan(coeffs, alpha, odd, 12) is None
+            decided.clear()
+
+    def test_skipped_fibers_have_a_rejecting_place(self):
+        # every fiber whose symbol is +1 at oo and at each place of T has
+        # a prime q outside T, found by sympy, where the symbol is -1
+        cases = [(iskovskikh().Ptilde.integer_square_scaled, -1, (), 30),
+                 (build_surface(find_params(100)).Ptilde
+                  .integer_square_scaled, 697, (17, 41), 24)]
+        rng = random.Random(20261020)
+        while len(cases) < 8:
+            case = _reciprocity_case(rng, "iskovskikh")
+            if _rule_holds(*case):
+                cases.append(case)
+        witnessed = []
+        for coeffs, alpha, odd, H in cases:
+            assert _rule_holds(coeffs, alpha, odd, H), coeffs
+            places = _places_of_t(coeffs, alpha)
+            witnessed.append(0)
+            for m, n in TestSearchPast64Bits._fibers(H):
+                r = evaluate_quartic(coeffs, m, n)
+                if hilbert_symbol(alpha, r, REAL) == -1 or any(
+                        hilbert_symbol(alpha, r, finite_place(p)) == -1
+                        for p in places):
+                    continue
+                assert any(hilbert_symbol(alpha, r, finite_place(q)) == -1
+                           for q in sympy.factorint(r)
+                           if q > 0 and q not in places), (coeffs, m, n)
+                witnessed[-1] += 1
+        # Iskovskikh's surface and the constructed one among them
+        assert witnessed[0] and witnessed[1] and sum(witnessed) >= 250, \
+            witnessed
+
+    def test_first_hit_matches_reference(self):
+        rng = random.Random(20261020)
+        seen = {"holds": 0, "holds, oo bit -1": 0,
+                "odd prime of Res outside 2 alpha": 0}
+        for i in range(450):
+            kind = ("iskovskikh", "real-sign", "random")[i % 3]
+            coeffs, alpha, odd, H = _reciprocity_case(rng, kind)
+            hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
+            assert hit == _reference_scan(coeffs, alpha, odd, H), (
+                coeffs, alpha, H)
+            holds = _rule_holds(coeffs, alpha, odd, H)
+            seen["holds"] += holds
+            seen["holds, oo bit -1"] += holds and kind == "real-sign"
+            seen["odd prime of Res outside 2 alpha"] += any(
+                q % 2 and alpha % q for q in _places_of_t(coeffs, alpha))
+        assert seen["holds"] >= 15 and seen["holds, oo bit -1"] >= 3 \
+            and seen["odd prime of Res outside 2 alpha"] >= 100, seen
+
+    @pytest.mark.parametrize("coeffs, alpha, H, depth, hit", [
+        # -(x^2 + 6)(x^2 + 7x + 11), alpha = -6: the bits at 2 and 3 are
+        # +1 and -1, so the rule needs the -1 at oo, where -(x^2 + 6) < 0
+        ((-66, -42, -17, -7, -1), -6, 20, None, (-4, 1)),
+        # -3 (x^2 + x - 5)(3x^2 + 2x + 6), alpha = -1: the resultant's
+        # 3 is inert and its walk has discs of either bit
+        ((90, 12, 21, -15, -9), -1, 10, None, (0, 1)),
+        # -(x^2 - 2x - 6)(3x^2 + 8), alpha = -6, with every walk stopped
+        # at depth 1: the discs left open there have no bit
+        ((48, 16, 10, 6, -3), -6, 9, 1, (-1, 1)),
+    ], ids=["sign-at-oo", "resultant-prime", "open-disc"])
+    def test_pinned_cases(self, monkeypatch, coeffs, alpha, H, depth, hit):
+        # each has a solvable fiber that a rule missing one of its
+        # conditions would skip
+        if depth is not None:
+            real = pure._depth
+            monkeypatch.setattr(pure, "_depth", lambda p, bound: min(
+                real(p, bound), depth))
+        odd = tuple(p for p in square_class(alpha)[1] if p != 2)
+        assert _reference_scan(coeffs, alpha, odd, H) == hit
+        assert pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H) == hit
 
 
 class TestFiberParts:
