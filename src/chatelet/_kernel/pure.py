@@ -14,8 +14,8 @@ share by a gcd and checks them on the product, so every split is
 decided the same way.  An irreducible quartic is one part, its value by
 :func:`chatelet.quartic.evaluate_quartic`.
 
-These rules skip fibers, or places of a fiber, before any evaluation,
-and none changes the first hit:
+These rules skip fibers before any evaluation, and none changes the
+first hit:
 
 * *Real sieve.*  For alpha < 0 the conic y^2 - alpha z^2 = r has no real
   point when r < 0.  At x = m/n, n >= 1, the value n^4 P(m/n) has the
@@ -44,20 +44,12 @@ and none changes the first hit:
   row of the scan has pairs, 2H + 1, so that a scan that stops early
   pays little for it: a p above that, or a walk that needs more, gives
   no table.
-
-  The scan also walks each inert prime q, (alpha/q) = -1, below 2000
-  with q^2 <= 2H + 1, to the largest depth with q^k <= 2H + 1.  There
-  the symbol is (-1)^v_q(r), and a Newton disc holds values of both
-  parities, so this walk goes on inside Newton discs
-  (``residue_discs(..., newton=False)``); what is still split at its
-  depth is open and never skipped.
-* *Settled places.*  When the walk at 2 or at a prime of alpha ends in
-  class discs only, the discs tile P^1(Z_p), so every fiber that its
-  tables let through lies in a disc of symbol +1: the symbol at p is +1
-  for it.  Such a p is handed to `conic_decide` as ``settled``, which
-  then skips the symbol there (the table is kept for this even when it
-  has no disc of symbol -1).  An inert prime is never settled:
-  `conic_decide` reads it from the parts by gcds.
+* *Closed walk.*  When every disc of the walk at p is a class disc of
+  symbol -1, with no root, Newton or open disc, the walk is closed.
+  Its discs tile P^1(Z_p), so every point of P^1(Q) lies in one of
+  them: every fiber has symbol -1 at p, and none is a zero value, which
+  a class disc does not hold.  No fiber of any height has a Q_p-point,
+  and the scan returns None before any row.
 * *Reciprocity.*  Let P~ = k f_1 f_2 with two irreducible quadratic
   factors, P = k f_1, and let T be oo, 2, the primes of alpha and the
   odd primes of Res(P, f_2) (`chatelet.quartic.form_resultant`).  A
@@ -72,27 +64,19 @@ and none changes the first hit:
   the sign of P on the pieces of `sign_points` where P~ > 0 (for
   alpha < 0; +1 for alpha > 0): P divides P~ over Q, so it has one
   sign on each piece.  It is +1 at 2 when alpha = 1 mod 8 and at the
-  split primes of the resultant.  At 2, alpha's primes and the inert
-  primes of the resultant it comes from the same walks as the tables,
-  disc by disc: P has the class of its centre on a disc where
-  v_p(P(centre)) < k (<= k - 3 at 2), as on every class disc, since
-  v_p(P) <= v_p(P~); otherwise, where f_2 has it, (alpha, P)_p equals
-  (alpha, f_2(centre))_p on the fibers of symbol +1.  A prime of T
-  without a walk, a disc without a bit or two bits at one place leave
-  the scan as it was.  When the bits are known and their product is
-  -1, no fiber of any height has a point, and none is a zero of P~,
-  which has no rational root: the scan returns None before its other
-  inert walks and before any row.  This is the Brauer-Manin obstruction
-  of the class (alpha, f_1) on Iskovskikh's surface and on the
-  constructed ones, read off the scan's own tables.
-* *Rows from residue classes.*  The table that rejects the largest
-  share of its affine residues, among those whose modulus M is at most
-  the row's width (2H + 1, or H + 1 under the symmetry below), builds
-  each row: the m that it allows for this n are the m = n x mod M for
-  the allowed x (and at infinity, n = p^j n', the m = n' v^-1 mod
-  p^(K-j) for the allowed units v), taken inside each span of the real
-  sieve, in increasing order.  Only those m are tested for
-  gcd(m, n) = 1; the other tables then read each m as above.
+  split primes of the resultant.  At 2 and alpha's primes it comes from
+  the walks of the tables, and at the inert primes of the resultant
+  from the same walk there, disc by disc: P has the class of its
+  centre on a disc where v_p(P(centre)) < k (<= k - 3 at 2), as on
+  every class disc, since v_p(P) <= v_p(P~); otherwise, where f_2 has
+  it, (alpha, P)_p equals (alpha, f_2(centre))_p on the fibers of
+  symbol +1.  A prime of T without a walk, a disc without a bit or two
+  bits at one place leave the scan as it was.  When the bits are known
+  and their product is -1, no fiber of any height has a point, and
+  none is a zero of P~, which has no rational root: the scan returns
+  None before any row.  This is the Brauer-Manin obstruction of the
+  class (alpha, f_1) on Iskovskikh's surface and on the constructed
+  ones, read off the scan's own walks.
 * *Symmetry.*  When c1 = c3 = 0 the form is even in x, so m and -m give
   the same value.  The full loop takes m = -H..H in increasing order,
   so its first hit at each n is the most negative solvable m, which is
@@ -105,12 +89,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional
 
 from chatelet.local import conic_decide, finite_place, hilbert_symbol
 from chatelet.numbers import (
-    TRIAL_PRIMES,
     OutOfCertifiedRangeError,
     legendre,
     prime_factors,
@@ -139,9 +122,9 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     sieve and the symmetry of the module docstring skip.  A zero quartic
     value counts as solvable (the degenerate fiber carries the point
     (x, 0, 0)).  Each fiber is decided from its parts with the odd
-    primes of alpha, ``alpha_odd_primes``, and the primes that the disc
-    tables settle.  When the reciprocity rule proves that no fiber is
-    solvable, the scan returns None before it builds any row.
+    primes of alpha, ``alpha_odd_primes``.  When the reciprocity rule or
+    a closed walk proves that no fiber is solvable, the scan returns
+    None before it builds any row.
     """
     coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
@@ -153,98 +136,29 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
                                       pieces)
     if obstructed:
         return None
+    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H, walked)
+    if any(sieve[3] for sieve in sieves):
+        return None
     segments = (negative_segments(coeffs, pieces=pieces)
                 if alpha < 0 else [])
     parts = _fiber_parts(quartic)
-    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H, walked)
-    settled = tuple(sieve[0] for sieve in sieves if sieve[3])
-    # the table that rejects the largest share of its affine residues,
-    # among those no longer than a row, builds the rows
-    width = H + 1 + top
-    lead = max((sieve for sieve in sieves
-                if sieve[1] is not None and sieve[1][0] <= width),
-               key=lambda sieve: sum(sieve[1][1]) / sieve[1][0],
-               default=None)
-    plan = _residue_plan(lead, width) if lead else lambda n: None
-    others = [sieve for sieve in sieves if sieve is not lead]
     for n in range(H + 1):
         spans = _unsieved(segments, n, H, top) if n else [range(1, 2)]
-        residues = plan(n)
-        row = _row(spans, n, *(residues or (1, 1, None)))
-        for sieve in (others if residues else sieves):
+        row = [m for span in spans for m in span if math.gcd(m, n) == 1]
+        for sieve in sieves:
             row = _survivors(sieve, n, row)
         for m in row:
             values = parts(m, n)
-            if 0 in values or conic_decide(alpha, alpha_odd_primes, *values,
-                                           settled=settled):
+            if 0 in values or conic_decide(alpha, alpha_odd_primes, *values):
                 return m, n
     return None
 
 
-def _row(spans, n: int, modulus: int, multiplier: int, residues) -> list:
-    """The m coprime to n in the spans, in increasing order, with
-    m = multiplier * a mod modulus for some a in residues (every m when
-    residues is None)."""
-    row = []
-    for span in spans:
-        if residues is not None and span:
-            lo, hi = span.start, span.stop
-            span = sorted(chain.from_iterable(
-                range(lo + (multiplier * a - lo) % modulus, hi, modulus)
-                for a in residues))
-        row += [m for m in span if math.gcd(m, n) == 1]
-    return row
-
-
-def _residue_plan(sieve, width: int):
-    """The function of n that gives the m of row n that the sieve lets
-    through as (modulus, multiplier, residues), m = multiplier * a mod
-    modulus for a in residues; None for a row whose table is longer than
-    `width`, which `_survivors` then reads.
-
-    At x = m n^-1 mod M, p not dividing n, the allowed m are n x for the
-    x with table entry 0.  At w = n m^-1 mod p^K, n = p^j n' with n' a
-    unit, w is p^j (n' m^-1 mod p^(K-j)): the allowed m are n' v^-1 mod
-    p^(K-j) for the units v with entry 0 at p^j v, and when j >= K (or
-    n = 0) every unit m or none.
-    """
-    p, affine, at_infinity = sieve[:3]
-    found = {}
-
-    def residues(j):
-        if j not in found:
-            if j == 0:
-                modulus, table = affine
-                found[j] = [x for x in range(modulus) if not table[x]]
-            else:
-                modulus, table = at_infinity
-                mu = modulus // p**j
-                found[j] = [pow(v, -1, mu) for v in range(mu)
-                            if v % p and not table[p**j * v]]
-        return found[j]
-
-    def plan(n):
-        if n % p:
-            return affine[0], n, residues(0)
-        if at_infinity is None:
-            return 1, 1, None
-        modulus, table = at_infinity
-        if modulus > width:
-            return None
-        if n % modulus == 0:
-            # w = 0 for every unit m
-            return 1, 1, () if table[0] else None
-        j = split_valuation(n, p)[0]
-        return modulus // p**j, n // p**j, residues(j)
-
-    return plan
-
-
 def _reciprocity(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
                  H: int, pieces) -> tuple[dict, bool]:
-    """(walked, obstructed): the `_walk`s made at the finite places of T,
-    by prime, and whether the reciprocity rule of the module docstring
-    proves that no fiber is solvable.
+    """(walked, obstructed): the `_disc_sieve`s made at the finite places
+    of T, by prime, and whether the reciprocity rule of the module
+    docstring proves that no fiber is solvable.
 
     The rule needs P~ = k f_1 f_2 with two quadratic factors.  Its bits
     at 2 and alpha's primes come from the scan's own walks, the one at
@@ -258,7 +172,7 @@ def _reciprocity(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
         return {}, False
     coeffs = quartic.integer_square_scaled
     split = (tuple(k * c for c in forms[0]), forms[1])
-    walked = {p: _walk(coeffs, alpha, alpha_odd_primes, p, H, split)
+    walked = {p: _disc_sieve(coeffs, alpha, p, H, split)
               for p in (2, *alpha_odd_primes)}
     bits = [_real_bit(coeffs, split[0], pieces) if alpha < 0 else 1]
     bits += [_place_bit(alpha, p, walk) for p, walk in walked.items()]
@@ -270,8 +184,7 @@ def _reciprocity(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     try:
         for q, _ in prime_factors(abs(resultant)):
             if q != 2 and q not in walked and legendre(alpha, q) == -1:
-                walked[q] = _walk(coeffs, alpha, alpha_odd_primes, q, H,
-                                  split)
+                walked[q] = _disc_sieve(coeffs, alpha, q, H, split)
                 bits.append(_place_bit(alpha, q, walked[q]))
     except OutOfCertifiedRangeError:
         return walked, False
@@ -300,36 +213,13 @@ def _real_bit(coeffs, first, pieces) -> int:
 
 def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int,
                  walked=None) -> list:
-    """The `_walk`s of a scan of height H that have a table or settle
-    their prime: at 2, at the odd primes of alpha and at each inert
-    prime q, (alpha/q) = -1, below 2000 with q^2 at most a row, in that
-    order.  A walk already made is taken from ``walked``, by prime."""
+    """The `_disc_sieve`s of a scan of height H at 2 and at the odd
+    primes of alpha that have a table, in that order.  A walk already
+    made is taken from ``walked``, by prime."""
     walked = walked or {}
-    inert = (q for q in TRIAL_PRIMES[1:]
-             if q * q <= 2 * H + 1 and legendre(alpha, q) == -1)
-    sieves = [walked[p] if p in walked
-              else _walk(coeffs, alpha, alpha_odd_primes, p, H)
-              for p in (2, *alpha_odd_primes, *inert)]
-    return [sieve for sieve in sieves
-            if sieve and (sieve[1] or sieve[2] or sieve[3])]
-
-
-def _walk(coeffs, alpha: int, alpha_odd_primes, p: int, H: int,
-          split=None):
-    """The `_disc_sieve` at p of a scan of height H, which visits
-    1 + H(2H + 1) pairs (m, n), 2H + 1 to a row, where they find a disc:
-    at 2 and the odd primes of alpha to the largest depth K with p^K at
-    most the number of pairs, and at an inert prime q below 2000 with
-    q^2 at most a row to the largest K with q^K at most a row, through
-    Newton discs; None at any other prime."""
-    pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
-    if p == 2 or p in alpha_odd_primes:
-        return _disc_sieve(coeffs, alpha, p, _depth(p, pairs), row,
-                           split=split)
-    if p <= TRIAL_PRIMES[-1] and p * p <= row and legendre(alpha, p) == -1:
-        return _disc_sieve(coeffs, alpha, p, _depth(p, row), row,
-                           inert=True, split=split)
-    return None
+    sieves = [walked[p] if p in walked else _disc_sieve(coeffs, alpha, p, H)
+              for p in (2, *alpha_odd_primes)]
+    return [sieve for sieve in sieves if sieve and (sieve[1] or sieve[2])]
 
 
 def _depth(p: int, bound: int) -> int:
@@ -340,40 +230,38 @@ def _depth(p: int, bound: int) -> int:
     return depth
 
 
-def _disc_sieve(coeffs, alpha: int, p: int, depth: int, row: int,
-                inert: bool = False, split=None):
-    """(p, affine, at_infinity, settled, bit): the residue discs of
-    `residue_discs` to `depth` on which the symbol (alpha, P~)_p is -1,
-    whether they settle p, and the bit of the reciprocity rule at p;
-    None when p gets no walk.  The affine discs make a table read at
-    x = m/n in Z_p and those at infinity one read at w = n/m in pZ_p;
-    each is the `_table` of its discs, or None.
+def _disc_sieve(coeffs, alpha: int, p: int, H: int, split=None):
+    """(p, affine, at_infinity, closed, bit): the residue discs of
+    `residue_discs` at p on which the symbol (alpha, P~)_p is -1,
+    whether they are every disc of the walk, and the bit of the
+    reciprocity rule at p; None when p gets no walk.  The affine discs
+    make a table read at x = m/n in Z_p and those at infinity one read
+    at w = n/m in pZ_p; each is the `_table` of its discs, or None.
 
-    When every disc of the walk has constant class, every fiber the
-    tables let through lies in a disc of symbol +1, so the symbol at p
-    is +1 for it: p is settled.  An inert prime (``inert``) is never
-    settled, since `conic_decide` reads it from the parts' valuations,
-    and its walk goes on inside Newton discs.
+    A scan of height H visits 1 + H(2H + 1) pairs (m, n), 2H + 1 to a
+    row, and the walk goes to the largest depth K with p^K at most the
+    number of pairs.  It must cost no more than a row, so it gets no
+    more than 2H + 1 discs: a p above that gets no walk, and a walk that
+    needs more is dropped.  A scan that stops early then pays little
+    for its tables.
+
+    When every disc is a class disc of symbol -1 the walk is closed,
+    and no fiber has a Q_p-point (module docstring).
 
     With the factors ``split`` = (k f_1, f_2) of the reciprocity rule,
     the bit is the `_split_bit` that every disc outside the tables
     shares (+1 when there is no such disc), and 0 when one of them has
     none or two of them differ, or without ``split``.
-
-    The walk must cost no more than a row of the scan, so it gets no
-    more than `row` discs: a p above that gets no walk, and a walk that
-    needs more is dropped.  A scan that stops early then pays little for
-    its tables.
     """
+    pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
     if p > row:
         return None
-    discs = list(islice(residue_discs(coeffs, p, depth, newton=not inert),
+    discs = list(islice(residue_discs(coeffs, p, _depth(p, pairs)),
                         row + 1))
     if len(discs) > row:
         return None
     place = finite_place(p)
     affine, at_infinity, bits = [], [], set()
-    settled = not inert
     for (m, n), k, kind in discs:
         if kind == "class" and hilbert_symbol(
                 alpha, evaluate_quartic(coeffs, m, n), place) == -1:
@@ -382,14 +270,13 @@ def _disc_sieve(coeffs, alpha: int, p: int, depth: int, row: int,
                 affine.append((m, p**k))
             else:
                 at_infinity.append((n, p**k))
-            continue
-        settled = settled and kind == "class"
-        if split:
+        elif split:
             bits.add(_split_bit(alpha, split, (m, n), k, place))
     bit = 0
     if split and 0 not in bits and len(bits) < 2:
         bit = bits.pop() if bits else 1
-    return p, _table(affine), _table(at_infinity), settled, bit
+    closed = len(affine) + len(at_infinity) == len(discs)
+    return p, _table(affine), _table(at_infinity), closed, bit
 
 
 def _split_bit(alpha: int, split, centre, k: int, place) -> int:

@@ -5,15 +5,14 @@ the real place, valuations and Legendre symbols at odd p, the epsilon/omega
 congruence formula at 2), written once for integers in `_hilbert_int`;
 rational arguments are first moved to an integer of the same square class.
 `conic_decide` is the package's one Hasse-Minkowski decision for
-y^2 - alpha z^2 = r, with r given as a product of parts: it evaluates
-that formula on r at 2 and at the primes of alpha (less those its
-caller has settled) and at the primes that two parts share, which it
-finds by a gcd.  Each part's other primes can only reject where alpha
-is inert and their exponent odd: those below 2000 are read by gcds
-with the product of the inert ones, and what is left past them costs
-one Legendre symbol, or the package's one factoring routine
-`chatelet.numbers.prime_factors` for a cofactor past 2003^2, which
-stops at the first prime that rejects.
+y^2 - alpha z^2 = r, with r given as a product of parts: on every call
+it evaluates that formula on r at 2 and at the primes of alpha, and at
+the primes that two parts share, which it finds by a gcd.  Each part's
+other primes can only reject where alpha is inert and their exponent
+odd: those below 2000 are read by gcds with the product of the inert
+ones, and what is left past them costs one Legendre symbol, or the
+package's one factoring routine `chatelet.numbers.prime_factors` for a
+cofactor past 2003^2, which stops at the first prime that rejects.
 It returns None for an unsolvable conic and the square class of r for
 a solvable one, so the cofactors' primes are read once.
 This module does no factoring of its own.  The fiber scan of
@@ -276,8 +275,7 @@ def conic_solvable_global(
                               Fraction(r), *r_class)
 
 
-def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int,
-                 settled: tuple[int, ...] = ()
+def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
                  ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact Hasse-Minkowski decision for y^2 - alpha*z^2 = r over Q,
     where r is the product of the nonzero integers ``parts``: None when
@@ -285,17 +283,14 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int,
     r, as `chatelet.numbers.square_class` gives it.
 
     ``alpha`` must be a squarefree integer and ``alpha_primes`` its odd
-    primes, each once.  ``settled`` lists primes among 2 and alpha's
-    whose symbol the caller has proven +1, as the disc tables of
-    `chatelet._kernel.pure` do; it is not evaluated again.  The conic is
-    solvable iff (alpha, r)_v = +1 at every place v.  Places are checked
-    cheapest first so that unsolvable inputs exit early: the real place,
-    2 and alpha's primes on r; then on r the shared primes, the odd
-    primes prime to alpha that divide two parts; then the remaining
-    primes of each part.  A part's gcd with the product of the parts
-    before it, with 2 and the primes already checked divided out, holds
-    the shared primes that part adds; it is factored (and raises at
-    once if it cannot be).
+    primes, each once.  The conic is solvable iff (alpha, r)_v = +1 at
+    every place v.  Places are checked cheapest first so that unsolvable
+    inputs exit early: the real place, 2 and alpha's primes on r; then
+    on r the shared primes, the odd primes prime to alpha that divide
+    two parts; then the remaining primes of each part.  A part's gcd
+    with the product of the parts before it, with 2 and the primes
+    already checked divided out, holds the shared primes that part adds;
+    it is factored (and raises at once if it cannot be).
 
     Every other prime q of a part is odd, prime to alpha and divides
     that part alone, so the symbol there is (alpha/q)^{v_q(part)}, and
@@ -317,7 +312,7 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int,
     if alpha < 0 and r < 0:
         return None
     for p in (2, *alpha_primes):
-        if p not in settled and _hilbert_int(alpha, r, p) != 1:
+        if _hilbert_int(alpha, r, p) != 1:
             return None
     checked, before = alpha_primes, parts[0]
     for part in parts[1:]:

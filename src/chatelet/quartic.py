@@ -368,7 +368,7 @@ def negative_segments(coeffs, eps=None, pieces=None) -> list[
             and evaluate_quartic(coeffs, x, 1) < 0]
 
 
-def residue_discs(coeffs, p: int, depth: int, newton: bool = True):
+def residue_discs(coeffs, p: int, depth: int):
     """The residue discs that tile P^1(Z_p) for the integer binary
     quartic P~ = sum c_i x^i w^(4-i), as (centre, k, kind) in depth-first
     order.
@@ -386,8 +386,6 @@ def residue_discs(coeffs, p: int, depth: int, newton: bool = True):
     * "newton": Newton's criterion e > 2 v_p(P~'(centre)) holds in the
       disc's chart, so the disc holds a Q_p-root of P~;
     * "open": none of these by depth k = `depth`.
-    With ``newton`` false a Newton disc is not a kind: the walk goes on
-    inside it, as the scan's tables at inert primes need.
     Any other disc is split into its p children, the affine ones
     m + j p^k or those at infinity n + j p^k, j = 0..p-1.  The walk ends:
     off the roots of P~ the valuations are bounded, and at a simple root
@@ -415,8 +413,8 @@ def residue_discs(coeffs, p: int, depth: int, newton: bool = True):
             yield centre, k, "class"
             continue
         affine = n == 1
-        deriv = newton and (evaluate_form(df_x, m, 1) if affine
-                            else evaluate_form(df_w, n, 1))
+        deriv = (evaluate_form(df_x, m, 1) if affine
+                 else evaluate_form(df_w, n, 1))
         if deriv and e > 2 * split_valuation(deriv, p)[0]:
             yield centre, k, "newton"
         elif k >= depth:

@@ -488,7 +488,7 @@ class TestGolden:
         # the benchmark's own scan runs (perfbench/run.py)
         ("counterexample_height150", ["counterexample", "--height", "150"]),
         ("iskovskikh_height1000", ["iskovskikh", "--height", "1000"]),
-        # wider rows and deeper inert tables than the benchmark's runs
+        # heights past the benchmark's runs, whose disc walks go deeper
         ("iskovskikh_height4000", ["iskovskikh", "--height", "4000"]),
         ("counterexample_height500", ["counterexample", "--height", "500"]),
         # every fiber up to 2000 ruled out by the reciprocity rule

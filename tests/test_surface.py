@@ -701,14 +701,6 @@ def _newton_as_class(real):
         for centre, k, kind in real(*args, **kw))
 
 
-def _inert_newton_as_class(real):
-    """A broken disc walk that stops at Newton discs in the inert walk
-    too, and takes them for discs of constant class."""
-    return lambda f, p, depth, newton=True: real(f, p, depth) if newton \
-        else ((centre, k, "class" if kind == "newton" else kind)
-              for centre, k, kind in real(f, p, depth))
-
-
 class TestScanParity:
     """`conic_scan` skips fibers by the real sieve, the disc sieve and
     the x -> -x symmetry, and decides a split quartic from its factor
@@ -761,14 +753,12 @@ class TestScanParity:
         # every fiber a disc table skips has symbol -1 at its prime, so
         # the unsieved decision rejects it; the first hits are checked
         # against the plain loop above and below
-        seen = {"no 2-table": 0, "2 | alpha": 0, "at infinity": 0,
-                "inert": 0}
+        seen = {"no 2-table": 0, "2 | alpha": 0, "at infinity": 0}
         for coeffs, alpha, odd, H in self._all_cases():
             skips = list(_sieve_skips(coeffs, alpha, odd, H))
             for m, n, p in skips:
                 assert not _unproven_skip(coeffs, alpha, odd, m, n, p), (
                     coeffs, alpha, (m, n), p)
-            seen["inert"] += any(p != 2 and alpha % p for _, _, p in skips)
             if alpha % 8 == 1 and H:
                 assert all(p != 2 for _, _, p in skips)
                 seen["no 2-table"] += 1
@@ -785,9 +775,7 @@ class TestScanParity:
         (quartic_mod, "_unit_square_depth",
          lambda real: lambda p: 2 if p == 2 else 1),
         (pure, "residue_discs", _newton_as_class),
-        (pure, "residue_discs", _inert_newton_as_class),
-    ], ids=["odd-p-by-one", "two-by-one", "newton-decided",
-            "inert-newton-kept"])
+    ], ids=["odd-p-by-one", "two-by-one", "newton-decided"])
     def test_broken_discs_are_caught(self, monkeypatch, module, name,
                                      broken):
         monkeypatch.setattr(module, name, broken(getattr(module, name)))
@@ -795,40 +783,17 @@ class TestScanParity:
                    for coeffs, alpha, odd, H in self._all_cases()
                    for m, n, p in _sieve_skips(coeffs, alpha, odd, H))
 
-    def test_settling_a_walk_with_other_discs_is_caught(self, monkeypatch):
-        # a prime is settled only when its walk ends in class discs; with
-        # every table taken as settled, a fiber whose symbol is -1 at 2
-        # or at a prime of alpha, in a root, Newton or open disc there,
-        # is no longer rejected
+    def test_closing_an_open_walk_is_caught(self, monkeypatch):
+        # a walk is closed only when each of its discs is a class disc of
+        # symbol -1; with every walk that has a table taken as closed, a
+        # scan whose solvable fiber lies in a root, Newton, open or +1
+        # disc there returns None
         real = pure._disc_sieves
         monkeypatch.setattr(pure, "_disc_sieves", lambda *a: [
-            sieve[:3] + (True,) for sieve in real(*a)])
+            sieve[:3] + (True,) + sieve[4:] for sieve in real(*a)])
         assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
                    != _reference_scan(coeffs, alpha, odd, H)
                    for coeffs, alpha, odd, H in self._all_cases())
-
-    def test_residue_rows_match_the_tables(self):
-        # a row built from the residues that a table allows holds the m
-        # that reading the table at each m of the plain row keeps
-        rows = {"affine": 0, "at infinity": 0, "n = 0": 0}
-        for coeffs, alpha, odd, H in self._all_cases():
-            width = 2 * H + 1
-            for sieve in pure._disc_sieves(coeffs, alpha, odd, H):
-                if sieve[1] is None or sieve[1][0] > width:
-                    continue
-                plan = pure._residue_plan(sieve, width)
-                for n in range(H + 1):
-                    spans = ([range(-H, 1), range(1, H + 1)] if n
-                             else [range(1, 2)])
-                    plain = pure._row(spans, n, 1, 1, None)
-                    residues = plan(n)
-                    if residues is not None:
-                        assert pure._row(spans, n, *residues) == \
-                            pure._survivors(sieve, n, plain), (
-                                coeffs, alpha, sieve[0], n)
-                        rows["n = 0" if n == 0 else "at infinity"
-                             if n % sieve[0] == 0 else "affine"] += 1
-        assert min(rows.values()) >= 100, rows
 
     SHARED_ALPHAS = (-1, -2, -3, -5, -6, -7, -15, 1, 2, 3, 5, 7, 15, 21)
 
@@ -864,13 +829,15 @@ class TestScanParity:
     def test_broken_gcd_is_caught(self, monkeypatch):
         # with every gcd in `conic_decide` 1, a prime that two parts
         # share is read on each part alone, and the cases above tell
-        # that from the product
+        # that from the product; the reference decides each product
+        # whole, before the gcds are broken
+        cases = [(case, _reference_scan(*case))
+                 for case in self._shared_cases()]
         math_without_gcd = dict(vars(math), gcd=lambda a, b: 1)
         monkeypatch.setattr(local_mod, "math",
                             types.SimpleNamespace(**math_without_gcd))
         assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
-                   != _reference_scan(coeffs, alpha, odd, H)
-                   for coeffs, alpha, odd, H in self._shared_cases())
+                   != want for (coeffs, alpha, odd, H), want in cases)
 
 
 def _reciprocity_case(rng, kind):
@@ -1023,6 +990,37 @@ class TestReciprocity:
         assert pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H) == hit
 
 
+class TestClosedWalk:
+    """A walk whose discs are all class discs of symbol -1 tiles P^1(Z_p)
+    with fibers that have no Q_p-point, so the scan returns None without
+    a row."""
+
+    # each P~ is irreducible and has no Q_3-point on any fiber
+    CASES = [(21, (21, 0, 2, 30, -15)), (6, (23, -2, 28, -7, -28)),
+             (-3, (14, 24, -14, 3, -7))]
+
+    @pytest.mark.parametrize("alpha, coeffs", CASES)
+    def test_no_row_is_built(self, monkeypatch, alpha, coeffs):
+        calls = []
+        for name in ("conic_decide", "_unsieved"):
+            real = getattr(pure, name)
+            monkeypatch.setattr(pure, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        odd = tuple(p for p in square_class(alpha)[1] if p != 2)
+        quartic = BinaryQuartic(coeffs)
+        assert [sieve[0] for sieve in pure._disc_sieves(
+            quartic.integer_square_scaled, alpha, odd, 300)
+            if sieve[3]] == [3]
+        assert pure.conic_scan(quartic, alpha, odd, 300) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha, coeffs", CASES)
+    def test_first_hit_matches_reference(self, alpha, coeffs):
+        odd = tuple(p for p in square_class(alpha)[1] if p != 2)
+        assert _reference_scan(coeffs, alpha, odd, 20) is None
+        assert pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, 20) is None
+
+
 class TestFiberParts:
     """The parts of each fiber's value that `conic_scan` decides."""
 
@@ -1067,8 +1065,7 @@ class TestDiscWalkBudget:
 
     def test_prime_past_a_row_gets_no_walk(self, monkeypatch):
         # the walk at 1000003 would cost 500 rows of this scan, whose hit
-        # is in its first row; 2 and the inert primes q with q^2 at most
-        # a row, 2001, are walked
+        # is in its first row; only 2 is walked
         walked = []
         real = pure.residue_discs
         monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth, **k: (
@@ -1076,18 +1073,17 @@ class TestDiscWalkBudget:
         hit = pure.conic_scan(BinaryQuartic((7, 1, 0, 2, 3)), 1000003,
                               (1000003,), 1000)
         assert hit == (-990, 1)
-        assert walked == [2, 5, 17, 19, 41]
+        assert walked == [2]
 
     def test_walk_past_a_row_is_dropped(self):
         # 41 divides every value, so every disc at 41 splits once: 1722
         # discs, more than a row at height 30 and fewer than at 1000; 2
-        # is settled (41 = 1 mod 8) and the others are inert tables
+        # has no table, since 41 = 1 mod 8 is a square in Q_2
         coeffs = tuple(41 * c for c in (1, 1, 0, 0, 1))
         assert len(list(residue_discs(coeffs, 41, 2))) == 1722
-        assert [sieve[0] for sieve in
-                pure._disc_sieves(coeffs, 41, (41,), 30)] == [2, 3]
+        assert pure._disc_sieves(coeffs, 41, (41,), 30) == []
         assert [sieve[0] for sieve in pure._disc_sieves(
-            coeffs, 41, (41,), 1000)] == [2, 41, 3, 11, 17, 19, 29]
+            coeffs, 41, (41,), 1000)] == [41]
 
 
 # primes near 2^40
@@ -1161,9 +1157,8 @@ class TestSearchPast64Bits:
 
     def test_large_checked_primes_get_no_table(self, monkeypatch):
         # height 30 visits 1 + 30 * 61 = 1831 pairs, so the walk at 2 goes
-        # to depth 10 and at 5 to 4, and at the inert 3 and 7 to the
-        # largest depth within a row, 61; the primes that the parts share
-        # get no walk and no table; the hit is the one found above
+        # to depth 10 and at 5 to 4; the primes that the parts share get
+        # no walk and no table; the hit is the one found above
         quartic = self._surface(3, 11, 5).Ptilde
         coeffs = quartic.integer_square_scaled
         walked = []
@@ -1171,9 +1166,9 @@ class TestSearchPast64Bits:
         monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth, **k: (
             walked.append((p, depth)) or real(f, p, depth, **k)))
         assert pure.conic_scan(quartic, 5, (5,), 30) == (-30, 1)
-        assert walked == [(2, 10), (5, 4), (3, 3), (7, 2)]
+        assert walked == [(2, 10), (5, 4)]
         assert [sieve[0] for sieve in
-                pure._disc_sieves(coeffs, 5, (5,), 30)] == [2, 5, 3, 7]
+                pure._disc_sieves(coeffs, 5, (5,), 30)] == [2, 5]
 
 
 class TestIntegerModel:
