@@ -29,7 +29,6 @@ from chatelet.surface import (
     ChateletSurface,
     ObstructionReport,
     SearchResult,
-    _frac_str,
     obstruction_report,
     rational_point_search,
 )
@@ -374,9 +373,9 @@ def bundle_to_json(B: Union[SurfaceBundle, PulledBackBundle]) -> dict:
         d = B.d
         B = B.base
     obj = {
-        "alpha": _frac_str(B.alpha),
-        "P0": [_frac_str(c) for c in B.P0.coeffs],
-        "Pinf": [_frac_str(c) for c in B.Pinf.coeffs],
+        "alpha": str(B.alpha),
+        "P0": [str(c) for c in B.P0.coeffs],
+        "Pinf": [str(c) for c in B.Pinf.coeffs],
     }
     if d is not None:
         obj["d"] = str(d)

@@ -14,21 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from chatelet import __version__
-from chatelet import surface as surface_mod
-from chatelet.local import (
-    REAL,
-    finite_place,
-    hilbert_symbol,
-    support_places,
-)
-from chatelet.numbers import OutOfCertifiedRangeError, is_prime
-from chatelet.surface import (
-    ChateletSurface,
-    ParamSearchError,
-    _frac_str,
-    surface_from_json,
-    surface_to_json,
-)
 
 
 def _lazy_import(name: str):
@@ -47,10 +32,19 @@ def _lazy_import(name: str):
     return module
 
 
-# Only `bundle` reads it, so the other subcommands start without compiling
-# it.  It is in sys.modules from here on all the same, so
-# perfbench/tracer.py, which wraps functions in the chatelet modules loaded
-# by `import chatelet.cli`, still reaches its functions.
+# Each subcommand executes only the modules it reads, so `--version`, a
+# usage error or `hilbert` start without compiling the pipeline.  Every
+# module of the package is bound here, also `quartic` and `_kernel.pure`,
+# which `cli` never reads: perfbench/tracer.py wraps its targets only in
+# the chatelet modules in sys.modules after `import chatelet.cli`, so a
+# module that first appeared while another executed would keep the
+# names it imported unwrapped.  That holds until the benchmark change of
+# ROADMAP item 8 fixes `tracer.install`.
+numbers_mod = _lazy_import("chatelet.numbers")
+local_mod = _lazy_import("chatelet.local")
+_lazy_import("chatelet.quartic")
+_lazy_import("chatelet._kernel.pure")
+surface_mod = _lazy_import("chatelet.surface")
 bundle_mod = _lazy_import("chatelet.bundle")
 
 SCHEMA = "chatelet-report/1"
@@ -65,12 +59,6 @@ def _point(x) -> Optional[list[str]]:
     if x is None:
         return None
     return [str(x[0]), str(x[1])]
-
-
-def _witness(w) -> Optional[list[str]]:
-    if w is None:
-        return None
-    return [_frac_str(w[0]), _frac_str(w[1])]
 
 
 def _local_report(rep) -> dict:
@@ -98,14 +86,14 @@ def _obstruction(rep) -> dict:
         "invariants": [
             {
                 "place": str(r.place),
-                "invariant": _frac_str(r.invariant),
+                "invariant": str(r.invariant),
                 "samples": r.samples,
                 "justification": r.justification,
             }
             for r in rep.records
         ],
         "good_places": rep.good_places_tag,
-        "sum": _frac_str(rep.invariant_sum),
+        "sum": str(rep.invariant_sum),
         "conclusion": rep.conclusion,
     }
 
@@ -115,7 +103,7 @@ def _search(res) -> dict:
         "height": res.height,
         "found": res.found,
         "x": _point(res.x),
-        "witness": _witness(res.witness),
+        "witness": _point(res.witness),
         "note": res.note,
     }
 
@@ -159,7 +147,7 @@ def _report_shell(args, subcommand: str) -> dict:
 def _stop(report: dict, stage: str, error: Exception, args) -> int:
     """Emit the report cut at `stage` by `error`: "inconclusive" (exit 4)
     when a number left the certified range, "error" (exit 3) otherwise."""
-    inconclusive = isinstance(error, OutOfCertifiedRangeError)
+    inconclusive = isinstance(error, numbers_mod.OutOfCertifiedRangeError)
     report["error"] = {"stage": stage, "message": str(error)}
     report["status"] = "inconclusive" if inconclusive else "error"
     _emit(report, args.out)
@@ -176,12 +164,12 @@ def cmd_counterexample(args) -> int:
     report["stages"] = stages
     try:
         params = surface_mod.find_params(args.bound)
-    except (ParamSearchError, ValueError) as e:
+    except (surface_mod.ParamSearchError, ValueError) as e:
         return _stop(report, "find_params", e, args)
     stages["params"] = {"a": params.a, "b": params.b, "c": params.c}
     S = surface_mod.build_surface(params)
-    stages["surface"] = surface_to_json(S)
-    stages["surface"]["disc"] = _frac_str(S.disc)
+    stages["surface"] = surface_mod.surface_to_json(S)
+    stages["surface"]["disc"] = str(S.disc)
     stages["local"] = _local_report(S.local)
     if not S.local.all_solvable:
         return _stop(report, "local", ArithmeticError(
@@ -206,13 +194,13 @@ def cmd_bundle(args) -> int:
         params = surface_mod.find_params(args.bound)
         S = surface_mod.build_surface(params)
         B = bundle_mod.make_bundle(S)
-    except (ParamSearchError, ValueError) as e:
+    except (surface_mod.ParamSearchError, ValueError) as e:
         return _stop(report, "build", e, args)
     stages["bundle"] = bundle_mod.bundle_to_json(B)
     F = B.bad
     stages["bad_fibers"] = {
         "fibers": [_point((f.u, f.v)) for f in F.fibers],
-        "affine_classes": sorted(_frac_str(q) for q in F.affine_classes()),
+        "affine_classes": sorted(str(q) for q in F.affine_classes()),
     }
     if args.d is not None:
         d = args.d
@@ -261,16 +249,16 @@ def cmd_hilbert(args) -> int:
     if a == 0 or b == 0:
         sys.stderr.write("hilbert: arguments must be nonzero\n")
         return EXIT_USAGE
-    report["config"]["a"] = _frac_str(a)
-    report["config"]["b"] = _frac_str(b)
+    report["config"]["a"] = str(a)
+    report["config"]["b"] = str(b)
     if args.place is not None:
         if args.place == "oo":
-            v = REAL
+            v = local_mod.REAL
         else:
             try:
                 p = int(args.place)
-                prime = p >= 2 and is_prime(p)
-            except OutOfCertifiedRangeError as e:
+                prime = p >= 2 and numbers_mod.is_prime(p)
+            except numbers_mod.OutOfCertifiedRangeError as e:
                 return _stop(report, "symbol", e, args)
             except ValueError:
                 prime = False
@@ -279,15 +267,16 @@ def cmd_hilbert(args) -> int:
                     f"hilbert: --place must be 'oo' or a prime, "
                     f"got {args.place!r}\n")
                 return EXIT_USAGE
-            v = finite_place(p)
-        report["stages"] = {
-            "symbol": {"place": str(v), "value": hilbert_symbol(a, b, v)}}
+            v = local_mod.finite_place(p)
+        report["stages"] = {"symbol": {
+            "place": str(v), "value": local_mod.hilbert_symbol(a, b, v)}}
     else:
         try:
-            places = support_places(a, b)
+            places = local_mod.support_places(a, b)
         except ValueError as e:
             return _stop(report, "table", e, args)
-        table = [{"place": str(v), "value": hilbert_symbol(a, b, v)}
+        table = [{"place": str(v),
+                  "value": local_mod.hilbert_symbol(a, b, v)}
                  for v in places]
         product = 1
         for row in table:
@@ -302,11 +291,12 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def _verify_surface(report: dict, S: ChateletSurface, args) -> int:
+def _verify_surface(report: dict, S: surface_mod.ChateletSurface,
+                    args) -> int:
     stages: dict = {}
     report["stages"] = stages
-    stages["surface"] = surface_to_json(S)
-    stages["surface"]["disc"] = _frac_str(S.disc)
+    stages["surface"] = surface_mod.surface_to_json(S)
+    stages["surface"]["disc"] = str(S.disc)
     try:
         local = S.local
     except (ValueError, ArithmeticError) as e:
@@ -314,7 +304,7 @@ def _verify_surface(report: dict, S: ChateletSurface, args) -> int:
     stages["local"] = _local_report(local)
     try:
         search = surface_mod.rational_point_search(S, args.height)
-    except OutOfCertifiedRangeError as e:
+    except numbers_mod.OutOfCertifiedRangeError as e:
         return _stop(report, "search", e, args)
     stages["search"] = _search(search)
     report["conclusion"] = _conclusion(local, search)
@@ -349,7 +339,7 @@ def cmd_surface(args) -> int:
         sys.stderr.write(f"surface: cannot read input: {e}\n")
         return EXIT_USAGE
     try:
-        S = surface_from_json(text)
+        S = surface_mod.surface_from_json(text)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         sys.stderr.write(f"surface: invalid input: {e}\n")
         return EXIT_USAGE

@@ -285,12 +285,14 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
     ``alpha`` must be a squarefree integer and ``alpha_primes`` its odd
     primes, each once.  The conic is solvable iff (alpha, r)_v = +1 at
     every place v.  Places are checked cheapest first so that unsolvable
-    inputs exit early: the real place, 2 and alpha's primes on r; then
-    on r the shared primes, the odd primes prime to alpha that divide
-    two parts; then the remaining primes of each part.  A part's gcd
-    with the product of the parts before it, with 2 and the primes
-    already checked divided out, holds the shared primes that part adds;
-    it is factored (and raises at once if it cannot be).
+    inputs exit early: the real place, 2 and alpha's primes on r (2 is
+    passed over when alpha = 1 mod 8, a square in Q_2, where every
+    symbol is +1); then on r the shared primes, the odd primes prime to
+    alpha that divide two parts; then the remaining primes of each
+    part.  A part's gcd with the product of the parts before it, with 2
+    and the primes already checked divided out, holds the shared primes
+    that part adds; it is factored (and raises at once if it cannot
+    be).
 
     Every other prime q of a part is odd, prime to alpha and divides
     that part alone, so the symbol there is (alpha/q)^{v_q(part)}, and
@@ -311,7 +313,7 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
     r = math.prod(parts)
     if alpha < 0 and r < 0:
         return None
-    for p in (2, *alpha_primes):
+    for p in alpha_primes if alpha % 8 == 1 else (2, *alpha_primes):
         if _hilbert_int(alpha, r, p) != 1:
             return None
     checked, before = alpha_primes, parts[0]

@@ -559,8 +559,8 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
 def surface_to_json(S: ChateletSurface) -> dict:
     """JSON object with all big integers as decimal strings."""
     return {
-        "alpha": _frac_str(S.alpha),
-        "P": [_frac_str(c) for c in S.Ptilde.coeffs],
+        "alpha": str(S.alpha),
+        "P": [str(c) for c in S.Ptilde.coeffs],
         "provenance": S.provenance,
     }
 
@@ -591,9 +591,3 @@ def _json_rational(value) -> Fraction:
         raise ValueError(f"{json.dumps(value)} is not an integer or a "
                          "rational string")
     return Fraction(value)
-
-
-def _frac_str(q: Rational) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else \
-        f"{q.numerator}/{q.denominator}"

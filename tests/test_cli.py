@@ -441,27 +441,39 @@ def test_subcommands_never_import_dataclasses():
     assert out == f"{[EXIT_OK] * 5} []"
 
 
-def test_only_bundle_runs_bundle():
-    """`chatelet.bundle` is listed in sys.modules from the start but
-    executed by the one subcommand that uses it, so the others start
-    without compiling it."""
-    out = _run_fresh("""
+# the package modules besides chatelet, chatelet._kernel and chatelet.cli
+# that a subcommand reads through chatelet.surface
+PIPELINE = ["_kernel.pure", "local", "numbers", "quartic", "surface"]
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (None, []),
+    (["--version"], []),
+    (["hilbert", "697", "41"], ["local", "numbers"]),
+    (["counterexample", "--height", "20"], PIPELINE),
+    (["iskovskikh", "--height", "20"], PIPELINE),
+    (["surface", "-", "--height", "20"], PIPELINE),
+    (["bundle", "--fibers", "2"], ["bundle", *PIPELINE]),
+], ids=["import", "version", "hilbert", "counterexample", "iskovskikh",
+        "surface", "bundle"])
+def test_entry_point_executes_only_what_it_reads(argv, executed):
+    """Every package module is listed in sys.modules at `import
+    chatelet.cli` but executed at its first attribute read, so each
+    entry point compiles only the modules it runs.  A lazy module's
+    class becomes ModuleType once it is executed."""
+    out = _run_fresh(f"""
         import types
-        def loaded():
-            return type(sys.modules["chatelet.bundle"]) is types.ModuleType
-        runs = [
-            ["hilbert", "697", "41"],
-            ["counterexample", "--height", "20"],
-            ["iskovskikh", "--height", "20"],
-            ["surface", "-", "--height", "20"],
-        ]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(argv) for argv in runs]
-            before = loaded()
-            codes.append(main(["bundle", "--fibers", "2"]))
-        print(codes, before, loaded())
+        code = 0
+        if {argv!r} is not None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main({argv!r})
+        print(code, sorted(name for name, module in sys.modules.items()
+                           if name.partition(".")[0] == "chatelet"
+                           and type(module) is types.ModuleType))
     """)
-    assert out == f"{[EXIT_OK] * 5} False True"
+    base = ["chatelet", "chatelet._kernel", "chatelet.cli"]
+    assert out == f"{EXIT_OK} " + str(sorted(
+        base + [f"chatelet.{name}" for name in executed]))
 
 
 class TestGolden:

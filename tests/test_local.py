@@ -474,6 +474,47 @@ class TestConicDecideOracle:
         assert any(self._outcome(alpha, parts) != want
                    for (alpha, parts), want in zip(cases, outcomes))
 
+    def test_symbol_at_2_is_read_unless_alpha_is_a_square_there(
+            self, monkeypatch):
+        # alpha = 1 mod 8 (-7, 17 and 697 here) is a square in Q_2, so
+        # every symbol there is +1 and none is evaluated.  For any other
+        # alpha, 2 is read: where U is the other failing place, it is the
+        # one rejection a decision can see, and without it the decision
+        # raises instead
+        cases = [(alpha, [k, self.U * s]) for alpha in self.ALPHAS
+                 for k in (1, -1, 2, -2, 3, -5, 7, 10) for s in (1, -1, 2)]
+        cases += self._cases(300)
+        wants, alone = [], 0
+        for alpha, parts in cases:
+            r = math.prod(parts)
+            read = [part // self.U if part % self.U == 0 else part
+                    for part in parts]
+            failing = {p for p in _sympy_places(alpha, read)
+                       if _symbol(alpha, r, p) == -1}
+            if hilbert_symbol(alpha, r, REAL) == -1:
+                failing.add(REAL)
+            alone += failing == {2}
+            if failing:
+                wants.append(None)
+            elif read != parts:
+                wants.append("uncertified")
+            else:
+                wants.append(square_class(r))
+        # 2 is the only place that a decision can certify and that rejects
+        assert alone >= 10
+        at_2 = set()
+        real = local_mod._hilbert_int
+
+        def spy(a, b, p):
+            if p == 2:
+                at_2.add(a)
+            return real(a, b, p)
+
+        monkeypatch.setattr(local_mod, "_hilbert_int", spy)
+        for (alpha, parts), want in zip(cases, wants):
+            assert self._outcome(alpha, parts) == want, (alpha, parts)
+        assert at_2 == {a for a in self.ALPHAS if a % 8 != 1}
+
 
 def _assert_witness(alpha, r):
     ok, wit = conic_solvable_global(alpha, r, want_witness=True)

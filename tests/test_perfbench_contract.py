@@ -16,9 +16,10 @@ The tracer counts the scan's decisions where the scan looks
 there, and its sieve must keep it from seeing every fiber.  On
 Iskovskikh's surface the reciprocity rule leaves it no fiber at all.
 
-The tracer wraps the targets only in the ``chatelet`` modules that
-``import chatelet.cli`` has loaded, so every target's module must load
-with the CLI; a traced `bundle` run checks that its spans are recorded.
+The tracer wraps the targets only in the ``chatelet`` modules that are
+in ``sys.modules`` after ``import chatelet.cli``, so that import must
+list every module of the package, executed or not; a traced `bundle`
+run checks that its spans are recorded.
 """
 
 import importlib
@@ -151,6 +152,26 @@ def test_reciprocity_leaves_iskovskikh_no_decision(monkeypatch):
     result, calls = _traced_decisions(monkeypatch, iskovskikh(), 100)
     assert not result.found
     assert calls == []
+
+
+def test_cli_import_lists_every_package_module():
+    # a module that first appears in sys.modules while another executes
+    # keeps the names it imported unwrapped, and the spans of its calls
+    # are lost without a missing target
+    src = PERFBENCH.parent / "src"
+    want = sorted(".".join(path.relative_to(src).with_suffix("").parts)
+                  .removesuffix(".__init__")
+                  for path in (src / "chatelet").rglob("*.py"))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, chatelet.cli; "
+         "print(sorted(m for m in sys.modules"
+         " if m.partition('.')[0] == 'chatelet'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == str(want)
 
 
 def test_traced_bundle_records_bundle_spans(tmp_path):
