@@ -50,33 +50,6 @@ first hit:
   them: every fiber has symbol -1 at p, and none is a zero value, which
   a class disc does not hold.  No fiber of any height has a Q_p-point,
   and the scan returns None before any row.
-* *Reciprocity.*  Let P~ = k f_1 f_2 with two irreducible quadratic
-  factors, P = k f_1, and let T be oo, 2, the primes of alpha and the
-  odd primes of Res(P, f_2) (`chatelet.quartic.form_resultant`).  A
-  prime that divides P(m, n) and f_2(m, n) at coprime m, n divides the
-  resultant, so every place v outside T is an odd prime, prime to
-  alpha, that divides at most one of them, and there
-  (alpha, r)_v = (alpha, P)_v for the value r = P f_2.  A fiber with a
-  point has (alpha, r)_v = +1 everywhere, so (alpha, P)_v = +1 outside
-  T and, by Hilbert reciprocity for (alpha, P), the product of
-  (alpha, P)_v over T is +1.  The scan reads one bit of (alpha, P)_v
-  at each place of T on the fibers its sieves let through.  At oo it is
-  the sign of P on the pieces of `sign_points` where P~ > 0 (for
-  alpha < 0; +1 for alpha > 0): P divides P~ over Q, so it has one
-  sign on each piece.  It is +1 at 2 when alpha = 1 mod 8 and at the
-  split primes of the resultant.  At 2 and alpha's primes it comes from
-  the walks of the tables, and at the inert primes of the resultant
-  from the same walk there, disc by disc: P has the class of its
-  centre on a disc where v_p(P(centre)) < k (<= k - 3 at 2), as on
-  every class disc, since v_p(P) <= v_p(P~); otherwise, where f_2 has
-  it, (alpha, P)_p equals (alpha, f_2(centre))_p on the fibers of
-  symbol +1.  A prime of T without a walk, a disc without a bit or two
-  bits at one place leave the scan as it was.  When the bits are known
-  and their product is -1, no fiber of any height has a point, and
-  none is a zero of P~, which has no rational root: the scan returns
-  None before any row.  This is the Brauer-Manin obstruction of the
-  class (alpha, f_1) on Iskovskikh's surface and on the constructed
-  ones, read off the scan's own walks.
 * *Symmetry.*  When c1 = c3 = 0 the form is even in x, so m and -m give
   the same value.  The full loop takes m = -H..H in increasing order,
   so its first hit at each n is the most negative solvable m, which is
@@ -93,21 +66,12 @@ from itertools import islice
 from typing import Optional
 
 from chatelet.local import conic_decide, finite_place, hilbert_symbol
-from chatelet.numbers import (
-    OutOfCertifiedRangeError,
-    legendre,
-    prime_factors,
-    split_valuation,
-)
 from chatelet.quartic import (
     BinaryQuartic,
     evaluate_form,
     evaluate_quartic,
-    _unit_square_depth,
-    form_resultant,
     negative_segments,
     residue_discs,
-    sign_points,
 )
 
 
@@ -122,24 +86,18 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     sieve and the symmetry of the module docstring skip.  A zero quartic
     value counts as solvable (the degenerate fiber carries the point
     (x, 0, 0)).  Each fiber is decided from its parts with the odd
-    primes of alpha, ``alpha_odd_primes``.  When the reciprocity rule or
-    a closed walk proves that no fiber is solvable, the scan returns
-    None before it builds any row.
+    primes of alpha, ``alpha_odd_primes``.  When a closed walk proves
+    that no fiber is solvable, the scan returns None before it builds
+    any row.
     """
     coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
-    # two x of height <= H lie more than 1/(H+1)^2 apart, so an interval
-    # this narrow keeps at most one of them from the sieve
-    pieces = (sign_points(coeffs, Fraction(1, (H + 1) ** 2))
-              if alpha < 0 else [])
-    walked, obstructed = _reciprocity(quartic, alpha, alpha_odd_primes, H,
-                                      pieces)
-    if obstructed:
-        return None
-    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H, walked)
+    sieves = _disc_sieves(coeffs, alpha, alpha_odd_primes, H)
     if any(sieve[3] for sieve in sieves):
         return None
-    segments = (negative_segments(coeffs, pieces=pieces)
+    # two x of height <= H lie more than 1/(H+1)^2 apart, so an interval
+    # this narrow keeps at most one of them from the sieve
+    segments = (negative_segments(coeffs, Fraction(1, (H + 1) ** 2))
                 if alpha < 0 else [])
     parts = _fiber_parts(quartic)
     for n in range(H + 1):
@@ -154,70 +112,10 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
     return None
 
 
-def _reciprocity(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
-                 H: int, pieces) -> tuple[dict, bool]:
-    """(walked, obstructed): the `_disc_sieve`s made at the finite places
-    of T, by prime, and whether the reciprocity rule of the module
-    docstring proves that no fiber is solvable.
-
-    The rule needs P~ = k f_1 f_2 with two quadratic factors.  Its bits
-    at 2 and alpha's primes come from the scan's own walks, the one at
-    oo from `pieces`, those at the split primes of the resultant are
-    +1, and those at its inert primes come from their walks.  The
-    resultant is computed and factored only when every other bit is
-    known; the rule is off when it is 0 or cannot be factored.
-    """
-    k, forms = quartic.factors
-    if len(forms[0]) != 3 or len(forms) != 2:
-        return {}, False
-    coeffs = quartic.integer_square_scaled
-    split = (tuple(k * c for c in forms[0]), forms[1])
-    walked = {p: _disc_sieve(coeffs, alpha, p, H, split)
-              for p in (2, *alpha_odd_primes)}
-    bits = [_real_bit(coeffs, split[0], pieces) if alpha < 0 else 1]
-    bits += [_place_bit(alpha, p, walk) for p, walk in walked.items()]
-    if 0 in bits:
-        return walked, False
-    resultant = form_resultant(*split)
-    if resultant == 0:
-        return walked, False
-    try:
-        for q, _ in prime_factors(abs(resultant)):
-            if q != 2 and q not in walked and legendre(alpha, q) == -1:
-                walked[q] = _disc_sieve(coeffs, alpha, q, H, split)
-                bits.append(_place_bit(alpha, q, walked[q]))
-    except OutOfCertifiedRangeError:
-        return walked, False
-    return walked, 0 not in bits and math.prod(bits) == -1
-
-
-def _place_bit(alpha: int, p: int, walk) -> int:
-    """The bit of the reciprocity rule at the finite place p: +1 at 2
-    when alpha = 1 mod 8, a square in Q_2, so that every symbol there is
-    +1; otherwise the bit of p's walk, and 0 without one."""
-    if p == 2 and alpha % 8 == 1:
-        return 1
-    return walk[4] if walk else 0
-
-
-def _real_bit(coeffs, first, pieces) -> int:
-    """(alpha, k f_1)_oo for alpha < 0 at every x where P~ > 0: -1 when
-    k f_1 is negative on each piece of `sign_points` where P~ is
-    positive, +1 when it is positive on each (or there is no such
-    piece), and 0 when it takes both signs.  k f_1 divides P~ over Q, so
-    it has no root on a piece and one sign on each."""
-    signs = {evaluate_form(first, x, 1) > 0 for _, x, _ in pieces
-             if evaluate_quartic(coeffs, x, 1) > 0}
-    return 0 if len(signs) > 1 else -1 if False in signs else 1
-
-
-def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int,
-                 walked=None) -> list:
+def _disc_sieves(coeffs, alpha: int, alpha_odd_primes, H: int) -> list:
     """The `_disc_sieve`s of a scan of height H at 2 and at the odd
-    primes of alpha that have a table, in that order.  A walk already
-    made is taken from ``walked``, by prime."""
-    walked = walked or {}
-    sieves = [walked[p] if p in walked else _disc_sieve(coeffs, alpha, p, H)
+    primes of alpha that have a table, in that order."""
+    sieves = [_disc_sieve(coeffs, alpha, p, H)
               for p in (2, *alpha_odd_primes)]
     return [sieve for sieve in sieves if sieve and (sieve[1] or sieve[2])]
 
@@ -230,13 +128,13 @@ def _depth(p: int, bound: int) -> int:
     return depth
 
 
-def _disc_sieve(coeffs, alpha: int, p: int, H: int, split=None):
-    """(p, affine, at_infinity, closed, bit): the residue discs of
-    `residue_discs` at p on which the symbol (alpha, P~)_p is -1,
-    whether they are every disc of the walk, and the bit of the
-    reciprocity rule at p; None when p gets no walk.  The affine discs
-    make a table read at x = m/n in Z_p and those at infinity one read
-    at w = n/m in pZ_p; each is the `_table` of its discs, or None.
+def _disc_sieve(coeffs, alpha: int, p: int, H: int):
+    """(p, affine, at_infinity, closed): the residue discs of
+    `residue_discs` at p on which the symbol (alpha, P~)_p is -1, and
+    whether they are every disc of the walk; None when p gets no walk.
+    The affine discs make a table read at x = m/n in Z_p and those at
+    infinity one read at w = n/m in pZ_p; each is the `_table` of its
+    discs, or None.
 
     A scan of height H visits 1 + H(2H + 1) pairs (m, n), 2H + 1 to a
     row, and the walk goes to the largest depth K with p^K at most the
@@ -247,11 +145,6 @@ def _disc_sieve(coeffs, alpha: int, p: int, H: int, split=None):
 
     When every disc is a class disc of symbol -1 the walk is closed,
     and no fiber has a Q_p-point (module docstring).
-
-    With the factors ``split`` = (k f_1, f_2) of the reciprocity rule,
-    the bit is the `_split_bit` that every disc outside the tables
-    shares (+1 when there is no such disc), and 0 when one of them has
-    none or two of them differ, or without ``split``.
     """
     pairs, row = 1 + H * (2 * H + 1), 2 * H + 1
     if p > row:
@@ -261,7 +154,7 @@ def _disc_sieve(coeffs, alpha: int, p: int, H: int, split=None):
     if len(discs) > row:
         return None
     place = finite_place(p)
-    affine, at_infinity, bits = [], [], set()
+    affine, at_infinity = [], []
     for (m, n), k, kind in discs:
         if kind == "class" and hilbert_symbol(
                 alpha, evaluate_quartic(coeffs, m, n), place) == -1:
@@ -270,34 +163,8 @@ def _disc_sieve(coeffs, alpha: int, p: int, H: int, split=None):
                 affine.append((m, p**k))
             else:
                 at_infinity.append((n, p**k))
-        elif split:
-            bits.add(_split_bit(alpha, split, (m, n), k, place))
-    bit = 0
-    if split and 0 not in bits and len(bits) < 2:
-        bit = bits.pop() if bits else 1
     closed = len(affine) + len(at_infinity) == len(discs)
-    return p, _table(affine), _table(at_infinity), closed, bit
-
-
-def _split_bit(alpha: int, split, centre, k: int, place) -> int:
-    """The symbol (alpha, k f_1)_p at every fiber of the disc (centre, k)
-    whose symbol (alpha, P~)_p is +1, or 0 when the rule below does not
-    give it.
-
-    When v_p(k f_1(centre)) < k (<= k - 3 at 2), k f_1 has the square
-    class of its centre on the disc, by the rule of `residue_discs`'
-    class discs; this holds on every class disc of P~.  Otherwise, when
-    f_2 has it, (alpha, k f_1)_p = (alpha, P~)_p (alpha, f_2)_p is
-    (alpha, f_2(centre))_p at those fibers.  So a Newton disc or an open
-    one gets a bit when it is about a root of one factor, away from the
-    roots of the other.
-    """
-    p, low = place.p, _unit_square_depth(place.p)
-    for f in split:
-        value = evaluate_form(f, *centre)
-        if value and split_valuation(value, p)[0] <= k - low:
-            return hilbert_symbol(alpha, value, place)
-    return 0
+    return p, _table(affine), _table(at_infinity), closed
 
 
 def _table(discs):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -396,6 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     bu.set_defaults(func=cmd_bundle)
 
     hi = subs.add_parser("hilbert", help="Hilbert symbol table")
+    # argparse's own pattern of a negative number, -N or -N.M on Python
+    # 3.10 to 3.13.0, would read -6/4 as an option
+    hi._negative_number_matcher = re.compile(r"-\.?\d")
     hi.add_argument("a", type=_parse_rational)
     hi.add_argument("b", type=_parse_rational)
     hi.add_argument("--place", help="'oo' or a prime; default: full table")

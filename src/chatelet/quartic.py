@@ -14,7 +14,7 @@ forms over Q, once per form as `BinaryQuartic.factors`; that one split
 is what `quartic_irreducible` counts, what the fiber scan decides each
 fiber from and what the surface's Brauer class is read from;
 `form_resultant` bounds the primes that two factors share, for the
-scan's reciprocity rule.
+surface's reciprocity bits (`chatelet.surface.ChateletSurface.brauer`).
 `real_root_intervals` is the one real-root isolation, for univariate
 polynomials of any degree: Descartes' rule of signs with bisection on
 the squarefree part, in exact integer arithmetic.  `rational_roots`
@@ -22,12 +22,13 @@ reads the rational roots off its intervals; `rational_factors` and
 the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
 walk over its intervals: one rational point on each piece of the real
 line where P has one sign.  The real-place sweep of `chatelet.surface`
-certifies one of these points, and the scan's real sieve reads them
-through `negative_segments`.  `residue_discs` is the one p-adic walk:
-residue discs that tile P^1(Z_p), each of constant square class,
-centred at a root, holding one by Newton's criterion, or left open at a
-given depth.  The p-adic sweep of `chatelet.surface` and the scan's disc
-sieve read it.
+certifies one of these points, the reciprocity bit at oo reads their
+signs, and the scan's real sieve reads them through
+`negative_segments`.  `residue_discs` is the one p-adic walk: residue
+discs that tile P^1(Z_p), each of constant square class, centred at a
+root, holding one by Newton's criterion, or left open at a given depth.
+The p-adic sweep and the reciprocity bits of `chatelet.surface` and the
+scan's disc sieve read it.
 """
 
 from __future__ import annotations
@@ -353,17 +354,14 @@ def sign_points(coeffs, eps=None) -> list[tuple[Optional[Fraction],
     return points
 
 
-def negative_segments(coeffs, eps=None, pieces=None) -> list[
+def negative_segments(coeffs, eps=None) -> list[
         tuple[Optional[Fraction], Optional[Fraction]]]:
     """The open segments (left, right) of `sign_points(coeffs, eps)` on
     which P(x) = form(1, x) is negative, in increasing order; None stands
     for -oo or +oo.  P has one sign on a segment, read from one exact
-    evaluation at its point; a shared end is not a segment.  A caller
-    that already holds those pieces passes them as ``pieces``.
+    evaluation at its point; a shared end is not a segment.
     """
-    if pieces is None:
-        pieces = sign_points(coeffs, eps)
-    return [(left, right) for left, x, right in pieces
+    return [(left, right) for left, x, right in sign_points(coeffs, eps)
             if (left is None or right is None or left < right)
             and evaluate_quartic(coeffs, x, 1) < 0]
 

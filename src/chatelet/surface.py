@@ -18,6 +18,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 from chatelet._kernel.pure import conic_scan
@@ -28,6 +29,7 @@ from chatelet.local import (
     finite_place,
     hilbert_symbol,
     inv_from_symbol,
+    is_local_square,
 )
 from chatelet.numbers import (
     OutOfCertifiedRangeError,
@@ -36,15 +38,18 @@ from chatelet.numbers import (
     is_prime,
     legendre,
     partial_factorize,
+    prime_factors,
     split_valuation,
     square_class,
     valuation,
 )
 from chatelet.quartic import (
     BinaryQuartic,
+    _unit_square_depth,
     disc_from_coeffs,
     evaluate_form,
     evaluate_quartic,
+    form_resultant,
     quartic_disc,
     residue_discs,
     sign_points,
@@ -114,9 +119,11 @@ class ChateletSurface(namedtuple("ChateletSurface",
 
     The facts derived from the surface are computed once and cached on
     it (in the instance __dict__, so no __slots__): `disc`, the
-    discriminant of P~, `model_disc`, that of its integer model, and
-    `local`, its local table (`verify_local_everywhere`), which the
-    obstruction reads.
+    discriminant of P~; `model_disc`, that of its integer model;
+    `real_pieces`, the `sign_points` of that model; `local`, its local
+    table (`verify_local_everywhere`), which the obstruction reads; and
+    `brauer`, the reciprocity bits of its quaternion class, which the
+    search reads.
     """
 
     def __new__(cls, alpha: Rational, Ptilde: BinaryQuartic,
@@ -139,9 +146,57 @@ class ChateletSurface(namedtuple("ChateletSurface",
         return disc_from_coeffs(self.Ptilde.integer_square_scaled)
 
     @cached_property
+    def real_pieces(self) -> list:
+        """`sign_points` of the integer model: one point on each piece of
+        the real line where P has one sign, read at the real place by
+        `local` and by `brauer`."""
+        return sign_points(self.Ptilde.integer_square_scaled)
+
+    @cached_property
     def local(self) -> "LocalReport":
         """`verify_local_everywhere` of this surface."""
         return verify_local_everywhere(self)
+
+    @cached_property
+    def brauer(self) -> Optional[dict[Place, int]]:
+        """The bit of (alpha, k f_1)_v at each place v of T, or None when
+        the rule below does not apply or cannot decide.
+
+        Let P~ = k f_1 f_2 with two irreducible quadratic factors
+        (`BinaryQuartic.factors`), P = k f_1, and T be oo, 2 and the
+        primes of alpha and of Res(P, f_2).  A prime that divides P(m, n)
+        and f_2(m, n) at coprime m, n divides the resultant, so at a
+        place v outside T, an odd prime prime to alpha that divides at
+        most one of them, (alpha, r)_v = (alpha, P)_v for r = P f_2.  A
+        fiber with a point has (alpha, r)_v = +1 everywhere, so by
+        Hilbert reciprocity for (alpha, P) the product of (alpha, P)_v
+        over T is +1.  The bit at v is the one value of (alpha, P)_v on
+        the fibers with a Q_v-point (`_place_bit`).  When the bits
+        multiply to -1, no fiber has a point, and none is a zero of P~,
+        which has no rational root: the surface has no rational point,
+        by the Brauer-Manin obstruction of the class (alpha, f_1).  The
+        first place without a bit ends the rule, and the resultant is
+        factored only when oo, 2 and the primes of alpha have bits.
+        """
+        self.require_smooth()
+        k, forms = self.Ptilde.factors
+        if len(forms) != 2 or len(forms[0]) != 3:
+            return None
+        alpha, alpha_primes = square_class(self.alpha)
+        split = (tuple(k * c for c in forms[0]), forms[1])
+        resultant_primes = (q for q, _ in
+                            prime_factors(abs(form_resultant(*split))))
+        bits = {}
+        try:
+            for v in chain([REAL], map(finite_place, chain(
+                    [2], alpha_primes, resultant_primes))):
+                if v not in bits:
+                    bits[v] = _place_bit(self, alpha, v, split)
+                    if bits[v] == 0:
+                        return None
+        except OutOfCertifiedRangeError:
+            return None
+        return bits
 
     def require_smooth(self) -> None:
         if self.disc == 0:
@@ -284,6 +339,18 @@ def _certify(S: ChateletSurface, x: ProjectivePoint,
     return None
 
 
+# the largest prime at which a walk of `residue_discs` runs
+_WALK_PRIME_BOUND = 10**5
+
+
+def _walk_depth(S: ChateletSurface, p: int) -> int:
+    """The depth to which a walk of `residue_discs` at p runs on S:
+    beyond the valuations of 4 alpha and of the discriminant of the
+    integer model, where the walk of a smooth surface has ended."""
+    base = valuation(4 * S.alpha, p) + valuation(S.model_disc, p)
+    return abs(base) + 3 + 64
+
+
 def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
     """Exact decision of V(Q_p) != 0 over the residue discs of
     `residue_discs`: the first disc whose kind certifies a point.
@@ -292,14 +359,11 @@ def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
     its centre is +1; a root or a Newton disc holds a Q_p-root of P~, a
     degenerate fiber with an obvious point.  The discs tile P^1(Z_p), so
     when none certifies, V(Q_p) is empty.  The walk ends for smooth
-    surfaces; one still open at a depth beyond the valuations of 4 alpha
-    and of the discriminant of that model is an error.
+    surfaces; one still open at `_walk_depth` is an error.
     """
     p = v.p
     f = S.Ptilde.integer_square_scaled
-    base = valuation(4 * S.alpha, p) + valuation(S.model_disc, p)
-    max_depth = abs(base) + 3 + 64
-    for x, k, kind in residue_discs(f, p, max_depth):
+    for x, k, kind in residue_discs(f, p, _walk_depth(S, p)):
         if kind == "class":
             found = _certify(S, x, v)
             if found is not None:
@@ -313,15 +377,15 @@ def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
 
 
 def _real_sweep(S: ChateletSurface) -> Optional[CertifiedLocalX]:
-    """A real x with P~(x) > 0: the first of `sign_points` of
-    P(x) = P~(1, x) that `_certify` accepts.
+    """A real x with P~(x) > 0: the first point of `real_pieces`, the
+    `sign_points` of P(x) = P~(1, x), that `_certify` accepts.
 
     P has simple roots on a smooth surface, so every region where it has
     one sign holds one of these points, and none of them is a root: P is
     positive somewhere iff it is positive at one of them.  Infinity, and
     every alpha > 0, are settled by _SIX_POINTS before this runs.
     """
-    for _left, x, _right in sign_points(S.Ptilde.integer_square_scaled):
+    for _left, x, _right in S.real_pieces:
         found = _certify(S, (x.numerator, x.denominator), REAL)
         if found is not None:
             return found
@@ -349,7 +413,7 @@ def local_solvable_surface(
             return True, found
     if v.is_real:
         found = _real_sweep(S)
-    elif v.p > 10**5:
+    elif v.p > _WALK_PRIME_BOUND:
         raise ArithmeticError(
             f"place {v} too large for exact residue enumeration")
     else:
@@ -395,6 +459,64 @@ def verify_local_everywhere(S: ChateletSurface) -> LocalReport:
 
 # ---------------------------------------------------------------------------
 # Brauer class and invariants
+
+
+def _place_bit(S: ChateletSurface, alpha: int, v: Place, split) -> int:
+    """(alpha, k f_1)_v on every fiber with a Q_v-point, for
+    ``split`` = (k f_1, f_2), or 0 when the rule gives no one value.
+
+    It is +1 where alpha is a square in Q_v.  At oo otherwise it is the
+    sign of k f_1 on the pieces of `real_pieces` where P~ > 0: k f_1
+    divides P~, so it has one sign on each piece.  At p otherwise it is
+    the `_split_bit` that every disc of the walk of `residue_discs` to
+    `_walk_depth` shares, less the class discs of symbol
+    (alpha, P~)_p = -1, which hold no fiber with a Q_p-point (+1 when no
+    disc is left).  The walk stops at the first disc without a bit or
+    with a second one, and a prime past `_WALK_PRIME_BOUND` gets none.
+    """
+    if is_local_square(alpha, v):
+        return 1
+    coeffs = S.Ptilde.integer_square_scaled
+    if v.is_real:
+        signs = {evaluate_form(split[0], x, 1) > 0
+                 for _, x, _ in S.real_pieces
+                 if evaluate_quartic(coeffs, x, 1) > 0}
+        return 0 if len(signs) > 1 else -1 if False in signs else 1
+    p = v.p
+    if p > _WALK_PRIME_BOUND:
+        return 0
+    bit = None
+    for centre, k, kind in residue_discs(coeffs, p, _walk_depth(S, p)):
+        if kind == "class" and hilbert_symbol(
+                alpha, evaluate_quartic(coeffs, *centre), v) == -1:
+            continue
+        disc_bit = _split_bit(alpha, split, centre, k, v)
+        if disc_bit == 0 or bit not in (None, disc_bit):
+            return 0
+        bit = disc_bit
+    return bit or 1
+
+
+def _split_bit(alpha: int, split, centre, k: int, place: Place) -> int:
+    """The symbol (alpha, k f_1)_p at every fiber of the disc (centre, k)
+    whose symbol (alpha, P~)_p is +1, or 0 when the rule below does not
+    give it.
+
+    When v_p(k f_1(centre)) < k (<= k - 3 at 2), k f_1 has the square
+    class of its centre on the disc, by the rule of `residue_discs`'
+    class discs; this holds on every class disc of P~, since
+    v_p(k f_1) <= v_p(P~).  Otherwise, when f_2 has it,
+    (alpha, k f_1)_p = (alpha, P~)_p (alpha, f_2)_p is
+    (alpha, f_2(centre))_p at those fibers.  So a Newton disc or an open
+    one gets a bit when it is about a root of one factor, away from the
+    roots of the other.
+    """
+    p, low = place.p, _unit_square_depth(place.p)
+    for f in split:
+        value = evaluate_form(f, *centre)
+        if value and split_valuation(value, p)[0] <= k - low:
+            return hilbert_symbol(alpha, value, place)
+    return 0
 
 
 def eval_invariant_all_reps(S: ChateletSurface,
@@ -455,7 +577,7 @@ class PlaceInvariantRecord(NamedTuple):
     place: Place
     invariant: Fraction
     samples: int
-    justification: str  # "sampled" | "norm-argument"
+    justification: str  # "sampled"
 
 
 class ObstructionReport(NamedTuple):
@@ -530,12 +652,16 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
 
     Exhaustive over the x-range; a found fiber x comes with an exact
     point (y, z) of its conic, and found=False means NO fiber of height
-    <= H is solvable over Q.  The scan (`conic_scan`) skips fibers by
-    exact rules, proved in `chatelet._kernel.pure`, and returns the same
-    first fiber as the loop over every x; on a split quartic, Hilbert
-    reciprocity on one factor can rule out every fiber at once.
+    <= H is solvable over Q.  When the surface's reciprocity bits
+    (`ChateletSurface.brauer`) multiply to -1, no fiber of any height
+    is, and the search returns without a scan.  Otherwise the scan
+    (`conic_scan`) skips fibers by exact rules, proved in
+    `chatelet._kernel.pure`, and returns the same first fiber as the
+    loop over every x.
     """
     S.require_smooth()
+    if S.brauer is not None and math.prod(S.brauer.values()) == -1:
+        return SearchResult(height=H, found=False, note=f"none up to {H}")
     alpha_sf, alpha_primes = square_class(S.alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)
     hit = conic_scan(S.Ptilde, alpha_sf, odd_primes, H)

@@ -148,7 +148,7 @@ def test_scan_decides_through_traced_name(monkeypatch):
 
 def test_reciprocity_leaves_iskovskikh_no_decision(monkeypatch):
     # the symbols of (-1, 3 - x^2) are +1 at oo and -1 at 2 on every
-    # fiber that the sieves let through, so no fiber is decided
+    # fiber with a point there, so no fiber is decided
     result, calls = _traced_decisions(monkeypatch, iskovskikh(), 100)
     assert not result.found
     assert calls == []

@@ -28,7 +28,6 @@ from chatelet.quartic import (
     evaluate_quartic,
     negative_segments,
     residue_discs,
-    sign_points,
 )
 from chatelet.surface import (
     CertifiedLocalX,
@@ -874,12 +873,15 @@ def _reciprocity_case(rng, kind):
             return coeffs, alpha, tuple(p for p in primes if p != 2), H
 
 
-def _rule_holds(coeffs, alpha, odd, H):
-    """Does the reciprocity rule of `conic_scan` hold?"""
-    pieces = (sign_points(coeffs, Fraction(1, (H + 1) ** 2))
-              if alpha < 0 else [])
-    return pure._reciprocity(BinaryQuartic(coeffs), alpha, odd, H,
-                             pieces)[1]
+def _user_surface(coeffs, alpha):
+    return ChateletSurface(alpha=Fraction(alpha),
+                           Ptilde=BinaryQuartic(coeffs), provenance="user")
+
+
+def _rule_holds(S):
+    """Do the reciprocity bits of S (`ChateletSurface.brauer`) multiply
+    to -1?"""
+    return S.brauer is not None and math.prod(S.brauer.values()) == -1
 
 
 def _places_of_t(coeffs, alpha):
@@ -893,31 +895,45 @@ def _places_of_t(coeffs, alpha):
 
 
 class TestReciprocity:
-    """The reciprocity rule of `conic_scan`: when P~ = k f_1 f_2 and the
-    symbols (alpha, k f_1)_v are constant on the fibers the sieves let
-    through, at each place v of T, with product -1, no fiber is
-    solvable, and the scan returns None without deciding one."""
+    """The reciprocity bits of a surface, `ChateletSurface.brauer`: when
+    P~ = k f_1 f_2 and the symbol (alpha, k f_1)_v has one value on the
+    fibers with a Q_v-point at each place v of T, with product -1, no
+    fiber is solvable, and the search returns without a scan."""
 
     PARAMS = _admissible_params(200)
 
     def test_admissible_surfaces_need_no_decision(self, monkeypatch):
-        decided = []
-        real_decide = pure.conic_decide
+        # the verdict holds at every height, with no scan and no decision
+        calls = []
+        real_scan, real_decide = surface_mod.conic_scan, pure.conic_decide
+        monkeypatch.setattr(surface_mod, "conic_scan",
+                            lambda *a: calls.append(a) or real_scan(*a))
         monkeypatch.setattr(pure, "conic_decide",
-                            lambda *a, **k: decided.append(a)
-                            or real_decide(*a, **k))
+                            lambda *a: calls.append(a) or real_decide(*a))
         assert len(self.PARAMS) == 34
+        surfaces = [iskovskikh()] + [build_surface(p) for p in self.PARAMS]
+        for S in surfaces:
+            for H in range(1, 61):
+                assert rational_point_search(S, H) == (H, False, None, None,
+                                                       f"none up to {H}")
+            assert calls == [], S
+        for S in surfaces:
+            alpha, primes = square_class(S.alpha)
+            odd = tuple(p for p in primes if p != 2)
+            assert _reference_scan(S.Ptilde.integer_square_scaled, alpha,
+                                   odd, 12) is None
+
+    def test_bits_match_sampled_invariants(self):
+        # on each admissible surface k = 1, so the class (alpha, k f_1)
+        # is the one `obstruction_report` samples: its invariant is 1/2
+        # exactly where the bit is -1
         for params in self.PARAMS:
             S = build_surface(params)
-            alpha, odd = params.a * params.b, (params.a, params.b)
-            coeffs = S.Ptilde.integer_square_scaled
-            # at height 200 a row, 401 pairs, is discs enough for the
-            # walk at each prime of alpha
-            assert pure.conic_scan(S.Ptilde, alpha, odd, 200) is None
-            assert decided == [], params
-            assert pure.conic_scan(S.Ptilde, alpha, odd, 12) is None
-            assert _reference_scan(coeffs, alpha, odd, 12) is None
-            decided.clear()
+            assert S.Ptilde.factors[0] == 1
+            rep = obstruction_report(S, samples_per_place=5)
+            assert {str(v) for v, bit in S.brauer.items() if bit == -1} == \
+                {str(r.place) for r in rep.records
+                 if r.invariant == Fraction(1, 2)}, params
 
     def test_skipped_fibers_have_a_rejecting_place(self):
         # every fiber whose symbol is +1 at oo and at each place of T has
@@ -926,13 +942,14 @@ class TestReciprocity:
                  (build_surface(find_params(100)).Ptilde
                   .integer_square_scaled, 697, (17, 41), 24)]
         rng = random.Random(20261020)
-        while len(cases) < 8:
+        # some surfaces that the rule proves have few fibers through T
+        while len(cases) < 12:
             case = _reciprocity_case(rng, "iskovskikh")
-            if _rule_holds(*case):
+            if _rule_holds(_user_surface(*case[:2])):
                 cases.append(case)
         witnessed = []
         for coeffs, alpha, odd, H in cases:
-            assert _rule_holds(coeffs, alpha, odd, H), coeffs
+            assert _rule_holds(_user_surface(coeffs, alpha)), coeffs
             places = _places_of_t(coeffs, alpha)
             witnessed.append(0)
             for m, n in TestSearchPast64Bits._fibers(H):
@@ -956,15 +973,16 @@ class TestReciprocity:
         for i in range(450):
             kind = ("iskovskikh", "real-sign", "random")[i % 3]
             coeffs, alpha, odd, H = _reciprocity_case(rng, kind)
-            hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
-            assert hit == _reference_scan(coeffs, alpha, odd, H), (
-                coeffs, alpha, H)
-            holds = _rule_holds(coeffs, alpha, odd, H)
+            S = _user_surface(coeffs, alpha)
+            res = rational_point_search(S, H)
+            assert (res.x if res.found else None) == _reference_scan(
+                coeffs, alpha, odd, H), (coeffs, alpha, H)
+            holds = _rule_holds(S)
             seen["holds"] += holds
             seen["holds, oo bit -1"] += holds and kind == "real-sign"
             seen["odd prime of Res outside 2 alpha"] += any(
                 q % 2 and alpha % q for q in _places_of_t(coeffs, alpha))
-        assert seen["holds"] >= 15 and seen["holds, oo bit -1"] >= 3 \
+        assert seen["holds"] >= 30 and seen["holds, oo bit -1"] >= 9 \
             and seen["odd prime of Res outside 2 alpha"] >= 100, seen
 
     @pytest.mark.parametrize("coeffs, alpha, H, depth, hit", [
@@ -982,12 +1000,12 @@ class TestReciprocity:
         # each has a solvable fiber that a rule missing one of its
         # conditions would skip
         if depth is not None:
-            real = pure._depth
-            monkeypatch.setattr(pure, "_depth", lambda p, bound: min(
-                real(p, bound), depth))
+            real = surface_mod._walk_depth
+            monkeypatch.setattr(surface_mod, "_walk_depth", lambda S, p: min(
+                real(S, p), depth))
         odd = tuple(p for p in square_class(alpha)[1] if p != 2)
         assert _reference_scan(coeffs, alpha, odd, H) == hit
-        assert pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H) == hit
+        assert rational_point_search(_user_surface(coeffs, alpha), H).x == hit
 
 
 class TestClosedWalk:
@@ -1185,6 +1203,19 @@ class TestIntegerModel:
         assert verify_local_everywhere(T).all_solvable
         obstruction_report(T, samples_per_place=5, seed=1)
         assert not rational_point_search(T, 20).found
+        assert len(calls) == 1
+
+    def test_real_roots_isolated_once_per_surface(self, monkeypatch):
+        # the local decision at oo and the reciprocity bit there read one
+        # cached `real_pieces`, and the search needs no real sieve
+        calls = []
+        real = quartic_mod.sign_points
+        for module in (quartic_mod, surface_mod, pure):
+            monkeypatch.setattr(module, "sign_points", lambda *a: (
+                calls.append(a) or real(*a)), raising=False)
+        T = iskovskikh()
+        assert T.local.all_solvable
+        assert not rational_point_search(T, 1000).found
         assert len(calls) == 1
 
     def test_split_once_per_quartic(self, monkeypatch):
