@@ -22,13 +22,11 @@ reads the rational roots off its intervals; `rational_factors` and
 the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
 walk over its intervals: one rational point on each piece of the real
 line where P has one sign.  The real-place sweep of `chatelet.surface`
-certifies one of these points, the reciprocity bit at oo reads their
-signs, and the scan's real sieve reads them through
-`negative_segments`.  `residue_discs` is the one p-adic walk: residue
-discs that tile P^1(Z_p), each of constant square class, centred at a
-root, holding one by Newton's criterion, or left open at a given depth.
-The p-adic sweep and the reciprocity bits of `chatelet.surface` and the
-scan's disc sieve read it.
+certifies one of these points and the reciprocity bit at oo reads their
+signs.  `residue_discs` is the one p-adic walk: residue discs that tile
+P^1(Z_p), each of constant square class, centred at a root, holding one
+by Newton's criterion, or left open at a given depth.  The p-adic sweep
+and the reciprocity bits of `chatelet.surface` read it.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from chatelet.numbers import (
 )
 
 __all__ = ["BinaryQuartic", "evaluate_form", "evaluate_quartic",
-           "form_resultant", "negative_segments", "quartic_disc",
+           "form_resultant", "quartic_disc",
            "quartic_irreducible", "rational_factors", "rational_roots",
            "real_root_intervals", "residue_discs", "sign_points"]
 
@@ -322,24 +320,23 @@ def rational_roots(coeffs) -> list[Fraction]:
     return roots
 
 
-def sign_points(coeffs, eps=None) -> list[tuple[Optional[Fraction],
-                                               Fraction,
-                                               Optional[Fraction]]]:
+def sign_points(coeffs) -> list[tuple[Optional[Fraction], Fraction,
+                                      Optional[Fraction]]]:
     """One rational point on each piece of the real line where
     P(x) = form(1, x) has one sign, as triples (left, x, right) in
     increasing order; None stands for -oo or +oo.
 
-    The pieces come from the intervals of `real_root_intervals(coeffs,
-    eps)`: each open segment (left, right) between or beyond them, with
-    x inside it, and each end x that two neighbouring intervals share,
-    given as (x, x, x).  No root lies on a piece: a segment avoids every
+    The pieces come from the intervals of `real_root_intervals`: each
+    open segment (left, right) between or beyond them, with x inside it,
+    and each end x that two neighbouring intervals share, given as
+    (x, x, x).  No root lies on a piece: a segment avoids every
     interval, and a shared end that were a root would be the one root of
     both intervals.  So a shared end lies strictly between its two
     roots, and when the roots of P are simple, so that P changes sign at
     each of them, every region where P has one sign holds a piece.
     """
     ends: list[Optional[Fraction]] = [None]
-    for lo, hi in real_root_intervals(coeffs, eps):
+    for lo, hi in real_root_intervals(coeffs):
         ends += [lo, hi]
     ends.append(None)
     points = []
@@ -352,18 +349,6 @@ def sign_points(coeffs, eps=None) -> list[tuple[Optional[Fraction],
             inside = (left + right) / 2
         points.append((left, inside, right))
     return points
-
-
-def negative_segments(coeffs, eps=None) -> list[
-        tuple[Optional[Fraction], Optional[Fraction]]]:
-    """The open segments (left, right) of `sign_points(coeffs, eps)` on
-    which P(x) = form(1, x) is negative, in increasing order; None stands
-    for -oo or +oo.  P has one sign on a segment, read from one exact
-    evaluation at its point; a shared end is not a segment.
-    """
-    return [(left, right) for left, x, right in sign_points(coeffs, eps)
-            if (left is None or right is None or left < right)
-            and evaluate_quartic(coeffs, x, 1) < 0]
 
 
 def residue_discs(coeffs, p: int, depth: int):

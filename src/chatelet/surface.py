@@ -121,9 +121,9 @@ class ChateletSurface(namedtuple("ChateletSurface",
     it (in the instance __dict__, so no __slots__): `disc`, the
     discriminant of P~; `model_disc`, that of its integer model;
     `real_pieces`, the `sign_points` of that model; `local`, its local
-    table (`verify_local_everywhere`), which the obstruction reads; and
-    `brauer`, the reciprocity bits of its quaternion class, which the
-    search reads.
+    table (`verify_local_everywhere`), which the obstruction and the
+    search read; and `brauer`, the reciprocity bits of its quaternion
+    class, which the search reads.
     """
 
     def __new__(cls, alpha: Rational, Ptilde: BinaryQuartic,
@@ -652,15 +652,17 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
 
     Exhaustive over the x-range; a found fiber x comes with an exact
     point (y, z) of its conic, and found=False means NO fiber of height
-    <= H is solvable over Q.  When the surface's reciprocity bits
-    (`ChateletSurface.brauer`) multiply to -1, no fiber of any height
-    is, and the search returns without a scan.  Otherwise the scan
-    (`conic_scan`) skips fibers by exact rules, proved in
-    `chatelet._kernel.pure`, and returns the same first fiber as the
-    loop over every x.
+    <= H is solvable over Q.  The search first reads the surface's local
+    table `S.local`, and raises what it raises: when some place has no
+    local point, no fiber of any height has one, and the search returns
+    without a scan.  It then reads the reciprocity bits `S.brauer`: when
+    they multiply to -1, no fiber of any height is solvable either.
+    Otherwise `conic_scan` decides every fiber in order, up to the
+    x -> -x symmetry of `chatelet._kernel.pure`.
     """
     S.require_smooth()
-    if S.brauer is not None and math.prod(S.brauer.values()) == -1:
+    if not S.local.all_solvable or (
+            S.brauer is not None and math.prod(S.brauer.values()) == -1):
         return SearchResult(height=H, found=False, note=f"none up to {H}")
     alpha_sf, alpha_primes = square_class(S.alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)

@@ -13,8 +13,8 @@ local-table check also runs on the golden `surface` reports.
 
 The tracer counts the scan's decisions where the scan looks
 ``conic_decide`` up, in `chatelet._kernel.pure`; the scan must reach it
-there, and its sieve must keep it from seeing every fiber.  On
-Iskovskikh's surface the reciprocity rule leaves it no fiber at all.
+there, and stop at its first hit.  On Iskovskikh's surface the
+reciprocity rule leaves it no fiber at all.
 
 The tracer wraps the targets only in the ``chatelet`` modules that are
 in ``sys.modules`` after ``import chatelet.cli``, so that import must

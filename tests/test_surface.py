@@ -1,5 +1,6 @@
 """Construction, local solvability, obstruction and global search."""
 
+import itertools
 import json
 import math
 import random
@@ -26,8 +27,8 @@ from chatelet.quartic import (
     disc_from_coeffs,
     evaluate_form,
     evaluate_quartic,
-    negative_segments,
     residue_discs,
+    sign_points,
 )
 from chatelet.surface import (
     CertifiedLocalX,
@@ -301,9 +302,39 @@ def _reference_sweep(S, v):
     return None
 
 
+def _newton_as_class(real):
+    """A broken disc walk that takes Newton discs for discs of constant
+    class."""
+    return lambda *args, **kw: (
+        (centre, k, "class" if kind == "newton" else kind)
+        for centre, k, kind in real(*args, **kw))
+
+
+def _sweep_cases():
+    """The seeded cases of TestLocalSolvability, and the two surfaces at
+    their bad places, as (surface, place)."""
+    cases = [(S, finite_place(p))
+             for S in (build_surface(find_params(100)), iskovskikh())
+             for p in (2, 3, 17, 29, 41)]
+    cases.append((ChateletSurface(
+        alpha=Fraction(3), Ptilde=BinaryQuartic((-4, 1, 2, -3, 3)),
+        provenance="user"), finite_place(3)))
+    rng = random.Random(5)
+    for _ in range(40):
+        coeffs = tuple(rng.randint(-8, 8) for _ in range(5))
+        if all(c == 0 for c in coeffs):
+            continue
+        S = ChateletSurface(alpha=Fraction(rng.choice([-1, 2, 3, -5])),
+                            Ptilde=BinaryQuartic(coeffs),
+                            provenance="user")
+        if S.disc != 0:
+            cases += [(S, finite_place(p)) for p in (2, 3, 5)]
+    return cases
+
+
 class TestResidueDiscs:
     """`residue_discs`, the one p-adic walk: it tiles P^1(Z_p), and the
-    local decider and the scan's disc sieve both read it."""
+    local decider and the reciprocity bits read it."""
 
     SURFACES = {"constructed": lambda: build_surface(find_params(100)),
                 "iskovskikh": iskovskikh}
@@ -352,30 +383,32 @@ class TestResidueDiscs:
                           29: (58, 2, 0), 41: (82, 2, 0)}
 
     def test_sweep_matches_recursion(self):
-        # the seeded cases of TestLocalSolvability, and the two surfaces
-        # at their bad places, give the certificate of the recursion
-        cases = [(S, finite_place(p))
-                 for S in (build_surface(find_params(100)), iskovskikh())
-                 for p in (2, 3, 17, 29, 41)]
-        cases.append((ChateletSurface(
-            alpha=Fraction(3), Ptilde=BinaryQuartic((-4, 1, 2, -3, 3)),
-            provenance="user"), finite_place(3)))
-        rng = random.Random(5)
-        for _ in range(40):
-            coeffs = tuple(rng.randint(-8, 8) for _ in range(5))
-            if all(c == 0 for c in coeffs):
-                continue
-            S = ChateletSurface(alpha=Fraction(rng.choice([-1, 2, 3, -5])),
-                                Ptilde=BinaryQuartic(coeffs),
-                                provenance="user")
-            if S.disc != 0:
-                cases += [(S, finite_place(p)) for p in (2, 3, 5)]
+        # each case gives the certificate of the recursion
+        cases = _sweep_cases()
         unsolvable = 0
         for S, v in cases:
             want = _reference_sweep(S, v)
             assert surface_mod._residue_sweep(S, v) == want, (S, v)
             unsolvable += want is None
         assert len(cases) > 100 and unsolvable
+
+    @pytest.mark.parametrize("module, name, broken", [
+        # the constancy rule loosened by one: v <= k at odd p ...
+        (quartic_mod, "_unit_square_depth",
+         lambda real: lambda p: 3 if p == 2 else 0),
+        # ... and v <= k - 2 at 2
+        (quartic_mod, "_unit_square_depth",
+         lambda real: lambda p: 2 if p == 2 else 1),
+        (surface_mod, "residue_discs", _newton_as_class),
+    ], ids=["odd-p-by-one", "two-by-one", "newton-decided"])
+    def test_broken_discs_are_caught(self, monkeypatch, module, name,
+                                     broken):
+        # the recursion keeps the rules as written, so the sweep over a
+        # broken walk gives another certificate on some case
+        cases = [(S, v, _reference_sweep(S, v)) for S, v in _sweep_cases()]
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        assert any(surface_mod._residue_sweep(S, v) != want
+                   for S, v, want in cases)
 
 
 _X = sympy.Symbol("x")
@@ -420,7 +453,7 @@ class TestRealWalk:
             if any(coeffs) and disc_from_coeffs(coeffs) != 0:
                 forms.append(coeffs)
         solvable = 0
-        for i, coeffs in enumerate(forms):
+        for coeffs in forms:
             S = ChateletSurface(alpha=Fraction(rng.choice((-1, -2, -7))),
                                 Ptilde=BinaryQuartic(coeffs),
                                 provenance="user")
@@ -437,15 +470,13 @@ class TestRealWalk:
             sturm = [[Fraction(int(c.p), int(c.q))
                       for c in reversed(q.all_coeffs())]
                      for q in poly.sturm()]
-            eps = Fraction(1, 10**6) if i % 2 else None
-            for left, right in negative_segments(coeffs, eps):
-                assert _roots_inside(sturm, left, right) == 0, coeffs
-                if left is None:
-                    inside = Fraction(0) if right is None else right - 1
-                else:
-                    inside = left + 1 if right is None else \
-                        (left + right) / 2
-                assert evaluate_quartic(coeffs, inside, 1) < 0, coeffs
+            # P has one sign on each piece, that of its point
+            for left, x, right in sign_points(coeffs):
+                assert evaluate_quartic(coeffs, x, 1) != 0, coeffs
+                if left is None or right is None or left < right:
+                    assert (left is None or left < x) and \
+                        (right is None or x < right), coeffs
+                    assert _roots_inside(sturm, left, right) == 0, coeffs
         assert 0 < solvable < len(forms)
 
 
@@ -589,8 +620,8 @@ class TestSearch:
 
 
 def _reference_scan(coeffs, alpha, alpha_odd_primes, H):
-    """The scan with neither sieve nor symmetry: every x of height <= H
-    in the scan's order, each evaluated and decided."""
+    """The scan without its symmetry: every x of height <= H in the
+    scan's order, each evaluated and decided."""
     for n in range(H + 1):
         for m in (range(-H, H + 1) if n else (1,)):
             if math.gcd(m, n) == 1:
@@ -598,6 +629,11 @@ def _reference_scan(coeffs, alpha, alpha_odd_primes, H):
                 if r == 0 or conic_decide(alpha, alpha_odd_primes, r):
                     return m, n
     return None
+
+
+def _is_square(n):
+    """Is the integer n a square?"""
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def _times(f, g):
@@ -671,39 +707,10 @@ def _shares_odd_prime(parts, alpha):
                for i, a in enumerate(parts) for b in parts[i + 1:])
 
 
-def _sieve_skips(coeffs, alpha, odd, H):
-    """(m, n, p) for each coprime pair of height <= H that the disc sieve
-    of `conic_scan` at p skips, read from the whole row m = -H..H."""
-    quartic = BinaryQuartic(coeffs)
-    for sieve in pure._disc_sieves(quartic.integer_square_scaled, alpha,
-                                   odd, H):
-        for n in range(H + 1):
-            row = [m for m in (range(-H, H + 1) if n else (1,))
-                   if math.gcd(m, n) == 1]
-            kept = set(pure._survivors(sieve, n, row))
-            yield from ((m, n, sieve[0]) for m in row if m not in kept)
-
-
-def _unproven_skip(coeffs, alpha, odd, m, n, p):
-    """Is the skip of (m : n) at p wrong: a zero value, a symbol at p
-    other than -1, or a fiber that the unsieved `conic_decide` accepts?"""
-    r = evaluate_quartic(coeffs, m, n)
-    return (r == 0 or hilbert_symbol(alpha, r, finite_place(p)) != -1
-            or conic_decide(alpha, odd, r))
-
-
-def _newton_as_class(real):
-    """A broken disc walk that takes Newton discs for discs of constant
-    class."""
-    return lambda *args, **kw: (
-        (centre, k, "class" if kind == "newton" else kind)
-        for centre, k, kind in real(*args, **kw))
-
-
 class TestScanParity:
-    """`conic_scan` skips fibers by the real sieve, the disc sieve and
-    the x -> -x symmetry, and decides a split quartic from its factor
-    values; its first hit must be the one of the plain double loop."""
+    """`conic_scan` skips fibers by the x -> -x symmetry and decides a
+    split quartic from its factor values; its first hit must be the one
+    of the plain double loop."""
 
     ALPHAS = (-1, -2, -3, -5, -6, -7, -15, -17, 1, 2, 3, 5, 7, 17, 697)
 
@@ -720,15 +727,9 @@ class TestScanParity:
             cases.append((kind, coeffs, alpha, odd, H))
         return cases
 
-    def test_first_hit_matches_reference(self, monkeypatch):
-        decided = []
-        real_decide = pure.conic_decide
-        monkeypatch.setattr(pure, "conic_decide",
-                            lambda *a, **k: decided.append(a)
-                            or real_decide(*a, **k))
-        seen = {"none": 0, "boundary-zero": 0, "skipped-whole": 0}
+    def test_first_hit_matches_reference(self):
+        seen = {"none": 0, "boundary-zero": 0}
         for kind, coeffs, alpha, odd, H in self._random_cases():
-            decided.clear()
             hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
             want = _reference_scan(coeffs, alpha, odd, H)
             assert hit == want, (coeffs, alpha, H)
@@ -738,61 +739,41 @@ class TestScanParity:
                     sum(c * want[0]**k * want[1]**(4 - k)
                         for k, c in enumerate(coeffs)) == 0:
                 seen["boundary-zero"] += 1
-            if kind == "negative-definite" and alpha < 0:
-                # only x = infinity is decided
-                assert len(decided) <= 1
-                seen["skipped-whole"] += 1
         assert min(seen.values()) >= 20, seen
 
-    def _all_cases(self):
-        return [case[1:] for case in self._random_cases()] + \
-            self._shared_cases()
+    def test_no_real_point_is_not_scanned(self, monkeypatch):
+        # with alpha < 0 a negative definite P~ leaves no fiber a real
+        # point, and the search returns before the scan
+        surfaces = [_user_surface(coeffs, alpha)
+                    for kind, coeffs, alpha, _, _ in self._random_cases()
+                    if kind == "negative-definite" and alpha < 0]
+        assert len(surfaces) >= 20
+        for S in surfaces:
+            assert REAL in _search_without_scan(monkeypatch, S, 300)
 
-    def test_disc_sieve_skips_only_rejected_fibers(self):
-        # every fiber a disc table skips has symbol -1 at its prime, so
-        # the unsieved decision rejects it; the first hits are checked
-        # against the plain loop above and below
-        seen = {"no 2-table": 0, "2 | alpha": 0, "at infinity": 0}
-        for coeffs, alpha, odd, H in self._all_cases():
-            skips = list(_sieve_skips(coeffs, alpha, odd, H))
-            for m, n, p in skips:
-                assert not _unproven_skip(coeffs, alpha, odd, m, n, p), (
-                    coeffs, alpha, (m, n), p)
-            if alpha % 8 == 1 and H:
-                assert all(p != 2 for _, _, p in skips)
-                seen["no 2-table"] += 1
-            seen["2 | alpha"] += alpha % 2 == 0 and \
-                any(p == 2 for _, _, p in skips)
-            seen["at infinity"] += any(n % p == 0 for _, n, p in skips)
-        assert min(seen.values()) >= 20, seen
-
-    @pytest.mark.parametrize("module, name, broken", [
-        # the constancy rule loosened by one: v <= k at odd p ...
-        (quartic_mod, "_unit_square_depth",
-         lambda real: lambda p: 3 if p == 2 else 0),
-        # ... and v <= k - 2 at 2
-        (quartic_mod, "_unit_square_depth",
-         lambda real: lambda p: 2 if p == 2 else 1),
-        (pure, "residue_discs", _newton_as_class),
-    ], ids=["odd-p-by-one", "two-by-one", "newton-decided"])
-    def test_broken_discs_are_caught(self, monkeypatch, module, name,
-                                     broken):
-        monkeypatch.setattr(module, name, broken(getattr(module, name)))
-        assert any(_unproven_skip(coeffs, alpha, odd, m, n, p)
-                   for coeffs, alpha, odd, H in self._all_cases()
-                   for m, n, p in _sieve_skips(coeffs, alpha, odd, H))
-
-    def test_closing_an_open_walk_is_caught(self, monkeypatch):
-        # a walk is closed only when each of its discs is a class disc of
-        # symbol -1; with every walk that has a table taken as closed, a
-        # scan whose solvable fiber lies in a root, Newton, open or +1
-        # disc there returns None
-        real = pure._disc_sieves
-        monkeypatch.setattr(pure, "_disc_sieves", lambda *a: [
-            sieve[:3] + (True,) + sieve[4:] for sieve in real(*a)])
-        assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
-                   != _reference_scan(coeffs, alpha, odd, H)
-                   for coeffs, alpha, odd, H in self._all_cases())
+    def test_local_table_hides_no_point(self):
+        # every tenth surface of a box of (x^2 + u x + v) k (x^2 + s x + t)
+        # with two irreducible factors: the search returns before the
+        # scan on those with no local point somewhere, and its first hit
+        # on every surface is the one of the plain double loop
+        box = [(alpha, _times((k,), _times((v, u, 1), (t, s, 1))))
+               for alpha, k, u, v, s, t in itertools.product(
+                   (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7), (1, -1, 2, -3),
+                   range(-1, 2), range(-3, 4), range(-2, 3), range(-3, 4))
+               if not _is_square(u * u - 4 * v)
+               and not _is_square(s * s - 4 * t)]
+        box = [(alpha, coeffs) for alpha, coeffs in box
+               if disc_from_coeffs(coeffs)][::10]
+        H, unsolvable = 4, 0
+        for alpha, coeffs in box:
+            S = _user_surface(coeffs, alpha)
+            res = rational_point_search(S, H)
+            alpha_sf, primes = square_class(alpha)
+            odd = tuple(p for p in primes if p != 2)
+            assert (res.x if res.found else None) == _reference_scan(
+                coeffs, alpha_sf, odd, H), (coeffs, alpha)
+            unsolvable += not S.local.all_solvable
+        assert len(box) == 1452 and unsolvable == 177
 
     SHARED_ALPHAS = (-1, -2, -3, -5, -6, -7, -15, 1, 2, 3, 5, 7, 15, 21)
 
@@ -1008,10 +989,25 @@ class TestReciprocity:
         assert rational_point_search(_user_surface(coeffs, alpha), H).x == hit
 
 
+def _search_without_scan(monkeypatch, S, H):
+    """The places where S has no local point, after checking that the
+    search at height H finds nothing with no scan and no decision."""
+    calls = []
+    real_scan, real_decide = surface_mod.conic_scan, pure.conic_decide
+    monkeypatch.setattr(surface_mod, "conic_scan",
+                        lambda *a: calls.append(a) or real_scan(*a))
+    monkeypatch.setattr(pure, "conic_decide",
+                        lambda *a: calls.append(a) or real_decide(*a))
+    assert rational_point_search(S, H) == (H, False, None, None,
+                                           f"none up to {H}")
+    assert calls == []
+    return [r.place for r in S.local.results if not r.solvable]
+
+
 class TestClosedWalk:
-    """A walk whose discs are all class discs of symbol -1 tiles P^1(Z_p)
-    with fibers that have no Q_p-point, so the scan returns None without
-    a row."""
+    """Surfaces whose walk at 3 is all class discs of symbol -1: those
+    discs tile P^1(Z_3), so no fiber has a Q_3-point.  `S.local` finds
+    none, and the search returns before the scan builds a row."""
 
     # each P~ is irreducible and has no Q_3-point on any fiber
     CASES = [(21, (21, 0, 2, 30, -15)), (6, (23, -2, 28, -7, -28)),
@@ -1019,18 +1015,9 @@ class TestClosedWalk:
 
     @pytest.mark.parametrize("alpha, coeffs", CASES)
     def test_no_row_is_built(self, monkeypatch, alpha, coeffs):
-        calls = []
-        for name in ("conic_decide", "_unsieved"):
-            real = getattr(pure, name)
-            monkeypatch.setattr(pure, name, lambda *a, real=real, name=name:
-                                calls.append(name) or real(*a))
-        odd = tuple(p for p in square_class(alpha)[1] if p != 2)
-        quartic = BinaryQuartic(coeffs)
-        assert [sieve[0] for sieve in pure._disc_sieves(
-            quartic.integer_square_scaled, alpha, odd, 300)
-            if sieve[3]] == [3]
-        assert pure.conic_scan(quartic, alpha, odd, 300) is None
-        assert calls == []
+        S = _user_surface(coeffs, alpha)
+        assert _search_without_scan(monkeypatch, S, 300) == [
+            finite_place(3)]
 
     @pytest.mark.parametrize("alpha, coeffs", CASES)
     def test_first_hit_matches_reference(self, alpha, coeffs):
@@ -1075,33 +1062,6 @@ class TestFiberParts:
         parts = pure._fiber_parts(BinaryQuartic(coeffs))(5, 2)
         assert len(parts) == 2
         assert math.prod(parts) == evaluate_quartic(coeffs, 5, 2)
-
-
-class TestDiscWalkBudget:
-    """A walk behind the scan's disc tables costs no more than a row of
-    the scan: 2H + 1 discs."""
-
-    def test_prime_past_a_row_gets_no_walk(self, monkeypatch):
-        # the walk at 1000003 would cost 500 rows of this scan, whose hit
-        # is in its first row; only 2 is walked
-        walked = []
-        real = pure.residue_discs
-        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth, **k: (
-            walked.append(p) or real(f, p, depth, **k)))
-        hit = pure.conic_scan(BinaryQuartic((7, 1, 0, 2, 3)), 1000003,
-                              (1000003,), 1000)
-        assert hit == (-990, 1)
-        assert walked == [2]
-
-    def test_walk_past_a_row_is_dropped(self):
-        # 41 divides every value, so every disc at 41 splits once: 1722
-        # discs, more than a row at height 30 and fewer than at 1000; 2
-        # has no table, since 41 = 1 mod 8 is a square in Q_2
-        coeffs = tuple(41 * c for c in (1, 1, 0, 0, 1))
-        assert len(list(residue_discs(coeffs, 41, 2))) == 1722
-        assert pure._disc_sieves(coeffs, 41, (41,), 30) == []
-        assert [sieve[0] for sieve in pure._disc_sieves(
-            coeffs, 41, (41,), 1000)] == [41]
 
 
 # primes near 2^40
@@ -1173,21 +1133,6 @@ class TestSearchPast64Bits:
                     == _sympy_solvable(alpha, parts), (m, n)
         assert shared == 74
 
-    def test_large_checked_primes_get_no_table(self, monkeypatch):
-        # height 30 visits 1 + 30 * 61 = 1831 pairs, so the walk at 2 goes
-        # to depth 10 and at 5 to 4; the primes that the parts share get
-        # no walk and no table; the hit is the one found above
-        quartic = self._surface(3, 11, 5).Ptilde
-        coeffs = quartic.integer_square_scaled
-        walked = []
-        real = pure.residue_discs
-        monkeypatch.setattr(pure, "residue_discs", lambda f, p, depth, **k: (
-            walked.append((p, depth)) or real(f, p, depth, **k)))
-        assert pure.conic_scan(quartic, 5, (5,), 30) == (-30, 1)
-        assert walked == [(2, 10), (5, 4)]
-        assert [sieve[0] for sieve in
-                pure._disc_sieves(coeffs, 5, (5,), 30)] == [2, 5]
-
 
 class TestIntegerModel:
     def test_computed_once_per_surface(self, monkeypatch):
@@ -1207,12 +1152,12 @@ class TestIntegerModel:
 
     def test_real_roots_isolated_once_per_surface(self, monkeypatch):
         # the local decision at oo and the reciprocity bit there read one
-        # cached `real_pieces`, and the search needs no real sieve
+        # cached `real_pieces`
         calls = []
         real = quartic_mod.sign_points
-        for module in (quartic_mod, surface_mod, pure):
+        for module in (quartic_mod, surface_mod):
             monkeypatch.setattr(module, "sign_points", lambda *a: (
-                calls.append(a) or real(*a)), raising=False)
+                calls.append(a) or real(*a)))
         T = iskovskikh()
         assert T.local.all_solvable
         assert not rational_point_search(T, 1000).found
