@@ -8,13 +8,10 @@ rational arguments are first moved to an integer of the same square class.
 y^2 - alpha z^2 = r, with r given as a product of parts: on every call
 it evaluates that formula on r at 2 and at the primes of alpha, and at
 the primes that two parts share, which it finds by a gcd.  Each part's
-other primes can only reject where alpha is inert and their exponent
-odd: those below 2000 are read by gcds with the product of the inert
-ones, and what is left past them costs one Legendre symbol, or the
-package's one factoring routine `chatelet.numbers.prime_factors` for a
-cofactor past 2003^2, which stops at the first prime that rejects.
-It returns None for an unsolvable conic and the square class of r for
-a solvable one, so the cofactors' primes are read once.
+other primes are read through the package's one factoring routine,
+`chatelet.numbers.prime_factors`, which stops at the first prime that
+rejects.  It returns None for an unsolvable conic and the square class
+of r for a solvable one, so the parts' primes are read once.
 This module does no factoring of its own.  The fiber scan of
 `chatelet._kernel.pure` and `conic_solvable_global` both call it.  A
 rational point of a solvable conic is found exactly by Legendre's
@@ -25,15 +22,11 @@ closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from chatelet.numbers import (
-    PRIME_COFACTOR_BOUND,
-    TRIAL_PRIMES,
-    TRIAL_PRIMORIAL,
     OutOfCertifiedRangeError,
     Rational,
     factorize,
@@ -297,18 +290,13 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
     Every other prime q of a part is odd, prime to alpha and divides
     that part alone, so the symbol there is (alpha/q)^{v_q(part)}, and
     only an inert q, (alpha/q) = -1, of odd exponent rejects.  With 2
-    and the checked primes divided out, a part is read by gcds: one with
-    the product of the inert primes below 2000 (`_inert_product`) and
-    its repeats give the inert primes of each exponent, and
-    `chatelet.numbers.strip_primes` removes every prime below 2000.  A
-    cofactor below 2003^2 is then 1 or prime, one Legendre symbol; a
-    larger one goes through `chatelet.numbers.prime_factors`, which
-    stops at the first prime that rejects.  A part whose primes cannot
-    all be certified is passed over until the other parts are read, and
-    raises only if none of them rejects.  The square class of a
-    solvable conic is the cofactors' primes of odd exponent, those of
-    the parts' primes below 2000, and 2, alpha's primes and the shared
-    primes of odd valuation on r.
+    and the checked primes divided out by `chatelet.numbers.strip_primes`,
+    a part is read through `chatelet.numbers.prime_factors`, which stops
+    at the first prime that rejects.  A part whose primes cannot all be
+    certified is passed over until the other parts are read, and raises
+    only if none of them rejects.  The square class of a solvable conic
+    is the parts' other primes of odd exponent, and 2, alpha's primes
+    and the shared primes of odd valuation on r.
     """
     r = math.prod(parts)
     if alpha < 0 and r < 0:
@@ -327,29 +315,11 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
                 if _hilbert_int(alpha, r, q) != 1:
                     return None
                 checked += (q,)
-    inert, known = _inert_product(alpha), math.prod(checked)
-    odd, smooth = [], []
-    uncertified = None
+    known = 2 * math.prod(checked)
+    odd, uncertified = [], None
     for part in parts:
-        m = strip_primes(abs(part), known)[1]
-        g, k, rest = math.gcd(m, inert), 1, m
-        while g > 1:
-            # g: the inert primes of exponent >= k in the part
-            rest //= g
-            h = math.gcd(rest, g)
-            if k % 2 and h != g:
-                return None
-            g, k = h, k + 1
-        c = strip_primes(m, TRIAL_PRIMORIAL)[1]
-        smooth.append(m // c)
-        if c < PRIME_COFACTOR_BOUND:
-            if c > 1:
-                if legendre(alpha, c) == -1:
-                    return None
-                odd.append(c)
-            continue
         try:
-            for q, e in prime_factors(c):
+            for q, e in prime_factors(strip_primes(abs(part), known)[1]):
                 if e % 2:
                     if legendre(alpha, q) == -1:
                         return None
@@ -358,19 +328,10 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
             uncertified = err
     if uncertified is not None:
         raise uncertified
-    known_primes = (2, *checked)
-    odd += [q for s in smooth if s > 1 for q, e in prime_factors(s)
-            if e % 2 and q not in known_primes]
-    odd += [p for p in known_primes if split_valuation(r, p)[0] % 2]
+    odd += [p for p in (2, *checked) if split_valuation(r, p)[0] % 2]
     odd.sort()
     R = math.prod(odd)
     return (R if r > 0 else -R), tuple(odd)
-
-
-@functools.cache
-def _inert_product(alpha: int) -> int:
-    """The product of the odd primes q < 2000 with (alpha/q) = -1."""
-    return math.prod(q for q in TRIAL_PRIMES[1:] if legendre(alpha, q) == -1)
 
 
 def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],

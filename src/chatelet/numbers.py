@@ -52,7 +52,6 @@ def _wheel_from(bound: int) -> tuple[int, int]:
 # Where the wheel resumes past the gcd stage (2003, the least prime past
 # 2000): a cofactor below its square with no prime below 2000 is prime.
 _WHEEL_START, _WHEEL_START_STEP = _wheel_from(_SMALL_TRIAL_BOUND)
-PRIME_COFACTOR_BOUND = _WHEEL_START**2
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -69,8 +68,8 @@ def _primes_below(n: int) -> list[int]:
 
 # The primes below 2000 and their product, a 2,799-bit integer: one gcd
 # with it is the product of the distinct ones dividing n.
-TRIAL_PRIMES = tuple(_primes_below(_SMALL_TRIAL_BOUND))
-TRIAL_PRIMORIAL = math.prod(TRIAL_PRIMES)
+_TRIAL_PRIMES = tuple(_primes_below(_SMALL_TRIAL_BOUND))
+_TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 
 def strip_primes(n: int, product: int) -> tuple[int, int]:
@@ -199,8 +198,8 @@ def _trial_division(n: int) -> Generator[tuple[int, int], None, int]:
     with no prime factor below 10**6 -- exactly the inputs that full
     trial division to 10**6 leaves uncertifiable.
     """
-    g, rest = strip_primes(n, TRIAL_PRIMORIAL)
-    for p in TRIAL_PRIMES:
+    g, rest = strip_primes(n, _TRIAL_PRIMORIAL)
+    for p in _TRIAL_PRIMES:
         if p * p > g:
             break
         if g % p == 0:

@@ -250,7 +250,8 @@ def _unit_intervals(g: list[int]) -> list[tuple[Fraction, Fraction]]:
 
 
 def _root_intervals(f: list[int], eps) -> list[tuple[Fraction, Fraction]]:
-    """`real_root_intervals` of the squarefree primitive f."""
+    """`real_root_intervals` of the squarefree primitive f, each interval
+    refined to width at most eps unless eps is None."""
     n = len(f) - 1
     if n == 0:
         return []
@@ -289,15 +290,14 @@ def _root_intervals(f: list[int], eps) -> list[tuple[Fraction, Fraction]]:
     return refined
 
 
-def real_root_intervals(coeffs, eps=None) -> list[tuple[Fraction, Fraction]]:
+def real_root_intervals(coeffs) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the real roots of P(x) = sum c_i x^i, of
     any degree, by Descartes' rule of signs with bisection on its
     squarefree part: closed intervals [lo, hi] with rational
     ends, in increasing order and pairwise disjoint except that
     neighbours may share an end, each holding exactly one root and
-    together all of them.  A rational root may come as [r, r].  With
-    eps, each interval is refined to width at most eps."""
-    return _root_intervals(_squarefree(coeffs), eps)
+    together all of them.  A rational root may come as [r, r]."""
+    return _root_intervals(_squarefree(coeffs), None)
 
 
 def rational_roots(coeffs) -> list[Fraction]:

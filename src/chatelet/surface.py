@@ -171,7 +171,9 @@ class ChateletSurface(namedtuple("ChateletSurface",
         fiber with a point has (alpha, r)_v = +1 everywhere, so by
         Hilbert reciprocity for (alpha, P) the product of (alpha, P)_v
         over T is +1.  The bit at v is the one value of (alpha, P)_v on
-        the fibers with a Q_v-point (`_place_bit`).  When the bits
+        the fibers with a Q_v-point (`_place_bit`), read on the discs
+        where f_1 or f_2 has one square class, whatever the valuation of
+        k (`_split_bit`).  When the bits
         multiply to -1, no fiber has a point, and none is a zero of P~,
         which has no rational root: the surface has no rational point,
         by the Brauer-Manin obstruction of the class (alpha, f_1).  The
@@ -502,10 +504,13 @@ def _split_bit(alpha: int, split, centre, k: int, place: Place) -> int:
     whose symbol (alpha, P~)_p is +1, or 0 when the rule below does not
     give it.
 
-    When v_p(k f_1(centre)) < k (<= k - 3 at 2), k f_1 has the square
-    class of its centre on the disc, by the rule of `residue_discs`'
-    class discs; this holds on every class disc of P~, since
-    v_p(k f_1) <= v_p(P~).  Otherwise, when f_2 has it,
+    A form f of content c changes by a multiple of p^k c on the disc, so
+    when v_p(f(centre)) - v_p(c) < k (<= k - 3 at 2), f has the square
+    class of its centre there, by the rule of `residue_discs`' class
+    discs.  For k f_1 that difference is v_p(f_1(centre)), so the
+    constant factor never decides whether its class is constant, and
+    the rule holds on every class disc of P~, since
+    v_p(f_1) <= v_p(P~).  Otherwise, when f_2 has it,
     (alpha, k f_1)_p = (alpha, P~)_p (alpha, f_2)_p is
     (alpha, f_2(centre))_p at those fibers.  So a Newton disc or an open
     one gets a bit when it is about a root of one factor, away from the
@@ -514,7 +519,8 @@ def _split_bit(alpha: int, split, centre, k: int, place: Place) -> int:
     p, low = place.p, _unit_square_depth(place.p)
     for f in split:
         value = evaluate_form(f, *centre)
-        if value and split_valuation(value, p)[0] <= k - low:
+        if value and (split_valuation(value, p)[0]
+                      - split_valuation(math.gcd(*f), p)[0] <= k - low):
             return hilbert_symbol(alpha, value, place)
     return 0
 

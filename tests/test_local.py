@@ -458,19 +458,19 @@ class TestConicDecideOracle:
         assert min(outcomes.count(None),
                    outcomes.count("uncertified")) >= 20
 
-    def test_inert_product_without_3_is_caught(self, monkeypatch):
+    def test_prime_factors_without_3_is_caught(self, monkeypatch):
         # By reciprocity a conic fails at an even number of places, so
         # missing one place alone never turns a decision.  Where the
         # other failing place is U, past the certified range, 3 is the
-        # one rejection read: without it in the inert product, the
-        # decision raises instead
+        # one rejection read: with 3 dropped from what `prime_factors`
+        # yields, the decision raises instead
         cases = [(alpha, [3**e * k, self.U * s]) for alpha in self.ALPHAS
                  if alpha % 3 == 2 for e in (1, 3) for k in (1, -1, 2, 5, 7)
                  for s in (1, -1, 2)]
         outcomes = [self._outcome(alpha, parts) for alpha, parts in cases]
-        real = local_mod._inert_product
-        monkeypatch.setattr(local_mod, "_inert_product", lambda alpha: (
-            real(alpha) // 3 if real(alpha) % 3 == 0 else real(alpha)))
+        real = local_mod.prime_factors
+        monkeypatch.setattr(local_mod, "prime_factors", lambda n: (
+            (q, e) for q, e in real(n) if q != 3))
         assert any(self._outcome(alpha, parts) != want
                    for (alpha, parts), want in zip(cases, outcomes))
 

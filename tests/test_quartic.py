@@ -548,13 +548,19 @@ def _check_isolation(coeffs, intervals, eps=None):
         assert hi <= lo, coeffs
 
 
+def _refined(coeffs, eps):
+    """The intervals refined to width at most eps, as `rational_roots`
+    refines them."""
+    return quartic._root_intervals(quartic._squarefree(coeffs), eps)
+
+
 class TestRealRootIntervals:
     def test_against_sympy(self):
         rng = random.Random(16)
         for i, f in enumerate(_random_polys(rng, 300)):
             _check_isolation(f, real_root_intervals(f))
             eps = Fraction(1, 10**6) if i % 2 else Fraction(1, 7)
-            _check_isolation(f, real_root_intervals(f, eps), eps)
+            _check_isolation(f, _refined(f, eps), eps)
 
     def test_fractions_and_low_degree(self):
         # Fraction coefficients, a zero root, leading zeros, constants
@@ -571,7 +577,7 @@ class TestRealRootIntervals:
         eps = Fraction(1, (H + 1) ** 2)
         for f in _close_roots(H):
             _check_isolation(f, real_root_intervals(f))
-            _check_isolation(f, real_root_intervals(f, eps), eps)
+            _check_isolation(f, _refined(f, eps), eps)
 
     def test_rational_root_may_be_a_point(self):
         # roots met as midpoints of the bisection, and the root 0

@@ -966,6 +966,17 @@ class TestReciprocity:
         assert seen["holds"] >= 30 and seen["holds, oo bit -1"] >= 9 \
             and seen["odd prime of Res outside 2 alpha"] >= 100, seen
 
+    def test_constant_k_keeps_a_class_disc(self, monkeypatch):
+        # -3 (x^2 - 2x - 2)(x^2 + x + 3), alpha = -3: k f_1 has the square
+        # class of its centre on a disc where v_3(f_1) is small enough,
+        # whatever v_3(k), so the bit at 3 is -1 and the rule holds
+        coeffs, alpha = (18, 24, 3, 3, -3), -3
+        S = _user_surface(coeffs, alpha)
+        assert S.brauer == {REAL: 1, finite_place(2): 1,
+                            finite_place(3): -1, finite_place(37): 1}
+        assert _search_without_scan(monkeypatch, S, 300) == []
+        assert _reference_scan(coeffs, alpha, (3,), 20) is None
+
     @pytest.mark.parametrize("coeffs, alpha, H, depth, hit", [
         # -(x^2 + 6)(x^2 + 7x + 11), alpha = -6: the bits at 2 and 3 are
         # +1 and -1, so the rule needs the -1 at oo, where -(x^2 + 6) < 0
