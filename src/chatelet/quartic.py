@@ -21,12 +21,12 @@ the squarefree part, in exact integer arithmetic.  `rational_roots`
 reads the rational roots off its intervals; `rational_factors` and
 the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
 walk over its intervals: one rational point on each piece of the real
-line where P has one sign.  The real-place sweep of `chatelet.surface`
-certifies one of these points and the reciprocity bit at oo reads their
-signs.  `residue_discs` is the one p-adic walk: residue discs that tile
-P^1(Z_p), each of constant square class, centred at a root, holding one
-by Newton's criterion, or left open at a given depth.  The p-adic sweep
-and the reciprocity bits of `chatelet.surface` read it.
+line where P has one sign.  `residue_discs` is the one p-adic walk:
+residue discs that tile P^1(Z_p), each of one square class
+(`one_square_class`), centred at a root, holding one by Newton's
+criterion, or left open at a given depth.  These points and discs are
+the one tiling of each place that `chatelet.surface` walks, for its
+local table and its reciprocity bits alike.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from chatelet.numbers import (
 )
 
 __all__ = ["BinaryQuartic", "evaluate_form", "evaluate_quartic",
-           "form_resultant", "quartic_disc",
+           "form_resultant", "one_square_class", "quartic_disc",
            "quartic_irreducible", "rational_factors", "rational_roots",
            "real_root_intervals", "residue_discs", "sign_points"]
 
@@ -361,11 +361,9 @@ def residue_discs(coeffs, p: int, depth: int):
     x0 = 0..p-1, or the disc at infinity (1, w) with w = n mod p^k, from
     the centre (1, 0) with w = 0 mod p.  Its kind is
     * "root": P~(centre) = 0;
-    * "class": P~ has one square class on the disc, that of P~(centre).
-      This holds when e = v_p(P~(centre)) < k at odd p and e <= k - 3 at
-      p = 2: every value on the disc is P~(centre) + p^k t with t in
-      Z_p, that is P~(centre)(1 + p^(k-e) t'), and 1 + p^j t' is a square
-      in Z_p once j >= 1 at odd p and j >= 3 at 2 (Hensel);
+    * "class": P~ has one square class on the disc, that of P~(centre):
+      every value on the disc is P~(centre) + p^k t with t in Z_p, so
+      this holds when `one_square_class` holds for e = v_p(P~(centre));
     * "newton": Newton's criterion e > 2 v_p(P~'(centre)) holds in the
       disc's chart, so the disc holds a Q_p-root of P~;
     * "open": none of these by depth k = `depth`.
@@ -376,7 +374,6 @@ def residue_discs(coeffs, p: int, depth: int):
     """
     # the derivatives of P~(1, x) and P~(w, 1), for the Newton criterion
     df_x, df_w = _derivative(coeffs), _derivative(coeffs[::-1])
-    low = _unit_square_depth(p)
     # one iterator of sibling centres per depth, so memory stays
     # O(depth) however large p is
     stack = [(chain(zip(range(p), repeat(1)), [(1, 0)]), 1)]
@@ -392,7 +389,7 @@ def residue_discs(coeffs, p: int, depth: int):
             yield centre, k, "root"
             continue
         e = split_valuation(value, p)[0]
-        if e <= k - low:
+        if one_square_class(e, k, p):
             yield centre, k, "class"
             continue
         affine = n == 1
@@ -410,10 +407,17 @@ def residue_discs(coeffs, p: int, depth: int):
             stack.append((children, k + 1))
 
 
-def _unit_square_depth(p: int) -> int:
-    """The least j for which every 1 + p^j t, t in Z_p, is a square in
-    Z_p: 1 at odd p, 3 at p = 2."""
-    return 3 if p == 2 else 1
+def one_square_class(e: int, k: int, p: int) -> bool:
+    """Whether every u + p^k t, t in Z_p, has the square class of u, for
+    a nonzero p-adic u of valuation e: it does when e <= k - 1 at odd p
+    and e <= k - 3 at p = 2.  The rule of the class discs of
+    `residue_discs` and of the reciprocity bits of `chatelet.surface`.
+
+    Write u = p^e u0 with u0 a unit: u + p^k t = u (1 + p^j t') with
+    j = k - e and t' = t / u0 in Z_p, and by Hensel's lemma 1 + p^j t'
+    is a square in Z_p once j >= 1 at odd p and j >= 3 at 2.
+    """
+    return e <= k - (3 if p == 2 else 1)
 
 
 def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:

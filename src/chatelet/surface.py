@@ -45,11 +45,11 @@ from chatelet.numbers import (
 )
 from chatelet.quartic import (
     BinaryQuartic,
-    _unit_square_depth,
     disc_from_coeffs,
     evaluate_form,
     evaluate_quartic,
     form_resultant,
+    one_square_class,
     quartic_disc,
     residue_discs,
     sign_points,
@@ -123,7 +123,8 @@ class ChateletSurface(namedtuple("ChateletSurface",
     `real_pieces`, the `sign_points` of that model; `local`, its local
     table (`verify_local_everywhere`), which the obstruction and the
     search read; and `brauer`, the reciprocity bits of its quaternion
-    class, which the search reads.
+    class, which the search reads.  The table and the bits walk one
+    tiling of P^1(Q_v) at each place v, that of `_pieces`.
     """
 
     def __new__(cls, alpha: Rational, Ptilde: BinaryQuartic,
@@ -148,8 +149,8 @@ class ChateletSurface(namedtuple("ChateletSurface",
     @cached_property
     def real_pieces(self) -> list:
         """`sign_points` of the integer model: one point on each piece of
-        the real line where P has one sign, read at the real place by
-        `local` and by `brauer`."""
+        the real line where P has one sign, the tiling that `_pieces`
+        gives `local` and `brauer` at the real place."""
         return sign_points(self.Ptilde.integer_square_scaled)
 
     @cached_property
@@ -171,14 +172,15 @@ class ChateletSurface(namedtuple("ChateletSurface",
         fiber with a point has (alpha, r)_v = +1 everywhere, so by
         Hilbert reciprocity for (alpha, P) the product of (alpha, P)_v
         over T is +1.  The bit at v is the one value of (alpha, P)_v on
-        the fibers with a Q_v-point (`_place_bit`), read on the discs
-        where f_1 or f_2 has one square class, whatever the valuation of
-        k (`_split_bit`).  When the bits
-        multiply to -1, no fiber has a point, and none is a zero of P~,
-        which has no rational root: the surface has no rational point,
-        by the Brauer-Manin obstruction of the class (alpha, f_1).  The
-        first place without a bit ends the rule, and the resultant is
-        factored only when oo, 2 and the primes of alpha have bits.
+        the fibers with a Q_v-point (`_place_bit`), read on the pieces
+        of `_pieces` that the local table walks too: the real pieces,
+        and the discs where f_1 or f_2 has one square class
+        (`_split_bit`).  When the bits multiply to -1, no fiber has a
+        point, and none is a zero of P~, which has no rational root: the
+        surface has no rational point, by the Brauer-Manin obstruction
+        of the class (alpha, f_1).  The first place without a bit ends
+        the rule, and the resultant is factored only when oo, 2 and the
+        primes of alpha have bits.
         """
         self.require_smooth()
         k, forms = self.Ptilde.factors
@@ -353,44 +355,38 @@ def _walk_depth(S: ChateletSurface, p: int) -> int:
     return abs(base) + 3 + 64
 
 
-def _residue_sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
-    """Exact decision of V(Q_p) != 0 over the residue discs of
-    `residue_discs`: the first disc whose kind certifies a point.
+def _pieces(S: ChateletSurface, v: Place):
+    """The tiling of P^1(Q_v) that every reader of a place walks, as
+    (centre, k, kind).  At oo it is the points of `real_pieces` as
+    (centre, None, "class"), since P~ has one sign on each piece; at p
+    the discs of `residue_discs` to `_walk_depth`."""
+    if v.is_real:
+        return [((x.numerator, x.denominator), None, "class")
+                for _left, x, _right in S.real_pieces]
+    return residue_discs(S.Ptilde.integer_square_scaled, v.p,
+                         _walk_depth(S, v.p))
 
-    A disc of constant square class certifies when the Hilbert symbol of
-    its centre is +1; a root or a Newton disc holds a Q_p-root of P~, a
-    degenerate fiber with an obvious point.  The discs tile P^1(Z_p), so
-    when none certifies, V(Q_p) is empty.  The walk ends for smooth
-    surfaces; one still open at `_walk_depth` is an error.
+
+def _sweep(S: ChateletSurface, v: Place) -> Optional[CertifiedLocalX]:
+    """Exact decision of V(Q_v) != 0 over the tiling of `_pieces`: the
+    first piece whose kind certifies a point.
+
+    A class piece certifies when `_certify` accepts its centre; a root
+    or a Newton disc holds a Q_p-root of P~, a degenerate fiber with an
+    obvious point.  The pieces tile P^1(Q_v), so when none certifies,
+    V(Q_v) is empty.  The walk ends for smooth surfaces; one still open
+    at `_walk_depth` is an error.
     """
-    p = v.p
-    f = S.Ptilde.integer_square_scaled
-    for x, k, kind in residue_discs(f, p, _walk_depth(S, p)):
+    for x, k, kind in _pieces(S, v):
         if kind == "class":
             found = _certify(S, x, v)
             if found is not None:
                 return found
         elif kind == "open":
             raise ArithmeticError(
-                f"local decision at p={p} did not stabilize by depth {k}")
+                f"local decision at p={v.p} did not stabilize by depth {k}")
         else:
             return CertifiedLocalX(x, v, "degenerate")
-    return None
-
-
-def _real_sweep(S: ChateletSurface) -> Optional[CertifiedLocalX]:
-    """A real x with P~(x) > 0: the first point of `real_pieces`, the
-    `sign_points` of P(x) = P~(1, x), that `_certify` accepts.
-
-    P has simple roots on a smooth surface, so every region where it has
-    one sign holds one of these points, and none of them is a root: P is
-    positive somewhere iff it is positive at one of them.  Infinity, and
-    every alpha > 0, are settled by _SIX_POINTS before this runs.
-    """
-    for _left, x, _right in S.real_pieces:
-        found = _certify(S, (x.numerator, x.denominator), REAL)
-        if found is not None:
-            return found
     return None
 
 
@@ -405,21 +401,18 @@ def local_solvable_surface(
     always succeeds where alpha is a square in Q_v (alpha > 0 at
     infinity): there every nonzero value gives the symbol +1, and at
     most four of the six points are roots of P~.  It also succeeds at
-    the places of `_unit_value_places`.  Otherwise the real place runs
-    `_real_sweep` and a finite place `_residue_sweep`.
+    the places of `_unit_value_places`.  Otherwise it runs `_sweep`,
+    which raises at a prime past `_WALK_PRIME_BOUND`.
     """
     S.require_smooth()
     for x in _SIX_POINTS:
         found = _certify(S, x, v)
         if found is not None:
             return True, found
-    if v.is_real:
-        found = _real_sweep(S)
-    elif v.p > _WALK_PRIME_BOUND:
+    if not v.is_real and v.p > _WALK_PRIME_BOUND:
         raise ArithmeticError(
             f"place {v} too large for exact residue enumeration")
-    else:
-        found = _residue_sweep(S, v)
+    found = _sweep(S, v)
     return found is not None, found
 
 
@@ -467,60 +460,55 @@ def _place_bit(S: ChateletSurface, alpha: int, v: Place, split) -> int:
     """(alpha, k f_1)_v on every fiber with a Q_v-point, for
     ``split`` = (k f_1, f_2), or 0 when the rule gives no one value.
 
-    It is +1 where alpha is a square in Q_v.  At oo otherwise it is the
-    sign of k f_1 on the pieces of `real_pieces` where P~ > 0: k f_1
-    divides P~, so it has one sign on each piece.  At p otherwise it is
-    the `_split_bit` that every disc of the walk of `residue_discs` to
-    `_walk_depth` shares, less the class discs of symbol
-    (alpha, P~)_p = -1, which hold no fiber with a Q_p-point (+1 when no
-    disc is left).  The walk stops at the first disc without a bit or
-    with a second one, and a prime past `_WALK_PRIME_BOUND` gets none.
+    It is +1 where alpha is a square in Q_v.  Otherwise it is the
+    `_split_bit` that every piece of `_pieces` shares, less the class
+    pieces that `_certify` rejects, which hold no fiber with a
+    Q_v-point (+1 when no piece is left).  The walk stops at the first
+    piece without a bit or with a second one, and a prime past
+    `_WALK_PRIME_BOUND` gets none.
     """
     if is_local_square(alpha, v):
         return 1
-    coeffs = S.Ptilde.integer_square_scaled
-    if v.is_real:
-        signs = {evaluate_form(split[0], x, 1) > 0
-                 for _, x, _ in S.real_pieces
-                 if evaluate_quartic(coeffs, x, 1) > 0}
-        return 0 if len(signs) > 1 else -1 if False in signs else 1
-    p = v.p
-    if p > _WALK_PRIME_BOUND:
+    if not v.is_real and v.p > _WALK_PRIME_BOUND:
         return 0
     bit = None
-    for centre, k, kind in residue_discs(coeffs, p, _walk_depth(S, p)):
-        if kind == "class" and hilbert_symbol(
-                alpha, evaluate_quartic(coeffs, *centre), v) == -1:
+    for centre, k, kind in _pieces(S, v):
+        if kind == "class" and _certify(S, centre, v) is None:
             continue
-        disc_bit = _split_bit(alpha, split, centre, k, v)
-        if disc_bit == 0 or bit not in (None, disc_bit):
+        piece_bit = _split_bit(alpha, split, centre, k, v)
+        if piece_bit == 0 or bit not in (None, piece_bit):
             return 0
-        bit = disc_bit
+        bit = piece_bit
     return bit or 1
 
 
-def _split_bit(alpha: int, split, centre, k: int, place: Place) -> int:
-    """The symbol (alpha, k f_1)_p at every fiber of the disc (centre, k)
-    whose symbol (alpha, P~)_p is +1, or 0 when the rule below does not
-    give it.
+def _split_bit(alpha: int, split, centre, k: Optional[int],
+               place: Place) -> int:
+    """The symbol (alpha, k f_1)_v at every fiber of the piece
+    (centre, k) of `_pieces` whose symbol (alpha, P~)_v is +1, or 0 when
+    the rule below does not give it.
 
-    A form f of content c changes by a multiple of p^k c on the disc, so
-    when v_p(f(centre)) - v_p(c) < k (<= k - 3 at 2), f has the square
-    class of its centre there, by the rule of `residue_discs`' class
-    discs.  For k f_1 that difference is v_p(f_1(centre)), so the
-    constant factor never decides whether its class is constant, and
-    the rule holds on every class disc of P~, since
-    v_p(f_1) <= v_p(P~).  Otherwise, when f_2 has it,
+    On a real piece it is the symbol at the centre: k f_1 divides P~,
+    so it has one sign there.  A form f of content c changes by a
+    multiple of p^k c on the disc (centre, k), so f has the square class
+    of its centre there when `one_square_class` holds for
+    v_p(f(centre)) - v_p(c).  For k f_1 that difference is
+    v_p(f_1(centre)), so the constant factor never decides whether its
+    class is constant, and the rule holds on every class disc of P~,
+    since v_p(f_1) <= v_p(P~).  Otherwise, when f_2 has it,
     (alpha, k f_1)_p = (alpha, P~)_p (alpha, f_2)_p is
     (alpha, f_2(centre))_p at those fibers.  So a Newton disc or an open
     one gets a bit when it is about a root of one factor, away from the
     roots of the other.
     """
-    p, low = place.p, _unit_square_depth(place.p)
+    if place.is_real:
+        return hilbert_symbol(alpha, evaluate_form(split[0], *centre), place)
+    p = place.p
     for f in split:
         value = evaluate_form(f, *centre)
-        if value and (split_valuation(value, p)[0]
-                      - split_valuation(math.gcd(*f), p)[0] <= k - low):
+        if value and one_square_class(
+                split_valuation(value, p)[0]
+                - split_valuation(math.gcd(*f), p)[0], k, p):
             return hilbert_symbol(alpha, value, place)
     return 0
 

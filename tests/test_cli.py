@@ -44,6 +44,12 @@ GOLDEN_STDIN = {
         '{"alpha":"-3","P":["0","1","0","0","1/2"]}',
     "surface_real_gap_height20":
         '{"alpha":"-2","P":["-1","-7","17","-7","-5"]}',
+    "surface_class_disc_height20":
+        '{"alpha":"-1","P":["-17","-28","5","-24","12"]}',
+    "surface_degenerate_disc_height20":
+        '{"alpha":"-1","P":["-26","-22","9","9","-2"]}',
+    "surface_unsolvable_at3_height20":
+        '{"alpha":"21","P":["21","0","2","30","-15"]}',
 }
 
 
@@ -514,6 +520,14 @@ class TestGolden:
         # every fiber up to 2000 ruled out by the reciprocity rule
         ("counterexample_height2000",
          ["counterexample", "--height", "2000"]),
+        # the six points fail at 2, so the p-adic sweep finds the
+        # witness: a class disc at (5 : 1), a degenerate disc at (1 : 1);
+        # and no disc at 3 holds a point
+        ("surface_class_disc_height20", ["surface", "-", "--height", "20"]),
+        ("surface_degenerate_disc_height20",
+         ["surface", "-", "--height", "20"]),
+        ("surface_unsolvable_at3_height20",
+         ["surface", "-", "--height", "20"]),
     ])
     def test_report(self, tmp_path, monkeypatch, name, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO(

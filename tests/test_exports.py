@@ -92,3 +92,17 @@ def test_every_private_name_is_read():
               if name.startswith("_") and not name.startswith("__")
               and name not in read]
     assert unread == []
+
+
+def test_no_private_import_across_modules():
+    # a private name is its module's own: another module that needs it
+    # needs a documented public one
+    imported = [(path, node.module, alias.name)
+                for path, tree in TREES.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "chatelet"
+                for alias in node.names
+                if alias.name.startswith("_")
+                and not alias.name.startswith("__")]
+    assert imported == []

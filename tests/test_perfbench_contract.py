@@ -108,6 +108,8 @@ def test_golden_passes_benchmark_check(check, checker, golden):
     "surface_alpha17_height20",
     "surface_alpha_minus3_height20",
     "surface_real_gap_height20",
+    "surface_class_disc_height20",
+    "surface_degenerate_disc_height20",
 ])
 def test_golden_local_table_passes_benchmark_check(check, golden):
     # every row of the local table is recomputed with sympy, so a golden

@@ -214,12 +214,11 @@ class TestLocalSolvability:
 
     def test_six_points_suffice(self, monkeypatch):
         # where alpha is a square in Q_v, and at a unit-value place, the
-        # six fixed points decide: neither sweep may run
+        # six fixed points decide: the sweep may not run
         def no_sweep(*args):
             raise AssertionError("sweep ran")
 
-        monkeypatch.setattr("chatelet.surface._residue_sweep", no_sweep)
-        monkeypatch.setattr("chatelet.surface._real_sweep", no_sweep)
+        monkeypatch.setattr("chatelet.surface._sweep", no_sweep)
         places = [REAL] + [finite_place(p) for p in (2, 3, 5, 7, 17)]
         # squares at oo (2, 7, 17, 11), 2 (17, -15, -7), 3 (-2, 7),
         # 5 (-1, 11), 7 (2, 11, -3) and 17 (-1, 2, -2, -15)
@@ -388,17 +387,17 @@ class TestResidueDiscs:
         unsolvable = 0
         for S, v in cases:
             want = _reference_sweep(S, v)
-            assert surface_mod._residue_sweep(S, v) == want, (S, v)
+            assert surface_mod._sweep(S, v) == want, (S, v)
             unsolvable += want is None
         assert len(cases) > 100 and unsolvable
 
     @pytest.mark.parametrize("module, name, broken", [
         # the constancy rule loosened by one: v <= k at odd p ...
-        (quartic_mod, "_unit_square_depth",
-         lambda real: lambda p: 3 if p == 2 else 0),
+        (quartic_mod, "one_square_class",
+         lambda real: lambda e, k, p: real(e, k + (p != 2), p)),
         # ... and v <= k - 2 at 2
-        (quartic_mod, "_unit_square_depth",
-         lambda real: lambda p: 2 if p == 2 else 1),
+        (quartic_mod, "one_square_class",
+         lambda real: lambda e, k, p: real(e, k + (p == 2), p)),
         (surface_mod, "residue_discs", _newton_as_class),
     ], ids=["odd-p-by-one", "two-by-one", "newton-decided"])
     def test_broken_discs_are_caught(self, monkeypatch, module, name,
@@ -407,7 +406,7 @@ class TestResidueDiscs:
         # broken walk gives another certificate on some case
         cases = [(S, v, _reference_sweep(S, v)) for S, v in _sweep_cases()]
         monkeypatch.setattr(module, name, broken(getattr(module, name)))
-        assert any(surface_mod._residue_sweep(S, v) != want
+        assert any(surface_mod._sweep(S, v) != want
                    for S, v, want in cases)
 
 
@@ -464,7 +463,7 @@ class TestRealWalk:
             ok, _ = local_solvable_surface(S, REAL)
             assert ok == expected, coeffs
             # the walk alone is complete, without the six points
-            assert (surface_mod._real_sweep(S) is not None) == expected, \
+            assert (surface_mod._sweep(S, REAL) is not None) == expected, \
                 coeffs
             solvable += expected
             sturm = [[Fraction(int(c.p), int(c.q))
