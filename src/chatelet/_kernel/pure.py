@@ -6,10 +6,10 @@ binary quartic at each point and decides the fiber conic with
 decision.  Everything here is exact integer arithmetic.
 
 The scan reads the quartic's one split over Q,
-:attr:`chatelet.quartic.BinaryQuartic.factors`: its integer model is
-k * f_1 * ... * f_s, and each fiber is decided from the parts
-k * f_1(m, n), f_2(m, n), ... rather than from their product, with the
-odd primes of alpha.  `conic_decide` finds the primes that two parts
+:attr:`chatelet.quartic.BinaryQuartic.factors`, the parts k f_1, f_2,
+..., f_s of its integer model, and decides each fiber from their values
+rather than from their product, with the odd primes of alpha.
+`conic_decide` finds the primes that two parts
 share by a gcd and checks them on the product, so every split is
 decided the same way.  An irreducible quartic is one part, its value by
 :func:`chatelet.quartic.evaluate_quartic`.
@@ -58,11 +58,9 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
 
 
 def _fiber_parts(quartic: BinaryQuartic):
-    """The function of (m, n) that gives the parts k * f_1(m, n),
-    f_2(m, n), ... of the value of the quartic's integer model."""
-    k, forms = quartic.factors
-    evaluators = [_evaluator(tuple(k * c for c in forms[0]))]
-    evaluators += [_evaluator(f) for f in forms[1:]]
+    """The function of (m, n) that gives the values of the parts
+    k f_1, f_2, ... of `BinaryQuartic.factors`, read as they are."""
+    evaluators = [_evaluator(f) for f in quartic.factors]
     return lambda m, n: [e(m, n) for e in evaluators]
 
 

@@ -165,7 +165,7 @@ def cmd_counterexample(args) -> int:
     report["stages"] = stages
     try:
         params = surface_mod.find_params(args.bound)
-    except (surface_mod.ParamSearchError, ValueError) as e:
+    except ValueError as e:
         return _stop(report, "find_params", e, args)
     stages["params"] = {"a": params.a, "b": params.b, "c": params.c}
     S = surface_mod.build_surface(params)
@@ -195,7 +195,7 @@ def cmd_bundle(args) -> int:
         params = surface_mod.find_params(args.bound)
         S = surface_mod.build_surface(params)
         B = bundle_mod.make_bundle(S)
-    except (surface_mod.ParamSearchError, ValueError) as e:
+    except ValueError as e:
         return _stop(report, "build", e, args)
     stages["bundle"] = bundle_mod.bundle_to_json(B)
     F = B.bad

@@ -87,7 +87,8 @@ def strip_primes(n: int, product: int) -> tuple[int, int]:
 
 
 class OutOfCertifiedRangeError(ValueError):
-    """Primality was requested beyond the deterministically certified range."""
+    """Primality was requested beyond the deterministically certified
+    range, or a residue walk at a prime past its bound (`chatelet.surface`)."""
 
 
 def _miller_rabin(n: int, bases) -> bool:

@@ -9,12 +9,12 @@ its value: the form's methods call it on Fractions and the fiber scan of
 `chatelet._kernel.pure` calls it on the integer model.  `evaluate_form`
 is the same Horner rule for binary forms of any degree, and at w = 1
 for polynomials in one variable.
-`rational_factors` splits the integer model into primitive irreducible
-forms over Q, once per form as `BinaryQuartic.factors`; that one split
-is what `quartic_irreducible` counts, what the fiber scan decides each
-fiber from and what the surface's Brauer class is read from;
-`form_resultant` bounds the primes that two factors share, for the
-surface's reciprocity bits (`chatelet.surface.ChateletSurface.brauer`).
+`rational_factors` splits the integer model into k f_1 f_2 ... over Q,
+with primitive irreducible f_i; `BinaryQuartic.factors` folds k into
+f_1, once per form.  Its parts are what `quartic_irreducible` counts,
+what the fiber scan decides each fiber from, and what the reciprocity
+bits and sampled invariants of the class (alpha, k f_1) read;
+`form_resultant` bounds the primes that two parts share, for the bits.
 `real_root_intervals` is the one real-root isolation, for univariate
 polynomials of any degree: Descartes' rule of signs with bisection on
 the squarefree part, in exact integer arithmetic.  `rational_roots`
@@ -93,12 +93,13 @@ class BinaryQuartic(namedtuple("BinaryQuartic", "coeffs")):
         return tuple(c // (s * s) for c in ints)
 
     @cached_property
-    def factors(self) -> tuple[int, list[tuple[int, ...]]]:
-        """`rational_factors` of `integer_square_scaled`: the one split
-        of the form over Q, computed once and read by
-        `quartic_irreducible`, the fiber scan and the Brauer class.
-        Shared, so no reader may change it in place."""
-        return rational_factors(self.integer_square_scaled)
+    def factors(self) -> tuple[tuple[int, ...], ...]:
+        """The one split of the form over Q: the parts k f_1, f_2, ... of
+        the `rational_factors` (k, [f_1, f_2, ...]) of
+        `integer_square_scaled`, whose product is that model.  Only here
+        is k folded into a factor; every reader reads these parts."""
+        k, (first, *rest) = rational_factors(self.integer_square_scaled)
+        return (tuple(k * c for c in first), *rest)
 
 
 def quartic_disc(q: BinaryQuartic) -> Fraction:
@@ -531,9 +532,9 @@ def _determinant(rows: list[list[int]]) -> int:
 
 def quartic_irreducible(q: BinaryQuartic) -> bool:
     """Is the form irreducible in Q[w, x]?  It is when its split
-    `BinaryQuartic.factors` has one factor; none of this depends on the
+    `BinaryQuartic.factors` has one part; none of this depends on the
     integer model's content or sign."""
-    return len(q.factors[1]) == 1
+    return len(q.factors) == 1
 
 
 def _is_square(n: int) -> bool:

@@ -88,8 +88,8 @@ class ChateletParams(namedtuple("ChateletParams", "a b c")):
 
     a, b are primes = 1 mod 8 exceeding 5, a is not a square mod b,
     and b divides ac + 1.  Its surface's quaternion Brauer class
-    (ab, x^2 + c) is read from the split of P~ (see
-    `eval_invariant_all_reps`), not from these parameters.
+    (alpha, k f_1) = (ab, x^2 + c) is read from the split of P~
+    (`BinaryQuartic.factors`), not from these parameters.
     """
 
     __slots__ = ()
@@ -163,9 +163,9 @@ class ChateletSurface(namedtuple("ChateletSurface",
         """The bit of (alpha, k f_1)_v at each place v of T, or None when
         the rule below does not apply or cannot decide.
 
-        Let P~ = k f_1 f_2 with two irreducible quadratic factors
-        (`BinaryQuartic.factors`), P = k f_1, and T be oo, 2 and the
-        primes of alpha and of Res(P, f_2).  A prime that divides P(m, n)
+        Let P~ split into two quadratic parts P = k f_1 and f_2
+        (`BinaryQuartic.factors`), and T be oo, 2 and the primes of
+        alpha and of Res(P, f_2).  A prime that divides P(m, n)
         and f_2(m, n) at coprime m, n divides the resultant, so at a
         place v outside T, an odd prime prime to alpha that divides at
         most one of them, (alpha, r)_v = (alpha, P)_v for r = P f_2.  A
@@ -174,20 +174,20 @@ class ChateletSurface(namedtuple("ChateletSurface",
         over T is +1.  The bit at v is the one value of (alpha, P)_v on
         the fibers with a Q_v-point (`_place_bit`), read on the pieces
         of `_pieces` that the local table walks too: the real pieces,
-        and the discs where f_1 or f_2 has one square class
+        and the discs where P or f_2 has one square class
         (`_split_bit`).  When the bits multiply to -1, no fiber has a
         point, and none is a zero of P~, which has no rational root: the
         surface has no rational point, by the Brauer-Manin obstruction
-        of the class (alpha, f_1).  The first place without a bit ends
-        the rule, and the resultant is factored only when oo, 2 and the
-        primes of alpha have bits.
+        of the class (alpha, k f_1) that `eval_invariant_all_reps`
+        samples.  The first place without a bit ends the rule, and the
+        resultant is factored only when oo, 2 and the primes of alpha
+        have bits.
         """
         self.require_smooth()
-        k, forms = self.Ptilde.factors
-        if len(forms) != 2 or len(forms[0]) != 3:
+        split = self.Ptilde.factors
+        if len(split) != 2 or len(split[0]) != 3:
             return None
         alpha, alpha_primes = square_class(self.alpha)
-        split = (tuple(k * c for c in forms[0]), forms[1])
         resultant_primes = (q for q, _ in
                             prime_factors(abs(form_resultant(*split))))
         bits = {}
@@ -359,10 +359,14 @@ def _pieces(S: ChateletSurface, v: Place):
     """The tiling of P^1(Q_v) that every reader of a place walks, as
     (centre, k, kind).  At oo it is the points of `real_pieces` as
     (centre, None, "class"), since P~ has one sign on each piece; at p
-    the discs of `residue_discs` to `_walk_depth`."""
+    the discs of `residue_discs` to `_walk_depth`, and past
+    `_WALK_PRIME_BOUND` an `OutOfCertifiedRangeError`, with no walk."""
     if v.is_real:
         return [((x.numerator, x.denominator), None, "class")
                 for _left, x, _right in S.real_pieces]
+    if v.p > _WALK_PRIME_BOUND:
+        raise OutOfCertifiedRangeError(
+            f"place {v} too large for exact residue enumeration")
     return residue_discs(S.Ptilde.integer_square_scaled, v.p,
                          _walk_depth(S, v.p))
 
@@ -402,16 +406,13 @@ def local_solvable_surface(
     infinity): there every nonzero value gives the symbol +1, and at
     most four of the six points are roots of P~.  It also succeeds at
     the places of `_unit_value_places`.  Otherwise it runs `_sweep`,
-    which raises at a prime past `_WALK_PRIME_BOUND`.
+    whose `_pieces` raises at a prime past `_WALK_PRIME_BOUND`.
     """
     S.require_smooth()
     for x in _SIX_POINTS:
         found = _certify(S, x, v)
         if found is not None:
             return True, found
-    if not v.is_real and v.p > _WALK_PRIME_BOUND:
-        raise ArithmeticError(
-            f"place {v} too large for exact residue enumeration")
     found = _sweep(S, v)
     return found is not None, found
 
@@ -464,13 +465,11 @@ def _place_bit(S: ChateletSurface, alpha: int, v: Place, split) -> int:
     `_split_bit` that every piece of `_pieces` shares, less the class
     pieces that `_certify` rejects, which hold no fiber with a
     Q_v-point (+1 when no piece is left).  The walk stops at the first
-    piece without a bit or with a second one, and a prime past
-    `_WALK_PRIME_BOUND` gets none.
+    piece without a bit or with a second one; at a prime past
+    `_WALK_PRIME_BOUND`, `_pieces` raises.
     """
     if is_local_square(alpha, v):
         return 1
-    if not v.is_real and v.p > _WALK_PRIME_BOUND:
-        return 0
     bit = None
     for centre, k, kind in _pieces(S, v):
         if kind == "class" and _certify(S, centre, v) is None:
@@ -484,9 +483,9 @@ def _place_bit(S: ChateletSurface, alpha: int, v: Place, split) -> int:
 
 def _split_bit(alpha: int, split, centre, k: Optional[int],
                place: Place) -> int:
-    """The symbol (alpha, k f_1)_v at every fiber of the piece
-    (centre, k) of `_pieces` whose symbol (alpha, P~)_v is +1, or 0 when
-    the rule below does not give it.
+    """The symbol (alpha, k f_1)_v, for ``split`` = (k f_1, f_2), at
+    every fiber of the piece (centre, k) of `_pieces` whose symbol
+    (alpha, P~)_v is +1, or 0 when the rule below does not give it.
 
     On a real piece it is the symbol at the centre: k f_1 divides P~,
     so it has one sign there.  A form f of content c changes by a
@@ -515,21 +514,20 @@ def _split_bit(alpha: int, split, centre, k: Optional[int],
 
 def eval_invariant_all_reps(S: ChateletSurface,
                             pt: CertifiedLocalX) -> list[Fraction]:
-    """inv_v of the class (alpha, f) at a local point over the certified
-    x-fiber, where P~ splits as k f g into two quadratics over Q
-    (`BinaryQuartic.factors`; ValueError otherwise).  It is read from
-    each nonvanishing value f(m, n) and k g(m, n) at x = (m : n): both
-    have even degree, and their product, P~(x) up to a square, is a norm
-    from Q(sqrt(alpha)) on the surface, so each is a second slot of the
-    class and at a certified point they agree; the obstruction checks
-    that they do.  For a constructed surface f = x^2 + c and
-    k g = a x^2 + ac + 1."""
-    k, forms = S.Ptilde.factors
-    if [len(f) for f in forms] != [3, 3]:
+    """inv_v of the class (alpha, k f_1) of `ChateletSurface.brauer` at a
+    local point over the certified x-fiber, where P~ splits into two
+    quadratic parts k f_1 and f_2 (`BinaryQuartic.factors`; ValueError
+    otherwise).  It is read from each nonvanishing value k f_1(m, n) and
+    f_2(m, n) at x = (m : n): both have even degree, and their product,
+    P~(x) up to a square, is a norm from Q(sqrt(alpha)) on the surface,
+    so each is a second slot of the class and at a certified point they
+    agree; the obstruction checks that they do.  For a constructed
+    surface k f_1 = x^2 + c and f_2 = a x^2 + ac + 1."""
+    split = S.Ptilde.factors
+    if [len(f) for f in split] != [3, 3]:
         raise ValueError("the Brauer class needs P~ split into two "
                          "quadratics over Q")
-    f, g = forms
-    values = (evaluate_form(f, *pt.x), k * evaluate_form(g, *pt.x))
+    values = [evaluate_form(f, *pt.x) for f in split]
     return [inv_from_symbol(hilbert_symbol(S.alpha, v, pt.place))
             for v in values if v != 0]
 
@@ -586,8 +584,8 @@ def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
                        seed: int = 0) -> ObstructionReport:
     """Evaluate the Brauer-Manin obstruction of a constructed surface
     (ValueError on a surface without params), for the class
-    (ab, x^2 + c) that `eval_invariant_all_reps` reads from the split of
-    its quartic.
+    (alpha, k f_1) = (ab, x^2 + c) that `eval_invariant_all_reps` reads
+    from the split of its quartic.
 
     Reads the surface's local table `S.local` (computed on first use),
     which must be solvable everywhere; samples certified points at each

@@ -293,6 +293,20 @@ class TestSurface:
             "message": "cannot certify large discriminant factors as "
                        "good places"}
 
+    def test_place_past_walk_bound_is_inconclusive(self, capsys,
+                                                   monkeypatch):
+        # no one of the six points certifies a local point at 100003, a
+        # prime of alpha past the bound of the residue walk
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"alpha":"100003","P":["2","2","-5","0","19"]}'))
+        code, rep = run_json(capsys, "surface", "-", "--height", "5")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["status"] == "inconclusive"
+        assert rep["error"] == {
+            "stage": "local",
+            "message": "place 100003 too large for exact residue "
+                       "enumeration"}
+
     def test_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,9 +1,11 @@
 """Every name that a `chatelet` module lists in ``__all__`` exists, so a
-deletion cannot leave a stale export behind; and no module keeps an
-import or a private name that nothing reads, so a deletion cannot leave
-dead code behind either."""
+deletion cannot leave a stale export behind; no module keeps an import
+or a private name that nothing reads, so a deletion cannot leave dead
+code behind either; and no ``except`` names a class that another of its
+classes already catches."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
 from pathlib import Path
@@ -106,3 +108,33 @@ def test_no_private_import_across_modules():
                 if alias.name.startswith("_")
                 and not alias.name.startswith("__")]
     assert imported == []
+
+
+def _module_name(path: str) -> str:
+    parts = ["chatelet", *path[:-len(".py")].split("/")]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _resolve(node, namespace):
+    """The object that a name or a dotted name denotes in a module."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr)
+    if node.id in namespace:
+        return namespace[node.id]
+    return getattr(builtins, node.id)
+
+
+def test_no_except_tuple_names_a_class_with_its_base():
+    # (SubError, BaseError) catches what BaseError alone catches, so the
+    # subclass is dead code that reads as if it were handled apart
+    redundant = []
+    for path, tree in TREES.items():
+        namespace = vars(importlib.import_module(_module_name(path)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and isinstance(
+                    node.type, ast.Tuple):
+                classes = [_resolve(e, namespace) for e in node.type.elts]
+                if any(a is not b and issubclass(a, b)
+                       for a in classes for b in classes):
+                    redundant.append((path, node.lineno))
+    assert redundant == []

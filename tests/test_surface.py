@@ -19,9 +19,14 @@ from chatelet.local import (
     conic_decide,
     finite_place,
     hilbert_symbol,
+    inv_from_symbol,
     is_local_square,
 )
-from chatelet.numbers import split_valuation, square_class
+from chatelet.numbers import (
+    OutOfCertifiedRangeError,
+    split_valuation,
+    square_class,
+)
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
@@ -260,7 +265,7 @@ class TestLocalSolvability:
         S = ChateletSurface(alpha=Fraction(100003),
                             Ptilde=BinaryQuartic((-1, -3, -1, -1, 2)),
                             provenance="user")
-        with pytest.raises(ArithmeticError,
+        with pytest.raises(OutOfCertifiedRangeError,
                            match="too large for exact residue enumeration"):
             local_solvable_surface(S, v)
 
@@ -497,11 +502,11 @@ class TestBrauer:
             assert invs == {expected}
 
     def test_representations_never_both_vanish(self, S):
-        # the split's forms f = x^2 + c and k g = a x^2 + ac + 1 have a
-        # nonzero resultant: k g - a f = n^2
-        k, (f, g) = S.Ptilde.factors
+        # the split's parts k f_1 = x^2 + c and f_2 = a x^2 + ac + 1
+        # have a nonzero resultant: f_2 - a k f_1 = n^2
+        f, g = S.Ptilde.factors
         for m, n in ((1, 0), (0, 1), (3, 2), (-7, 5)):
-            f1, f2 = evaluate_form(f, m, n), k * evaluate_form(g, m, n)
+            f1, f2 = evaluate_form(f, m, n), evaluate_form(g, m, n)
             assert f2 - S.params.a * f1 == n * n
             assert f1 != 0 or f2 != 0
 
@@ -525,18 +530,18 @@ class TestBrauerFromSplit:
         for params in self.PARAMS:
             a, b, c = params.a, params.b, params.c
             S = build_surface(params)
-            assert S.Ptilde.factors == (1, [(c, 0, 1), (a * c + 1, 0, a)])
+            assert S.Ptilde.factors == ((c, 0, 1), (a * c + 1, 0, a))
             rep = obstruction_report(S)
             assert rep.invariant_sum == Fraction(1, 2)
             assert {str(r.place): r.invariant for r in rep.records
                     if r.invariant} == {str(b): Fraction(1, 2)}, params
 
     def test_wrong_split_is_caught(self):
-        # f = x^2 + 13 in place of x^2 + 12: its class disagrees with
-        # that of k g at some sampled point
+        # k f_1 = x^2 + 13 in place of x^2 + 12: its class disagrees
+        # with that of f_2 at some sampled point
         T = build_surface(find_params(100))
-        k, (_, g) = T.Ptilde.factors
-        T.Ptilde.__dict__["factors"] = (k, [(13, 0, 1), g])
+        _, g = T.Ptilde.factors
+        T.Ptilde.__dict__["factors"] = ((13, 0, 1), g)
         with pytest.raises(InvariantNotConstantError):
             obstruction_report(T)
 
@@ -847,7 +852,7 @@ def _reciprocity_case(rng, kind):
             alpha = rng.choice((-1, -2, -3, -6, -7, 2, 3, 5, 6, 7, 10))
         if disc_from_coeffs(coeffs) == 0:
             continue
-        forms = BinaryQuartic(coeffs).factors[1]
+        forms = BinaryQuartic(coeffs).factors
         if len(forms) == 2 and len(forms[0]) == 3:
             alpha, primes = square_class(alpha)
             return coeffs, alpha, tuple(p for p in primes if p != 2), H
@@ -867,8 +872,8 @@ def _rule_holds(S):
 def _places_of_t(coeffs, alpha):
     """The finite places of T, found by sympy: 2 and the primes of alpha
     and of Res(k f_1, f_2)."""
-    k, (f, g) = BinaryQuartic(coeffs).factors
-    res = sympy.resultant(sympy.Poly(list(reversed([k * c for c in f])), _X),
+    f, g = BinaryQuartic(coeffs).factors
+    res = sympy.resultant(sympy.Poly(list(reversed(f)), _X),
                           sympy.Poly(list(reversed(g)), _X))
     return ({2} | set(sympy.factorint(alpha)) | set(sympy.factorint(res))) \
         - {-1}
@@ -904,16 +909,37 @@ class TestReciprocity:
                                    odd, 12) is None
 
     def test_bits_match_sampled_invariants(self):
-        # on each admissible surface k = 1, so the class (alpha, k f_1)
-        # is the one `obstruction_report` samples: its invariant is 1/2
-        # exactly where the bit is -1
-        for params in self.PARAMS:
-            S = build_surface(params)
-            assert S.Ptilde.factors[0] == 1
+        # the sampled invariants read the class (alpha, k f_1) of the
+        # bits, so at each place of T they are the invariant of its bit,
+        # also where k != 1: on Iskovskikh's surface (k = -1) and on
+        # -3 (x^2 - 2x - 2)(x^2 + x + 3) with alpha = -3
+        surfaces = [iskovskikh(), _user_surface((18, 24, 3, 3, -3), -3)]
+        surfaces += [build_surface(p) for p in self.PARAMS]
+        for S in surfaces:
+            for v, bit in S.brauer.items():
+                pts = sample_certified_points(S, v, 5, seed=0)
+                invs = {inv for pt in pts
+                        for inv in eval_invariant_all_reps(S, pt)}
+                assert invs == {inv_from_symbol(bit)}, (S.surface_id(), v)
+        # and `obstruction_report` samples that class on the admissible
+        # surfaces: its invariant is 1/2 exactly where the bit is -1
+        for S in surfaces[2:]:
             rep = obstruction_report(S, samples_per_place=5)
             assert {str(v) for v, bit in S.brauer.items() if bit == -1} == \
                 {str(r.place) for r in rep.records
-                 if r.invariant == Fraction(1, 2)}, params
+                 if r.invariant == Fraction(1, 2)}, S.params
+
+    def test_bits_past_the_walk_bound(self, monkeypatch):
+        # b = 100057 is past `_WALK_PRIME_BOUND`: the six points certify
+        # a local point there, but no walk gives its bit, so the rule
+        # does not apply; with the bound raised to b the walk gives -1
+        params = ChateletParams(17, 100057, 58857)
+        S = build_surface(params)
+        assert S.local.all_solvable and S.brauer is None
+        monkeypatch.setattr(surface_mod, "_WALK_PRIME_BOUND", 100057)
+        assert build_surface(params).brauer == {
+            REAL: 1, finite_place(2): 1, finite_place(17): 1,
+            finite_place(100057): -1}
 
     def test_skipped_fibers_have_a_rejecting_place(self):
         # every fiber whose symbol is +1 at oo and at each place of T has
