@@ -287,17 +287,17 @@ def default_sample_ts(count: int) -> list[tuple[int, int]]:
 
 def verify_pullback(W: PulledBackBundle,
                     sample_ts: Optional[list[tuple[int, int]]] = None,
-                    search_H: int = 100,
-                    obstruction_samples: int = 20,
-                    seed: int = 0) -> BundleReport:
+                    search_H: int = 100) -> BundleReport:
     """Verify the pulled-back family fiber by fiber.
 
-    The special fiber (t = infinity) must carry a certified obstruction;
-    every sampled affine fiber must be smooth (hard failure otherwise)
-    and is checked for quartic irreducibility, exact everywhere-local
-    solvability, and a height-bounded rational point (diagnostic: the
-    Hasse principle guarantees existence on irreducible locally solvable
-    fibers, but not within any height bound).
+    The special fiber (t = infinity) must carry a certified obstruction,
+    which `obstruction_report` proves from its reciprocity bits (an
+    ArithmeticError otherwise); every sampled affine fiber must be
+    smooth (hard failure otherwise) and is checked for quartic
+    irreducibility, exact everywhere-local solvability, and a
+    height-bounded rational point (diagnostic: the Hasse principle
+    guarantees existence on irreducible locally solvable fibers, but not
+    within any height bound).
     """
     if sample_ts is None:
         sample_ts = default_sample_ts(52)
@@ -305,9 +305,7 @@ def verify_pullback(W: PulledBackBundle,
         raise ValueError("sample must include t = infinity and t = 0")
     F = W.base.bad
     d_class = Fraction(squarefree_part(W.d))
-    special = obstruction_report(W.base.source,
-                                 samples_per_place=obstruction_samples,
-                                 seed=seed)
+    special = obstruction_report(W.base.source)
     if special.conclusion != "no-rational-point-certified":
         raise ArithmeticError("special fiber obstruction not certified")
     special_search = rational_point_search(W.base.source, search_H)

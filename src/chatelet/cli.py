@@ -88,7 +88,6 @@ def _obstruction(rep) -> dict:
             {
                 "place": str(r.place),
                 "invariant": str(r.invariant),
-                "samples": r.samples,
                 "justification": r.justification,
             }
             for r in rep.records
@@ -175,8 +174,10 @@ def cmd_counterexample(args) -> int:
     if not S.local.all_solvable:
         return _stop(report, "local", ArithmeticError(
             "constructed surface not locally solvable everywhere"), args)
-    ob = surface_mod.obstruction_report(
-        S, samples_per_place=args.samples, seed=args.seed)
+    try:
+        ob = surface_mod.obstruction_report(S)
+    except (ValueError, ArithmeticError) as e:
+        return _stop(report, "obstruction", e, args)
     stages["obstruction"] = _obstruction(ob)
     stages["search"] = _search(
         surface_mod.rational_point_search(S, args.height))
@@ -214,9 +215,7 @@ def cmd_bundle(args) -> int:
     stages["pullback"] = {"d": str(d)}
     ts = bundle_mod.default_sample_ts(2 + args.fibers)
     try:
-        rep = bundle_mod.verify_pullback(
-            W, ts, search_H=args.height,
-            obstruction_samples=args.samples, seed=args.seed)
+        rep = bundle_mod.verify_pullback(W, ts, search_H=args.height)
     except (ValueError, ArithmeticError) as e:
         return _stop(report, "verify_pullback", e, args)
     stages["special_fiber"] = {
@@ -363,11 +362,11 @@ def _at_least(low: int):
 
 
 def _common(sub, height=100):
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="ignored: no step of the run is seeded; echoed "
+                          "in the report's config")
     sub.add_argument("--height", type=_at_least(0), default=height,
                      help="height bound for rational point search")
-    sub.add_argument("--samples", type=_at_least(1), default=20,
-                     help="certified local points per place")
     sub.add_argument("--out", help="write the JSON report to a file")
 
 

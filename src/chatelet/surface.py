@@ -1,6 +1,7 @@
 """Chatelet surfaces y^2 - alpha z^2 = P(x): construction, exact local
-solvability, the quaternion Brauer class and its obstruction, and
-height-bounded global point search.
+solvability, the quaternion Brauer class and its obstruction, proved
+from the class's reciprocity bits, and height-bounded global point
+search.
 
 The central construction takes primes a, b = 1 mod 8 with a a non-square
 mod b and c with b | ac+1, and builds the surface
@@ -62,7 +63,7 @@ __all__ = [
     "local_solvable_surface", "verify_local_everywhere",
     "eval_invariant_all_reps", "sample_certified_points", "obstruction_report",
     "rational_point_search", "surface_to_json", "surface_from_json",
-    "ParamSearchError", "InsufficientPointsError", "InvariantNotConstantError",
+    "ParamSearchError", "InsufficientPointsError",
 ]
 
 ProjectivePoint = tuple[int, int]  # x = (m : n) in P^1(Q); (1, 0) is infinity
@@ -76,11 +77,6 @@ class ParamSearchError(ValueError):
 
 class InsufficientPointsError(RuntimeError):
     """Fewer certified local points exist in range than were requested."""
-
-
-class InvariantNotConstantError(RuntimeError):
-    """Sampled local invariants disagree at one place; this would
-    falsify the obstruction computation and is a hard failure."""
 
 
 class ChateletParams(namedtuple("ChateletParams", "a b c")):
@@ -123,8 +119,9 @@ class ChateletSurface(namedtuple("ChateletSurface",
     `real_pieces`, the `sign_points` of that model; `local`, its local
     table (`verify_local_everywhere`), which the obstruction and the
     search read; and `brauer`, the reciprocity bits of its quaternion
-    class, which the search reads.  The table and the bits walk one
-    tiling of P^1(Q_v) at each place v, that of `_pieces`.
+    class, which the obstruction and the search read too.  The table and
+    the bits walk one tiling of P^1(Q_v) at each place v, that of
+    `_pieces`.
     """
 
     def __new__(cls, alpha: Rational, Ptilde: BinaryQuartic,
@@ -178,10 +175,10 @@ class ChateletSurface(namedtuple("ChateletSurface",
         (`_split_bit`).  When the bits multiply to -1, no fiber has a
         point, and none is a zero of P~, which has no rational root: the
         surface has no rational point, by the Brauer-Manin obstruction
-        of the class (alpha, k f_1) that `eval_invariant_all_reps`
-        samples.  The first place without a bit ends the rule, and the
-        resultant is factored only when oo, 2 and the primes of alpha
-        have bits.
+        of the class (alpha, k f_1): its invariant at v is that of the
+        bit, and `obstruction_report` reads it from here.  The first
+        place without a bit ends the rule, and the resultant is factored
+        only when oo, 2 and the primes of alpha have bits.
         """
         self.require_smooth()
         split = self.Ptilde.factors
@@ -521,8 +518,9 @@ def eval_invariant_all_reps(S: ChateletSurface,
     f_2(m, n) at x = (m : n): both have even degree, and their product,
     P~(x) up to a square, is a norm from Q(sqrt(alpha)) on the surface,
     so each is a second slot of the class and at a certified point they
-    agree; the obstruction checks that they do.  For a constructed
-    surface k f_1 = x^2 + c and f_2 = a x^2 + ac + 1."""
+    agree.  Read at sampled points, they cross-check the invariants
+    that `obstruction_report` proves.  For a constructed surface
+    k f_1 = x^2 + c and f_2 = a x^2 + ac + 1."""
     split = S.Ptilde.factors
     if [len(f) for f in split] != [3, 3]:
         raise ValueError("the Brauer class needs P~ split into two "
@@ -532,7 +530,7 @@ def eval_invariant_all_reps(S: ChateletSurface,
             for v in values if v != 0]
 
 
-# the height of the x that `sample_certified_points` draws
+# the height of the sampled x
 _SAMPLE_HEIGHT = 1000
 
 
@@ -568,8 +566,7 @@ def sample_certified_points(S: ChateletSurface, v: Place, n: int,
 class PlaceInvariantRecord(NamedTuple):
     place: Place
     invariant: Fraction
-    samples: int
-    justification: str  # "sampled"
+    justification: str  # "proved: reciprocity bit" | "proved: unit value"
 
 
 class ObstructionReport(NamedTuple):
@@ -580,46 +577,42 @@ class ObstructionReport(NamedTuple):
     conclusion: str  # "no-rational-point-certified" | "inconclusive"
 
 
-def obstruction_report(S: ChateletSurface, samples_per_place: int = 20,
-                       seed: int = 0) -> ObstructionReport:
-    """Evaluate the Brauer-Manin obstruction of a constructed surface
-    (ValueError on a surface without params), for the class
-    (alpha, k f_1) = (ab, x^2 + c) that `eval_invariant_all_reps` reads
-    from the split of its quartic.
+def obstruction_report(S: ChateletSurface) -> ObstructionReport:
+    """The Brauer-Manin obstruction of a constructed surface (ValueError
+    on a surface without params), for the class (alpha, k f_1) =
+    (ab, x^2 + c) of the reciprocity bits `S.brauer`.
 
-    Reads the surface's local table `S.local` (computed on first use),
-    which must be solvable everywhere; samples certified points at each
-    of its places, checks the local invariant is constant per place,
-    and sums.  A nonzero sum certifies the absence of rational points.
+    Its places are those of the local table `S.local` (computed on
+    first use), which must be solvable everywhere.  At each place v of
+    T, where the bits are, the invariant is that of the bit S.brauer[v].
+    At any other place one of k f_1(x) and f_2(x) is a unit at every
+    local point (see `ChateletSurface.brauer`), so the invariant is 0.
+    ArithmeticError when the surface has no bits or T is not among the
+    listed places.  A nonzero sum certifies the absence of rational
+    points.
     """
-    if samples_per_place < 1:
-        raise ValueError("samples_per_place must be at least 1")
     if S.params is None:
         raise ValueError(
             "Brauer class is only provided for constructed surfaces")
     if not S.local.all_solvable:
         raise ArithmeticError(
             "constructed surface unexpectedly fails local solvability")
-    records = []
-    total = Fraction(0)
-    for res in S.local.results:
-        pts = sample_certified_points(S, res.place, samples_per_place, seed)
-        invs = {inv for pt in pts
-                for inv in eval_invariant_all_reps(S, pt)}
-        if len(invs) != 1:
-            raise InvariantNotConstantError(
-                f"invariant not constant at {res.place}: {sorted(invs)}")
-        inv = invs.pop()
-        total += inv
-        records.append(PlaceInvariantRecord(
-            place=res.place, invariant=inv, samples=len(pts),
-            justification="sampled"))
-    total = total % 1
+    places = [r.place for r in S.local.results]
+    bits = S.brauer
+    if bits is None or not bits.keys() <= set(places):
+        raise ArithmeticError(
+            "the reciprocity bits do not give the invariant at every place")
+    records = tuple(
+        PlaceInvariantRecord(v, inv_from_symbol(bits[v]),
+                             "proved: reciprocity bit") if v in bits
+        else PlaceInvariantRecord(v, Fraction(0), "proved: unit value")
+        for v in places)
+    total = sum(r.invariant for r in records) % 1
     conclusion = ("no-rational-point-certified" if total != 0
                   else "inconclusive")
     return ObstructionReport(
         surface_id=S.surface_id(),
-        records=tuple(records),
+        records=records,
         good_places_tag="norm-argument: invariant 0 off the bad set",
         invariant_sum=total,
         conclusion=conclusion,

@@ -119,21 +119,26 @@ def test_criterion_4_local_points_everywhere():
 def test_criterion_5_invariant_constancy():
     t0 = time.time()
     S = build_surface(find_params(100))
+    rep = obstruction_report(S)
     deviations = 0
-    for v in bad_places(S)[0]:
-        expected = (Fraction(1, 2) if v.p == 17 else Fraction(0))
-        pts = sample_certified_points(S, v, 200, seed=17)
+    for r in rep.records:
+        expected = (Fraction(1, 2) if r.place.p == 17 else Fraction(0))
+        deviations += r.invariant != expected
+        pts = sample_certified_points(S, r.place, 200, seed=17)
         for pt in pts:
-            # every representation of the class must give the invariant
-            deviations += sum(inv != expected for inv in
+            # every representation of the class must give the report's
+            # invariant at that place
+            deviations += sum(inv != r.invariant for inv in
                               eval_invariant_all_reps(S, pt))
-    rep = obstruction_report(S, samples_per_place=50, seed=17)
+    places_ok = [r.place for r in rep.records] == bad_places(S)[0]
     elapsed = time.time() - t0
-    ok = (deviations == 0 and rep.invariant_sum == Fraction(1, 2)
+    ok = (deviations == 0 and places_ok
+          and rep.invariant_sum == Fraction(1, 2)
           and rep.conclusion == "no-rational-point-certified"
           and elapsed < 10)
-    _line(5, ok, "invariant 1/2 at p=17, 0 elsewhere over 200 certified "
-          "points/place; sum 1/2; no rational point certified", elapsed)
+    _line(5, ok, "proved invariant 1/2 at p=17, 0 elsewhere, equal to the "
+          "sampled one at each place over 200 certified points/place; "
+          "sum 1/2; no rational point certified", elapsed)
 
 
 def test_criterion_6_desk_scale_emptiness():
@@ -158,8 +163,7 @@ def test_criterion_7_bundle_verification():
     F = bad_fibers(B)
     W = pullback(B, good_d_candidates(F, 1)[0])
     ts = default_sample_ts(52)  # infinity, 0, and 50 further affine t
-    rep = verify_pullback(W, ts, search_H=100, obstruction_samples=20,
-                          seed=7)
+    rep = verify_pullback(W, ts, search_H=100)
     special_is_V = (W.base.source.Ptilde.coeffs == S.Ptilde.coeffs
                     and W.base.source is S)
     affine = rep.fibers
@@ -196,15 +200,14 @@ def test_criterion_9_determinism(tmp_path):
     for name in ("a", "b"):
         p = tmp_path / f"ce_{name}.json"
         assert main(["counterexample", "--seed", "11", "--height", "60",
-                     "--samples", "12", "--out", str(p)]) == EXIT_OK
+                     "--out", str(p)]) == EXIT_OK
         outs.append(p.read_bytes())
     ce_ok = outs[0] == outs[1]
     outs = []
     for name in ("a", "b"):
         p = tmp_path / f"bu_{name}.json"
         assert main(["bundle", "--seed", "11", "--fibers", "8",
-                     "--height", "60", "--samples", "12",
-                     "--out", str(p)]) == EXIT_OK
+                     "--height", "60", "--out", str(p)]) == EXIT_OK
         outs.append(p.read_bytes())
     bu_ok = outs[0] == outs[1]
     elapsed = time.time() - t0

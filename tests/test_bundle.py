@@ -276,8 +276,7 @@ class TestVerifyPullback:
         monkeypatch.setattr(surface_mod, "verify_local_everywhere",
                             lambda S: calls.append(S) or real(S))
         W = pullback(B, good_d_candidates(F, 1)[0])
-        rep = verify_pullback(W, default_sample_ts(6), search_H=5,
-                              obstruction_samples=4)
+        rep = verify_pullback(W, default_sample_ts(6), search_H=5)
         assert len(rep.fibers) == 5
         assert sum(S.provenance == "fiber" for S in calls) == 3
 
@@ -301,8 +300,8 @@ class TestFiberNotes:
         monkeypatch.setattr(bundle_mod, "quartic_irreducible",
                             lambda q: irreducible)
         W = pullback(B, good_d_candidates(F, 1)[0])
-        (record,) = verify_pullback(W, [INFINITY, (0, 1)], search_H=5,
-                                    obstruction_samples=4).fibers
+        (record,) = verify_pullback(W, [INFINITY, (0, 1)],
+                                    search_H=5).fibers
         return record
 
     def test_search_note_kept(self, B, F, monkeypatch):

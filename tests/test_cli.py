@@ -125,8 +125,7 @@ class TestHilbert:
 
 class TestCounterexample:
     def test_pipeline(self, capsys):
-        code, rep = run_json(capsys, "counterexample", "--height", "60",
-                             "--samples", "10")
+        code, rep = run_json(capsys, "counterexample", "--height", "60")
         assert code == EXIT_OK
         assert rep["status"] == "certified"
         st = rep["stages"]
@@ -154,18 +153,28 @@ class TestCounterexample:
             monkeypatch.setattr(surface_mod, name,
                                 lambda S, real=real, seen=seen:
                                 seen.append(S) or real(S))
-        code, _ = run_json(capsys, "counterexample", "--height", "20",
-                           "--samples", "4")
+        code, _ = run_json(capsys, "counterexample", "--height", "20")
         assert code == EXIT_OK
         assert {k: len(v) for k, v in calls.items()} == \
             {"quartic_disc": 1, "verify_local_everywhere": 1}
+
+    def test_unproved_obstruction_is_stage_failure(self, capsys,
+                                                   monkeypatch):
+        # without reciprocity bits the report cannot prove the invariants,
+        # and the run stops at the obstruction instead of a traceback
+        monkeypatch.setattr(surface_mod.ChateletSurface, "brauer",
+                            property(lambda S: None))
+        code, rep = run_json(capsys, "counterexample", "--height", "5")
+        assert code == EXIT_STAGE
+        assert rep["status"] == "error"
+        assert rep["error"]["stage"] == "obstruction"
+        assert "obstruction" not in rep["stages"]
 
     def test_byte_determinism(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
             code = main(["counterexample", "--height", "40",
-                         "--samples", "8", "--seed", "5",
-                         "--out", str(p)])
+                         "--seed", "5", "--out", str(p)])
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -173,7 +182,7 @@ class TestCounterexample:
 class TestBundle:
     def test_pipeline(self, capsys):
         code, rep = run_json(capsys, "bundle", "--fibers", "6",
-                             "--height", "60", "--samples", "8")
+                             "--height", "60")
         assert code == EXIT_OK
         assert rep["status"] == "certified"
         st = rep["stages"]
@@ -187,7 +196,7 @@ class TestBundle:
 
     def test_fibers_zero(self, capsys):
         code, rep = run_json(capsys, "bundle", "--fibers", "0",
-                             "--height", "40", "--samples", "6")
+                             "--height", "40")
         assert code == EXIT_OK
         assert rep["stages"]["summary"]["sampled"] == 1  # just t = 0
 
@@ -198,7 +207,7 @@ class TestBundle:
         monkeypatch.setattr(bundle_mod, "bad_fibers",
                             lambda B: calls.append(B) or real(B))
         code, _ = run_json(capsys, "bundle", "--fibers", "0",
-                           "--height", "5", "--samples", "4")
+                           "--height", "5")
         assert code == EXIT_OK
         assert len(calls) == 1
 
@@ -239,8 +248,7 @@ class TestBundle:
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
             code = main(["bundle", "--fibers", "4", "--height", "40",
-                         "--samples", "6", "--seed", "9",
-                         "--out", str(p)])
+                         "--seed", "9", "--out", str(p)])
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -399,8 +407,8 @@ class TestUsage:
         assert main(["counterexample", "--nope"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
-        ["counterexample", "--samples", "0"],
-        ["counterexample", "--samples", "-3"],
+        ["counterexample", "--height", "-1"],
+        ["bundle", "--height", "-2"],
         ["bundle", "--fibers", "-1"],
         ["iskovskikh", "--height", "-3"],
     ])
@@ -409,6 +417,13 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert "must be at least" in err
+
+    def test_samples_option_is_gone(self, capsys):
+        # the invariants are proved, so no option sets a sample size
+        assert main(["counterexample", "--samples", "5"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 def _run_fresh(body: str) -> str:

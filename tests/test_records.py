@@ -176,8 +176,7 @@ class TestVerifyPullbackKeys:
         S = build_surface(find_params(100))
         B = make_bundle(S)
         W = pullback(B, 1)
-        rep = verify_pullback(W, default_sample_ts(6), search_H=5,
-                              obstruction_samples=2)
+        rep = verify_pullback(W, default_sample_ts(6), search_H=5)
         assert FiberParam(0, 1) == (0, 1)
         assert all(type(f) is FiberParam for f in B.bad.fibers)
         for r in rep.fibers:

@@ -39,7 +39,6 @@ from chatelet.surface import (
     CertifiedLocalX,
     ChateletParams,
     ChateletSurface,
-    InvariantNotConstantError,
     ParamSearchError,
     bad_places,
     build_surface,
@@ -537,13 +536,14 @@ class TestBrauerFromSplit:
                     if r.invariant} == {str(b): Fraction(1, 2)}, params
 
     def test_wrong_split_is_caught(self):
-        # k f_1 = x^2 + 13 in place of x^2 + 12: its class disagrees
-        # with that of f_2 at some sampled point
+        # k f_1 = x^2 + 13 in place of x^2 + 12: its class has no one
+        # bit at some place, so there are no bits and no proof
         T = build_surface(find_params(100))
         _, g = T.Ptilde.factors
         T.Ptilde.__dict__["factors"] = ((13, 0, 1), g)
-        with pytest.raises(InvariantNotConstantError):
+        with pytest.raises(ArithmeticError):
             obstruction_report(T)
+        assert T.brauer is None
 
     def test_needs_two_quadratics(self):
         # x^4 + w^4 is irreducible over Q
@@ -556,7 +556,7 @@ class TestBrauerFromSplit:
 
 class TestObstruction:
     def test_report(self, S):
-        rep = obstruction_report(S, samples_per_place=15, seed=3)
+        rep = obstruction_report(S)
         assert rep.invariant_sum == Fraction(1, 2)
         assert rep.conclusion == "no-rational-point-certified"
         by_place = {str(r.place): r.invariant for r in rep.records}
@@ -565,25 +565,9 @@ class TestObstruction:
                    if place != "17")
 
     def test_determinism(self, S):
-        a = obstruction_report(S, samples_per_place=10, seed=4)
-        b = obstruction_report(S, samples_per_place=10, seed=4)
+        a = obstruction_report(S)
+        b = obstruction_report(build_surface(S.params))
         assert a == b
-
-    def test_nonconstant_is_hard_failure(self, S, monkeypatch):
-        from chatelet import surface as mod
-
-        def bad_reps(A, pt):
-            return [Fraction(0), Fraction(1, 2)]
-
-        monkeypatch.setattr(mod, "eval_invariant_all_reps", bad_reps)
-        with pytest.raises(InvariantNotConstantError):
-            obstruction_report(S, samples_per_place=5, seed=0)
-
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_no_samples_rejected(self, S, samples):
-        # no sample at a place would read as a nonconstant invariant
-        with pytest.raises(ValueError):
-            obstruction_report(S, samples_per_place=samples)
 
 
 class TestSearch:
@@ -921,13 +905,19 @@ class TestReciprocity:
                 invs = {inv for pt in pts
                         for inv in eval_invariant_all_reps(S, pt)}
                 assert invs == {inv_from_symbol(bit)}, (S.surface_id(), v)
-        # and `obstruction_report` samples that class on the admissible
-        # surfaces: its invariant is 1/2 exactly where the bit is -1
-        for S in surfaces[2:]:
-            rep = obstruction_report(S, samples_per_place=5)
-            assert {str(v) for v, bit in S.brauer.items() if bit == -1} == \
-                {str(r.place) for r in rep.records
-                 if r.invariant == Fraction(1, 2)}, S.params
+
+    def test_report_matches_sampled_invariants(self):
+        # every record of `obstruction_report`, at the places of the bits
+        # and at the unit-value places alike, is the invariant that the
+        # class reads at sampled points there
+        assert len(self.PARAMS) == 34
+        for params in self.PARAMS:
+            S = build_surface(params)
+            for r in obstruction_report(S).records:
+                pts = sample_certified_points(S, r.place, 5, seed=0)
+                invs = {inv for pt in pts
+                        for inv in eval_invariant_all_reps(S, pt)}
+                assert invs == {r.invariant}, (params, r)
 
     def test_bits_past_the_walk_bound(self, monkeypatch):
         # b = 100057 is past `_WALK_PRIME_BOUND`: the six points certify
@@ -1182,7 +1172,7 @@ class TestIntegerModel:
                             lambda n: calls.append(n) or real(n))
         T = build_surface(find_params(100))
         assert verify_local_everywhere(T).all_solvable
-        obstruction_report(T, samples_per_place=5, seed=1)
+        obstruction_report(T)
         assert not rational_point_search(T, 20).found
         assert len(calls) == 1
 
