@@ -31,18 +31,21 @@ from chatelet.local import conic_decide
 from chatelet.quartic import BinaryQuartic, evaluate_form, evaluate_quartic
 
 
-def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
-               H: int) -> Optional[tuple[int, int]]:
+def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes, H: int
+               ) -> Optional[tuple[tuple[int, int], Optional[tuple]]]:
     """The first x = (m : n) in P^1(Q) of height <= H whose fiber conic
-    y^2 - alpha*z^2 = value-of-quartic is solvable over Q, or None; the
-    values are those of the quartic's integer model.
+    y^2 - alpha*z^2 = value-of-quartic is solvable over Q, as
+    ((m, n), square class), or None; the values are those of the
+    quartic's integer model.
 
     Enumerates n = 0 (only (1, 0), i.e. x = infinity) then n = 1..H with
     the m in -H..H coprime to n, less the m > 0 that the symmetry of the
     module docstring skips.  A zero quartic value counts as solvable
-    (the degenerate fiber carries the point (x, 0, 0)).  Each fiber is
-    decided from its parts with the odd primes of alpha,
-    ``alpha_odd_primes``.
+    (the degenerate fiber carries the point (x, 0, 0)) and has class
+    None.  Each fiber is decided from its parts with the odd primes of
+    alpha, ``alpha_odd_primes``; a hit's class is the one that
+    `conic_decide` returned, from which `chatelet.local.conic_point`
+    finds the fiber's point.
     """
     coeffs = quartic.integer_square_scaled
     top = 0 if coeffs[1] == coeffs[3] == 0 else H
@@ -51,9 +54,11 @@ def conic_scan(quartic: BinaryQuartic, alpha: int, alpha_odd_primes,
         for m in range(-H, top + 1) if n else (1,):
             if math.gcd(m, n) == 1:
                 values = parts(m, n)
-                if 0 in values or conic_decide(alpha, alpha_odd_primes,
-                                               *values):
-                    return m, n
+                if 0 in values:
+                    return (m, n), None
+                if r_class := conic_decide(alpha, alpha_odd_primes,
+                                           *values):
+                    return (m, n), r_class
     return None
 
 

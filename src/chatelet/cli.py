@@ -256,18 +256,14 @@ def cmd_hilbert(args) -> int:
             v = local_mod.REAL
         else:
             try:
-                p = int(args.place)
-                prime = p >= 2 and numbers_mod.is_prime(p)
+                v = local_mod.finite_place(int(args.place))
             except numbers_mod.OutOfCertifiedRangeError as e:
                 return _stop(report, "symbol", e, args)
             except ValueError:
-                prime = False
-            if not prime:
                 sys.stderr.write(
                     f"hilbert: --place must be 'oo' or a prime, "
                     f"got {args.place!r}\n")
                 return EXIT_USAGE
-            v = local_mod.finite_place(p)
         report["stages"] = {"symbol": {
             "place": str(v), "value": local_mod.hilbert_symbol(a, b, v)}}
     else:

@@ -13,9 +13,10 @@ other primes are read through the package's one factoring routine,
 rejects.  It returns None for an unsolvable conic and the square class
 of r for a solvable one, so the parts' primes are read once.
 This module does no factoring of its own.  The fiber scan of
-`chatelet._kernel.pure` and `conic_solvable_global` both call it.  A
-rational point of a solvable conic is found exactly by Legendre's
-descent from that square class and checked by substitution.  An
+`chatelet._kernel.pure` calls it, and `conic_solvable_global` is the
+same decision on rationals.  `conic_point` finds a rational point of a
+solvable conic by Legendre's descent from that square class, the one
+the scan's decision returned, and checks it by substitution.  An
 independent exhaustive-enumeration oracle is provided for testing the
 closed form.
 """
@@ -43,7 +44,8 @@ __all__ = [
     "Place", "REAL", "finite_place",
     "hilbert_symbol", "hilbert_bruteforce_oracle", "product_formula_check",
     "is_local_square", "inv_from_symbol",
-    "conic_decide", "conic_solvable_global", "support_places",
+    "conic_decide", "conic_point", "conic_solvable_global",
+    "support_places",
 ]
 
 INV_ZERO = Fraction(0)
@@ -242,30 +244,22 @@ def inv_from_symbol(s: int) -> Fraction:
     raise ValueError(f"not a symbol value: {s}")
 
 
-def conic_solvable_global(
-    alpha: Rational, r: Rational, want_witness: bool = False,
-) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
-    """Hasse-Minkowski decision for y^2 - alpha z^2 = r over Q.
+def conic_solvable_global(alpha: Rational, r: Rational) -> bool:
+    """Hasse-Minkowski decision for y^2 - alpha z^2 = r over Q, on
+    rational alpha and r.
 
     Exact: alpha and r are moved to integers of the same square classes
-    (alpha squarefree) and decided by `conic_decide`.  With want_witness,
-    a solvable conic also returns a rational point (y, z), found by
-    Legendre descent from the square class of r that the decision read
-    and checked by substitution (`_conic_point`).
+    (alpha squarefree) and decided by `conic_decide`.  A point comes
+    from `conic_point`; the fiber search passes it the class that the
+    scan's decision returned, and does not call this function.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if r == 0:
-        return True, (Fraction(0), Fraction(0))
+        return True
     alpha_sf, alpha_primes = square_class(alpha)
     odd_primes = tuple(p for p in alpha_primes if p != 2)
-    r_class = conic_decide(alpha_sf, odd_primes, _integral(r))
-    if r_class is None:
-        return False, None
-    if not want_witness:
-        return True, None
-    return True, _conic_point(Fraction(alpha), alpha_sf, alpha_primes,
-                              Fraction(r), *r_class)
+    return conic_decide(alpha_sf, odd_primes, _integral(r)) is not None
 
 
 def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
@@ -334,20 +328,22 @@ def conic_decide(alpha: int, alpha_primes: tuple[int, ...], *parts: int
     return (R if r > 0 else -R), tuple(odd)
 
 
-def _conic_point(alpha: Fraction, A: int, A_primes: tuple[int, ...],
-                 r: Fraction, R: int, R_primes: tuple[int, ...]
-                 ) -> tuple[Fraction, Fraction]:
+def conic_point(alpha: Rational, A: int, A_primes: tuple[int, ...],
+                r: Rational, R: int, R_primes: tuple[int, ...]
+                ) -> tuple[Fraction, Fraction]:
     """A rational point (y, z), y, z >= 0, of y^2 - alpha z^2 = r for a
     conic already decided solvable, with r != 0.
 
     A and R are the squarefree parts of alpha and r, listed with their
-    primes.  Write alpha = A a^2 and r = R s^2 with a, s > 0 rational.
+    primes: the fiber search passes the class of r that `conic_decide`
+    returned.  Write alpha = A a^2 and r = R s^2 with a, s > 0 rational.
     A nontrivial integer point (x, u, w) of x^2 - A u^2 = R w^2 from
     `_legendre_descent` gives (y, z) = (s x / w, s u / (a w)).  Only
     A = 1 allows w = 0; then alpha = a^2 and the factorization
     (y - a z)(y + a z) = r gives y = (r + 1)/2, z = (r - 1)/(2a).
     The point is checked by substitution before it is returned.
     """
+    alpha, r = Fraction(alpha), Fraction(r)
     s = Fraction(math.isqrt(_integral(r) // R), r.denominator)
     a = Fraction(math.isqrt(_integral(alpha) // A), alpha.denominator)
     x, u, w = _legendre_descent(A, A_primes, R, R_primes)

@@ -26,7 +26,7 @@ from chatelet._kernel.pure import conic_scan
 from chatelet.local import (
     REAL,
     Place,
-    conic_solvable_global,
+    conic_point,
     finite_place,
     hilbert_symbol,
     inv_from_symbol,
@@ -643,7 +643,8 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     without a scan.  It then reads the reciprocity bits `S.brauer`: when
     they multiply to -1, no fiber of any height is solvable either.
     Otherwise `conic_scan` decides every fiber in order, up to the
-    x -> -x symmetry of `chatelet._kernel.pure`.
+    x -> -x symmetry of `chatelet._kernel.pure`; the found fiber's point
+    is `conic_point`'s, from the class that the scan's decision returned.
     """
     S.require_smooth()
     if not S.local.all_solvable or (
@@ -655,14 +656,14 @@ def rational_point_search(S: ChateletSurface, H: int) -> SearchResult:
     if hit is None:
         return SearchResult(height=H, found=False,
                             note=f"none up to {H}")
-    m, n = hit
-    value = S.Ptilde.value(n, m)
-    if value == 0:
+    (m, n), r_class = hit
+    if r_class is None:
         return SearchResult(height=H, found=True, x=(m, n),
                             witness=(Fraction(0), Fraction(0)),
                             note="degenerate fiber")
-    _, wit = conic_solvable_global(S.alpha, value, want_witness=True)
-    return SearchResult(height=H, found=True, x=(m, n), witness=wit)
+    witness = conic_point(S.alpha, alpha_sf, alpha_primes,
+                          S.Ptilde.value(n, m), *r_class)
+    return SearchResult(height=H, found=True, x=(m, n), witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 import sympy
 
 from chatelet import bundle as bundle_mod
+from chatelet import local as local_mod
 from chatelet import surface as surface_mod
+from chatelet._kernel import pure
 from chatelet.bundle import (
     BadFiberSet,
     FiberParam,
@@ -22,6 +24,7 @@ from chatelet.bundle import (
     pullback_fiber_param,
     verify_pullback,
 )
+from chatelet.cli import EXIT_OK, main
 from chatelet.numbers import squarefree_part
 from chatelet.quartic import BinaryQuartic
 from chatelet.surface import (
@@ -279,6 +282,21 @@ class TestVerifyPullback:
         rep = verify_pullback(W, default_sample_ts(6), search_H=5)
         assert len(rep.fibers) == 5
         assert sum(S.provenance == "fiber" for S in calls) == 3
+
+    def test_found_fibers_decided_once(self, monkeypatch, tmp_path):
+        # `chatelet bundle --fibers 4` makes 18 conic decisions, under
+        # both names that the package looks `conic_decide` up by: the
+        # three fibers with a point found are decided in the scan alone,
+        # not again, whole, for their witness
+        calls = []
+        real = local_mod.conic_decide
+        for module in (local_mod, pure):
+            monkeypatch.setattr(module, "conic_decide",
+                                lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "report.json"
+        assert main(["bundle", "--fibers", "4", "--out", str(out)]) \
+            == EXIT_OK
+        assert len(calls) == 18
 
     def test_sample_must_include_ends(self, B, F):
         W = pullback(B, good_d_candidates(F, 1)[0])

@@ -285,6 +285,18 @@ class TestSurface:
         assert rep["stages"]["local"]["all_solvable"]
         assert "search" not in rep["stages"]
 
+    def test_found_fiber_past_64_bits_is_a_point(self, capsys, monkeypatch):
+        # (11 x^2 + q1)(7 x^2 + q2), alpha = 7: the value at the hit
+        # (-23 : 6) is past 2^64, and its point comes from the class
+        # that the scan's decision of the two parts returned
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"alpha": "7", "P": ["1117599346600586289630389", "0",'
+            ' "20875690450046", "0", "77"]}'))
+        code, rep = run_json(capsys, "surface", "-", "--height", "30")
+        assert code == EXIT_OK
+        assert rep["conclusion"] == "point-found"
+        assert rep["stages"]["search"]["x"] == ["-23", "6"]
+
     def test_uncertified_content_prime_is_inconclusive(self, capsys,
                                                       monkeypatch):
         # the content N = 1000003 (2^64 + 13) of the integer model shares

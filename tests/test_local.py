@@ -15,6 +15,7 @@ from chatelet.local import (
     REAL,
     Place,
     conic_decide,
+    conic_point,
     conic_solvable_global,
     default_oracle_precision,
     finite_place,
@@ -178,19 +179,18 @@ class TestInv:
 
 class TestConic:
     def test_global_examples(self):
-        assert conic_solvable_global(697, 0) == (True, (0, 0))
-        ok, wit = conic_solvable_global(2, 7, want_witness=True)
-        assert ok and wit is not None
-        y, z = wit
+        assert conic_solvable_global(697, 0) is True
+        assert conic_solvable_global(2, 7) is True
+        y, z = _point(2, 7)
         assert y * y - 2 * z * z == 7
-        assert conic_solvable_global(-1, -1)[0] is False
+        assert conic_solvable_global(-1, -1) is False
         # the x = 0 fiber of the constructed surface
-        assert conic_solvable_global(697, 5916)[0] is False
+        assert conic_solvable_global(697, 5916) is False
 
     @given(nonzero, nonzero)
     @settings(max_examples=100, deadline=None)
     def test_global_iff_everywhere_local(self, alpha, r):
-        ok, _ = conic_solvable_global(alpha, r)
+        ok = conic_solvable_global(alpha, r)
         everywhere = all(
             hilbert_symbol(alpha, r, v) == 1
             for v in support_places(alpha, r))
@@ -213,7 +213,7 @@ def _check_decision(alpha, r):
     decided = r_class is not None
     table = {v: hilbert_symbol(alpha, r, v) for v in support_places(alpha, r)}
     assert decided == all(s == 1 for s in table.values()), (alpha, r)
-    assert conic_solvable_global(alpha, r)[0] == decided, (alpha, r)
+    assert conic_solvable_global(alpha, r) == decided, (alpha, r)
     if decided:
         assert r_class == square_class(r), (alpha, r)
     for v, s in table.items():
@@ -324,7 +324,8 @@ class TestConicDecision:
         monkeypatch.setattr(numbers, "_trial_division",
                             lambda n: calls.append(n) or real(n))
         r = 36055091729
-        assert conic_solvable_global(697, r, want_witness=True)[1]
+        r_class = conic_decide(697, (17, 41), r)
+        assert conic_point(697, 697, (17, 41), r, *r_class)
         assert calls.count(r) == 1
 
     def test_rational_arguments(self):
@@ -336,7 +337,7 @@ class TestConicDecision:
                              rng.randint(1, 60))
             r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**4),
                          rng.randint(1, 10**3))
-            ok, _ = conic_solvable_global(alpha, r)
+            ok = conic_solvable_global(alpha, r)
             assert ok == all(hilbert_symbol(alpha, r, v) == 1
                              for v in support_places(alpha, r)), (alpha, r)
 
@@ -516,10 +517,14 @@ class TestConicDecideOracle:
         assert at_2 == {a for a in self.ALPHAS if a % 8 != 1}
 
 
+def _point(alpha, r):
+    """`conic_point` on the square classes of alpha and r."""
+    return conic_point(alpha, *square_class(alpha), r, *square_class(r))
+
+
 def _assert_witness(alpha, r):
-    ok, wit = conic_solvable_global(alpha, r, want_witness=True)
-    assert ok and wit is not None, (alpha, r)
-    y, z = wit
+    assert conic_solvable_global(alpha, r), (alpha, r)
+    y, z = wit = _point(alpha, r)
     assert y * y - Fraction(alpha) * z * z == r, (alpha, r)
     return wit
 
@@ -553,10 +558,8 @@ class TestConicWitness:
         _assert_witness(Fraction(697, 4), Fraction(36055091729, 9))
 
     def test_square_r_keeps_trivial_point(self):
-        assert conic_solvable_global(2, 1, want_witness=True) == \
-            (True, (Fraction(1), Fraction(0)))
-        assert conic_solvable_global(Fraction(9, 4), Fraction(25, 49),
-                                     want_witness=True)[1] == \
+        assert _point(2, 1) == (Fraction(1), Fraction(0))
+        assert _point(Fraction(9, 4), Fraction(25, 49)) == \
             (Fraction(5, 7), Fraction(0))
 
     def test_small_cases(self):
@@ -566,10 +569,15 @@ class TestConicWitness:
             _assert_witness(alpha, r)
 
     def test_large_prime_shared_with_alpha(self):
-        # r = q s^2 with q | alpha: the integer r is past 2^64, but its
-        # square class is found without factoring q s^2 as a whole
+        # r = q s^2 with q | alpha: the integer r is past 2^64, but the
+        # decision finds its square class without factoring q s^2 as a
+        # whole, and the witness starts from that class
         q, s = 1099511627873, 1073741827  # q = 1 mod 4, both prime
-        _assert_witness(q, q * s * s)
+        r = q * s * s
+        r_class = conic_decide(q, (q,), r)
+        assert r_class == (q, (q,))
+        y, z = conic_point(q, q, (q,), r, *r_class)
+        assert y * y - q * z * z == r
 
     def test_prime_square_past_certified_range(self):
         # q^2 is past 2^64 but its root q (prime, near 2^40) is not: both
@@ -578,13 +586,12 @@ class TestConicWitness:
         assert partial_factorize(q**2) == (((q, 2),), 1)
         assert factorize(q**2) == ((q, 2),)
         assert conic_decide(2, (), q**2) == (1, ())
-        assert conic_solvable_global(697, q**2, want_witness=True) == \
-            (True, (Fraction(q), Fraction(0)))
+        assert conic_solvable_global(697, q**2) is True
+        assert _point(697, q**2) == (Fraction(q), Fraction(0))
 
     def test_past_certified_range_raises(self):
         # q1 q2 with q1, q2 = 1 mod 4 primes near 2^40: a sum of two
         # squares, but its cofactor is past 2^64 and cannot be certified
         r = 1099511627873 * 1099511627917
-        for want in (False, True):
-            with pytest.raises(OutOfCertifiedRangeError):
-                conic_solvable_global(-1, r, want_witness=want)
+        with pytest.raises(OutOfCertifiedRangeError):
+            conic_solvable_global(-1, r)

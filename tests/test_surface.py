@@ -619,6 +619,19 @@ def _reference_scan(coeffs, alpha, alpha_odd_primes, H):
     return None
 
 
+def _scan_x(quartic, alpha, alpha_odd_primes, H):
+    """The x of `conic_scan`'s hit, or None, after checking that the
+    hit's class is the square class of the fiber's integer value (None
+    for a zero value)."""
+    hit = pure.conic_scan(quartic, alpha, alpha_odd_primes, H)
+    if hit is None:
+        return None
+    (m, n), r_class = hit
+    r = evaluate_quartic(quartic.integer_square_scaled, m, n)
+    assert r_class == (square_class(r) if r else None), (m, n)
+    return m, n
+
+
 def _is_square(n):
     """Is the integer n a square?"""
     return n >= 0 and math.isqrt(n) ** 2 == n
@@ -718,7 +731,7 @@ class TestScanParity:
     def test_first_hit_matches_reference(self):
         seen = {"none": 0, "boundary-zero": 0}
         for kind, coeffs, alpha, odd, H in self._random_cases():
-            hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
+            hit = _scan_x(BinaryQuartic(coeffs), alpha, odd, H)
             want = _reference_scan(coeffs, alpha, odd, H)
             assert hit == want, (coeffs, alpha, H)
             if want is None:
@@ -787,7 +800,7 @@ class TestScanParity:
         shared = 0
         for coeffs, alpha, odd, H in self._shared_cases():
             decided.clear()
-            hit = pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
+            hit = _scan_x(BinaryQuartic(coeffs), alpha, odd, H)
             assert hit == _reference_scan(coeffs, alpha, odd, H), (
                 coeffs, alpha, H)
             shared += any(_shares_odd_prime(parts, alpha)
@@ -804,8 +817,10 @@ class TestScanParity:
         math_without_gcd = dict(vars(math), gcd=lambda a, b: 1)
         monkeypatch.setattr(local_mod, "math",
                             types.SimpleNamespace(**math_without_gcd))
-        assert any(pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
-                   != want for (coeffs, alpha, odd, H), want in cases)
+        hits = [pure.conic_scan(BinaryQuartic(coeffs), alpha, odd, H)
+                for (coeffs, alpha, odd, H), _ in cases]
+        assert any((hit and hit[0]) != want
+                   for hit, (_, want) in zip(hits, cases))
 
 
 def _reciprocity_case(rng, kind):
@@ -1146,7 +1161,7 @@ class TestSearchPast64Bits:
         quartic = self._surface(a1, a2, alpha).Ptilde
         # the point of that fiber needs a Legendre descent through
         # integers past 2^64, so the search itself still stops there
-        hit = pure.conic_scan(quartic, alpha, (5,), 30)
+        hit, _ = pure.conic_scan(quartic, alpha, (5,), 30)
         assert hit == (-30, 1)
         shared = 0
         for m, n in self._fibers(30):
@@ -1158,6 +1173,64 @@ class TestSearchPast64Bits:
                 assert (conic_decide(alpha, (5,), *parts) is not None) \
                     == _sympy_solvable(alpha, parts), (m, n)
         assert shared == 74
+
+    def test_found_fiber_past_64_bits_gets_a_witness(self):
+        # (11 x^2 + q1)(7 x^2 + q2), q1 and q2 primes near 2^40, alpha = 7:
+        # the value at the scan's hit (-23 : 6) is past 2^64 and cannot
+        # be decided whole, but its parts are certified, and the witness
+        # starts from the square class that their decision returned
+        q1, q2 = 807590545357, 1383868784777
+        S = _user_surface((q1 * q2, 0, 11 * q2 + 7 * q1, 0, 77), 7)
+        assert S.Ptilde.coeffs == (1117599346600586289630389, 0,
+                                   20875690450046, 0, 77)
+        res = rational_point_search(S, 30)
+        assert res.found and res.x == (-23, 6)
+        value = S.Ptilde.value(6, -23)
+        y, z = res.witness
+        assert y * y - 7 * z * z == value
+        with pytest.raises(OutOfCertifiedRangeError):
+            local_mod.conic_solvable_global(7, value)
+
+
+def _decision_log(monkeypatch):
+    """A list that records each `conic_decide` call, under both names
+    that the package looks it up by, as "decide", and each return of the
+    search's `conic_scan` as ("hit", its result)."""
+    log = []
+    real_decide, real_scan = local_mod.conic_decide, surface_mod.conic_scan
+
+    def decide(*args):
+        log.append("decide")
+        return real_decide(*args)
+
+    def scan(*args):
+        hit = real_scan(*args)
+        log.append(("hit", hit))
+        return hit
+
+    monkeypatch.setattr(local_mod, "conic_decide", decide)
+    monkeypatch.setattr(pure, "conic_decide", decide)
+    monkeypatch.setattr(surface_mod, "conic_scan", scan)
+    return log
+
+
+class TestOneDecisionPerFiber:
+    """The search decides a found fiber once, in the scan: its witness
+    comes from the square class that the scan's decision returned."""
+
+    @pytest.mark.parametrize("alpha, coeffs, H", [
+        (2, (6, 0, 0, 0, 1), 20),
+        (3, (-6, -6, 7, 1, -1), 100),
+        (697, (36055091729, 0, 0, 0, 1), 5),
+        (7, (1117599346600586289630389, 0, 20875690450046, 0, 77), 30),
+    ])
+    def test_no_decision_after_the_hit(self, monkeypatch, alpha, coeffs, H):
+        log = _decision_log(monkeypatch)
+        S = _user_surface(coeffs, alpha)
+        res = rational_point_search(S, H)
+        assert res.found and res.note == ""
+        assert log[-1][0] == "hit" and log[-1][1][0] == res.x
+        assert set(log[:-1]) == {"decide"}
 
 
 class TestIntegerModel:
