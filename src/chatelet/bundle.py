@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from chatelet.local import Place
-from chatelet.numbers import squarefree_part
+from chatelet.numbers import clear_denominators, squarefree_part
 from chatelet.quartic import (
     BinaryQuartic,
     disc_from_coeffs,
@@ -61,10 +61,8 @@ class FiberParam(namedtuple("FiberParam", "u v")):
     @classmethod
     def canonical(cls, u: Union[int, Fraction],
                   v: Union[int, Fraction]) -> "FiberParam":
-        u, v = Fraction(u), Fraction(v)
-        den = math.lcm(u.denominator, v.denominator)
-        iu, iv = int(u * den), int(v * den)
-        g = math.gcd(iu, iv)
+        iu, iv = clear_denominators((u, v))[1]
+        g = math.gcd(iu, iv) or 1  # (0, 0) reaches __new__'s check
         iu, iv = iu // g, iv // g
         if (iu if iu != 0 else iv) < 0:
             iu, iv = -iu, -iv
@@ -109,9 +107,9 @@ class BadFiberSet(NamedTuple):
 
     fibers: tuple[FiberParam, ...]
 
-    def affine_classes(self) -> set[Fraction]:
-        """Square classes of the nonzero affine bad-fiber coordinates."""
-        return {squarefree_part(f.affine()) for f in self.fibers
+    def affine_classes(self) -> set[int]:
+        """Square classes of the nonzero affine bad fibers u/v, as of u v."""
+        return {squarefree_part(f.u * f.v) for f in self.fibers
                 if not f.is_infinity and f.u != 0}
 
 
@@ -156,34 +154,36 @@ def fiber_at(B: SurfaceBundle, t: FiberParam) -> ChateletSurface:
     """
     if t == FiberParam(0, 1):
         return B.source
-    u2, v2 = Fraction(t.u) ** 2, Fraction(t.v) ** 2
-    coeffs = tuple(u2 * ci + v2 * c0
+    coeffs = tuple(t.u**2 * ci + t.v**2 * c0
                    for ci, c0 in zip(B.Pinf.coeffs, B.P0.coeffs))
     return ChateletSurface(alpha=B.alpha, Ptilde=BinaryQuartic(coeffs),
                            provenance="fiber")
 
 
-def _pencil_disc(B: SurfaceBundle) -> list[Fraction]:
-    """The coefficients of D(s) = disc(s Pinf + P0), low degree first.
+def _pencil_disc(B: SurfaceBundle) -> list[int]:
+    """The integer coefficients of 6! L^6 D(s), low degree first, for
+    D(s) = disc(s Pinf + P0) and L the common denominator of Pinf and P0.
 
-    The discriminant is a sextic in the form's coefficients, so D has
-    degree at most 6 and its values at s = 0..6 fix it.  Newton's forward
-    differences give D(s) = sum_k (Delta^k D)(0) C(s, k), with
-    C(s, k) = s (s - 1) ... (s - k + 1) / k!.
+    The discriminant is a sextic in the form's coefficients, so
+    L^6 D(s) = disc(s L Pinf + L P0) is an integer polynomial of degree at
+    most 6, fixed by its values at s = 0..6.  Newton's forward differences
+    give it as sum_k (Delta^k L^6 D)(0) C(s, k), where the polynomials
+    6! C(s, k) = 6! s (s - 1) ... (s - k + 1) / k!, k <= 6, are integral.
     """
+    ints = clear_denominators(B.Pinf.coeffs + B.P0.coeffs)[1]
     values = [disc_from_coeffs([s * ci + c0 for ci, c0
-                                in zip(B.Pinf.coeffs, B.P0.coeffs)])
+                                in zip(ints[:5], ints[5:])])
               for s in range(7)]
-    D = [Fraction(0)] * 7
-    binomial = [Fraction(1)]  # C(s, k), low degree first
+    D = [0] * 7
+    binomial = [720]  # 6! C(s, k), low degree first
     for k in range(7):
+        if k:  # 6! C(s, k) = 6! C(s, k - 1) (s - k + 1) / k, exactly
+            binomial = [((binomial[i - 1] if i else 0)
+                         - ((k - 1) * binomial[i] if i < k else 0)) // k
+                        for i in range(k + 1)]
         for i, b in enumerate(binomial):
             D[i] += values[0] * b
         values = [y - x for x, y in zip(values, values[1:])]
-        # C(s, k + 1) = C(s, k) (s - k) / (k + 1)
-        binomial = [((binomial[i - 1] if i else 0)
-                     - (k * binomial[i] if i <= k else 0)) / (k + 1)
-                    for i in range(k + 2)]
     return D
 
 
@@ -219,7 +219,7 @@ def good_d_candidates(F: BadFiberSet, count: int) -> list[int]:
         d += 1
         if squarefree_part(d) != d:
             continue
-        if Fraction(d) in banned:
+        if d in banned:
             continue
         out.append(d)
     return out
@@ -228,7 +228,7 @@ def good_d_candidates(F: BadFiberSet, count: int) -> list[int]:
 def pullback(B: SurfaceBundle, d: int) -> PulledBackBundle:
     if d <= 0 or squarefree_part(d) != d:
         raise ValueError("d must be positive and squarefree")
-    if Fraction(d) in B.bad.affine_classes():
+    if d in B.bad.affine_classes():
         raise ValueError(
             f"d = {d} shares a square class with a bad fiber")
     return PulledBackBundle(base=B, d=d)
@@ -304,7 +304,7 @@ def verify_pullback(W: PulledBackBundle,
     if INFINITY not in sample_ts or (0, 1) not in sample_ts:
         raise ValueError("sample must include t = infinity and t = 0")
     F = W.base.bad
-    d_class = Fraction(squarefree_part(W.d))
+    d_class = squarefree_part(W.d)
     special = obstruction_report(W.base.source)
     if special.conclusion != "no-rational-point-certified":
         raise ArithmeticError("special fiber obstruction not certified")
@@ -335,7 +335,7 @@ def verify_pullback(W: PulledBackBundle,
 
 
 def _verify_fiber(W: PulledBackBundle, t: tuple[int, int], fp: FiberParam,
-                  F: BadFiberSet, d_class: Fraction,
+                  F: BadFiberSet, d_class: int,
                   search_H: int) -> FiberRecord:
     """The record of the fiber fp = `pullback_fiber_param`(W, t)."""
     S = pullback_fiber(W, t)
@@ -345,7 +345,7 @@ def _verify_fiber(W: PulledBackBundle, t: tuple[int, int], fp: FiberParam,
     if fp in F.fibers:
         raise ArithmeticError(f"sampled fiber {fp} lies in the bad set")
     if not fp.is_infinity:
-        if squarefree_part(fp.affine()) != d_class:
+        if squarefree_part(fp.u * fp.v) != d_class:
             raise ArithmeticError(
                 f"fiber coordinate {fp} off the square class of d")
     irr = quartic_irreducible(S.Ptilde)

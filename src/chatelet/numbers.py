@@ -398,6 +398,13 @@ def split_valuation(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
+def clear_denominators(coeffs) -> tuple[int, list[int]]:
+    """The common denominator L of the rationals c_i and the integers
+    L c_i."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def square_class(q: Rational) -> tuple[int, tuple[int, ...]]:
     """(d, primes): the squarefree integer d (sign preserved) with
     q = d * (square), and the primes of d in increasing order.

@@ -18,10 +18,11 @@ bits and sampled invariants of the class (alpha, k f_1) read;
 `real_root_intervals` is the one real-root isolation, for univariate
 polynomials of any degree: Descartes' rule of signs with bisection on
 the squarefree part, in exact integer arithmetic.  `rational_roots`
-reads the rational roots off its intervals; `rational_factors` and
-the bad fibers of `chatelet.bundle` use them.  `sign_points` is the one
-walk over its intervals: one rational point on each piece of the real
-line where P has one sign.  `residue_discs` is the one p-adic walk:
+bisects each interval over the integers y, for a root y / a with a the
+leading coefficient; `rational_factors` and the bad fibers of
+`chatelet.bundle` use them.  `sign_points` is the one walk over its
+intervals: one rational point on each piece of the real line where P
+has one sign.  `residue_discs` is the one p-adic walk:
 residue discs that tile P^1(Z_p), each of one square class
 (`one_square_class`), centred at a root, holding one by Newton's
 criterion, or left open at a given depth.  These points and discs are
@@ -40,6 +41,7 @@ from typing import Optional
 
 from chatelet.numbers import (
     Rational,
+    clear_denominators,
     partial_factorize,
     split_valuation,
 )
@@ -85,8 +87,8 @@ class BinaryQuartic(namedtuple("BinaryQuartic", "coeffs")):
         so every value keeps its square class.  The square part of the
         content, as far as `partial_factorize` finds it, is removed to
         keep the numbers small.  Computed once per form."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den * den) for c in self.coeffs]
+        den, ints = clear_denominators(self.coeffs)
+        ints = [c * den for c in ints]
         s = 1
         for p, e in partial_factorize(math.gcd(*ints))[0]:
             s *= p ** (e // 2)
@@ -108,7 +110,8 @@ def quartic_disc(q: BinaryQuartic) -> Fraction:
     Zero exactly when the form has a repeated root in P^1 over the
     algebraic closure (roots at infinity included).
     """
-    return disc_from_coeffs(q.coeffs)
+    den, ints = clear_denominators(q.coeffs)
+    return Fraction(disc_from_coeffs(ints), den**6)
 
 
 def disc_from_coeffs(coeffs):
@@ -159,8 +162,7 @@ def _squarefree(coeffs) -> list[int]:
     """The squarefree part f / gcd(f, f') of f = sum c_i x^i (ints or
     Fractions), as a primitive integer polynomial with positive leading
     coefficient: the same distinct roots, each simple."""
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    f = _primitive([int(c * den) for c in coeffs])
+    f = _primitive(clear_denominators(coeffs)[1])
     if not f:
         raise ValueError("the zero polynomial has no isolated roots")
     g, h = f, _primitive(_derivative(f))
@@ -193,10 +195,10 @@ def evaluate_form(coeffs, m, n):
     return acc
 
 
-def _sign_at(f: list[int], x: Fraction) -> int:
-    """The sign of f(x) for an integer polynomial f, from the integer
-    q^n f(p/q) (`evaluate_form` at (w, x) = (q, p))."""
-    acc = evaluate_form(f, x.numerator, x.denominator)
+def _sign_at(f: list[int], m: int, n: int) -> int:
+    """The sign of f(m/n), n > 0, for an integer polynomial f, from the
+    integer n^deg(f) f(m/n) (`evaluate_form` at (w, x) = (n, m))."""
+    acc = evaluate_form(f, m, n)
     return (acc > 0) - (acc < 0)
 
 
@@ -250,9 +252,8 @@ def _unit_intervals(g: list[int]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _root_intervals(f: list[int], eps) -> list[tuple[Fraction, Fraction]]:
-    """`real_root_intervals` of the squarefree primitive f, each interval
-    refined to width at most eps unless eps is None."""
+def _root_intervals(f: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """`real_root_intervals` of the squarefree primitive f."""
     n = len(f) - 1
     if n == 0:
         return []
@@ -270,25 +271,7 @@ def _root_intervals(f: list[int], eps) -> list[tuple[Fraction, Fraction]]:
         g = [c * side**i for i, c in enumerate(f)]
         intervals += [tuple(sorted((side * lo, side * hi)))
                       for lo, hi in _unit_intervals(g)]
-    intervals.sort()
-    if eps is None:
-        return intervals
-    refined = []
-    for lo, hi in intervals:
-        # the ends are no roots and the root is simple: f changes sign
-        # once inside, so halving toward the sign change keeps it
-        s = _sign_at(f, lo)
-        while hi - lo > eps:
-            mid = (lo + hi) / 2
-            m = _sign_at(f, mid)
-            if m == 0:
-                lo = hi = mid
-            elif m == s:
-                lo = mid
-            else:
-                hi = mid
-        refined.append((lo, hi))
-    return refined
+    return sorted(intervals)
 
 
 def real_root_intervals(coeffs) -> list[tuple[Fraction, Fraction]]:
@@ -298,26 +281,36 @@ def real_root_intervals(coeffs) -> list[tuple[Fraction, Fraction]]:
     ends, in increasing order and pairwise disjoint except that
     neighbours may share an end, each holding exactly one root and
     together all of them.  A rational root may come as [r, r]."""
-    return _root_intervals(_squarefree(coeffs), None)
+    return _root_intervals(_squarefree(coeffs))
 
 
 def rational_roots(coeffs) -> list[Fraction]:
     """The distinct rational roots of P(x) = sum c_i x^i, in increasing
     order.
 
-    Let f be the squarefree primitive integer part of P, of degree n and
-    leading coefficient a.  A root p/q in lowest terms has q | a, so
-    y = a x is an integer root of the monic transform a^(n-1) f(y/a).
-    An isolating interval of width at most 1/(2a) holds at most one
-    integer y / a, which is tested exactly.
+    Let f be the squarefree primitive integer part of P, with leading
+    coefficient a > 0.  A root p/q in lowest terms has q | a, so it is
+    y / a for an integer y.  On each isolating interval [lo, hi],
+    bisection over the integers y in [ceil(a lo), floor(a hi)] finds the
+    least y / a past the sign change of f, each sign read from the
+    integer `evaluate_form`(f, y, a); y is kept when f(y / a) = 0 and
+    y <= floor(a hi), so that no root of the next interval is taken.
     """
     f = _squarefree(coeffs)
     a = f[-1]
     roots = []
-    for lo, hi in _root_intervals(f, Fraction(1, 2 * a)):
-        x = Fraction(math.ceil(lo * a), a)
-        if x <= hi and _sign_at(f, x) == 0:
-            roots.append(x)
+    for lo, hi in _root_intervals(f):
+        s = _sign_at(f, lo.numerator, lo.denominator)
+        y = -(-a * lo.numerator // lo.denominator)  # ceil(a lo)
+        top = end = a * hi.numerator // hi.denominator + 1  # floor(a hi) + 1
+        while y < end:
+            mid = (y + end) // 2
+            if s * _sign_at(f, mid, a) > 0:
+                y = mid + 1
+            else:
+                end = mid
+        if y < top and _sign_at(f, y, a) == 0:
+            roots.append(Fraction(y, a))
     return roots
 
 
@@ -454,7 +447,7 @@ def rational_factors(ints) -> tuple[int, list[tuple[int, ...]]]:
     factors = []
     for root in rational_roots(f):
         linear = (-root.numerator, root.denominator)
-        while _sign_at(f, root) == 0:
+        while _sign_at(f, root.numerator, root.denominator) == 0:
             f = _exact_quotient(f, linear)
             factors.append(linear)
     if len(f) == 5:

@@ -60,6 +60,11 @@ class TestFiberParam:
         assert FiberParam.canonical(Fraction(1, 2), Fraction(1, 3)) == \
             FiberParam(3, 2)
 
+    def test_canonical_rejects_origin(self):
+        for u, v in ((0, 0), (Fraction(0), Fraction(0, 5))):
+            with pytest.raises(ValueError, match="not a point of P"):
+                FiberParam.canonical(u, v)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FiberParam(0, 0)

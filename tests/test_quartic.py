@@ -530,37 +530,27 @@ def _close_roots(H):
     return [rational, _mul(close, [-1, -2, 3]), _mul(close, [5, 0, -1, 0, 1])]
 
 
-def _check_isolation(coeffs, intervals, eps=None):
+def _check_isolation(coeffs, intervals):
     """The contract of `real_root_intervals`, against sympy: one interval
     per distinct real root (as many as `Poly.intervals` finds), closed
     [lo, hi] in increasing order, disjoint except for shared ends, and
     each holding exactly one root (sympy's Sturm count on the closed
-    interval), so together all of them; width at most eps."""
+    interval), so together all of them."""
     poly = sympy.Poly(list(reversed(coeffs)), _x).sqf_part()
     assert len(intervals) == len(poly.intervals()), coeffs
     for lo, hi in intervals:
         assert lo <= hi
-        if eps is not None:
-            assert hi - lo <= eps
         assert poly.count_roots(sympy.Rational(str(lo)),
                                 sympy.Rational(str(hi))) == 1, (coeffs, lo)
     for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
         assert hi <= lo, coeffs
 
 
-def _refined(coeffs, eps):
-    """The intervals refined to width at most eps, as `rational_roots`
-    refines them."""
-    return quartic._root_intervals(quartic._squarefree(coeffs), eps)
-
-
 class TestRealRootIntervals:
     def test_against_sympy(self):
         rng = random.Random(16)
-        for i, f in enumerate(_random_polys(rng, 300)):
+        for f in _random_polys(rng, 300):
             _check_isolation(f, real_root_intervals(f))
-            eps = Fraction(1, 10**6) if i % 2 else Fraction(1, 7)
-            _check_isolation(f, _refined(f, eps), eps)
 
     def test_fractions_and_low_degree(self):
         # Fraction coefficients, a zero root, leading zeros, constants
@@ -573,11 +563,8 @@ class TestRealRootIntervals:
             real_root_intervals([0, 0, 0])
 
     def test_close_roots(self):
-        H = 1000
-        eps = Fraction(1, (H + 1) ** 2)
-        for f in _close_roots(H):
+        for f in _close_roots(1000):
             _check_isolation(f, real_root_intervals(f))
-            _check_isolation(f, _refined(f, eps), eps)
 
     def test_rational_root_may_be_a_point(self):
         # roots met as midpoints of the bisection, and the root 0
@@ -599,15 +586,58 @@ class TestRealRootIntervals:
 class TestRationalRoots:
     def test_against_sympy(self):
         rng = random.Random(17)
-        polys = _random_polys(rng, 300) + _close_roots(1000)
+        # and two roots 1/(3 H^2) apart, rational or not, up to H = 10^9
+        polys = _random_polys(rng, 300) + [
+            f for H in (1, 3, 1000, 10**6, 10**9) for f in _close_roots(H)]
         for f in polys:
-            poly = sympy.Poly(list(reversed(f)), _x)
-            expected = sorted(Fraction(int(r.p), int(r.q))
-                              for r in poly.ground_roots())
-            assert rational_roots(f) == expected, f
+            assert rational_roots(f) == _sympy_rational_roots(f), f
 
     def test_large_leading_coefficient(self):
         # roots p/q with q | a for a of 40 digits
         a = 10**40 + 1
         f = _mul(_mul([3, 0, 1], [-7, a]), [5, 1])
         assert rational_roots(f) == [Fraction(-5), Fraction(7, a)]
+
+    def test_composite_leading_coefficient(self):
+        # roots p/q with q | 2^40 3^5, so that the leading coefficient a
+        # is large and highly composite, and y = a x runs far past p
+        a = 2**40 * 3**5
+        rng = random.Random(33)
+        for _ in range(40):
+            f = [1]
+            for _ in range(rng.randint(1, 3)):
+                q = 2 ** rng.randint(0, 40) * 3 ** rng.randint(0, 5)
+                f = _mul(f, [-rng.randint(-10**15, 10**15), q])
+            f = _mul(f, rng.choice(([3, 0, 1], [-2, 0, 1], [1], [-a, 1])))
+            assert rational_roots(f) == _sympy_rational_roots(f), f
+
+    def test_roots_one_over_a_apart(self):
+        # Farey neighbours p/q and p'/q' (|p'q - pq'| = 1), here ratios of
+        # Fibonacci numbers, are 1/a apart for the leading coefficient
+        # a = q q' of (q x - p)(q' x - p'): their integers y = a x are
+        # neighbours
+        fib = [1, 1]
+        while len(fib) < 60:
+            fib.append(fib[-1] + fib[-2])
+        for n in (2, 10, 30, 57):
+            r, s = (fib[n - 1], fib[n]), (fib[n], fib[n + 1])
+            f = _mul([-r[0], r[1]], [-s[0], s[1]])
+            roots = rational_roots(f)
+            assert roots == _sympy_rational_roots(f), f
+            assert roots[1] - roots[0] == Fraction(1, f[-1])
+            g = _mul(f, [-2, 0, 1])  # and two irrational roots
+            assert rational_roots(g) == _sympy_rational_roots(g), g
+
+    def test_root_of_the_next_interval_is_not_taken(self):
+        # sqrt 2 is isolated in [1, 3/2], and every integer y <= 3/2 has
+        # f(y) of the sign of f(1), so the bisection ends at y = 2, past
+        # the interval: 2 is the root of the next interval, [2, 2], and
+        # is reported once
+        f = _mul([-2, 0, 1], [-2, 1])
+        assert real_root_intervals(f)[1:] == [(1, Fraction(3, 2)), (2, 2)]
+        assert rational_roots(f) == [2] == _sympy_rational_roots(f)
+
+
+def _sympy_rational_roots(f):
+    poly = sympy.Poly(list(reversed(f)), _x)
+    return sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
